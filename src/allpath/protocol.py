@@ -9,10 +9,19 @@ timer fires, and causes later copies of the same exploration to be
 discarded, which is what keeps flooding loop-free.  After the lock timer it
 becomes *learnt*: refreshable, re-pointable by a fresher exploration, and
 expiring after the (long) learnt timer.
+
+Timers live in a per-bridge expiry heap with lazy deletion, the classic
+timer-queue design (Varghese & Lauck, "Hashed and Hierarchical Timing
+Wheels", SOSP 1987): every write pushes (expires_at, seq, entry), and a tick
+pops only the items that are due, skipping those whose entry has been
+replaced, deleted or re-timed since.  A tick therefore costs O(log n) per
+due item instead of a scan of the whole table.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass, field, replace
 
 BROADCAST = "ff:ff:ff:ff:ff:ff"
@@ -26,6 +35,11 @@ LEARNT = "learnt"
 
 DEFAULT_LOCK_TIMER = 0.1
 DEFAULT_LEARNT_TIMER = 30.0
+
+# An expiry heap is rebuilt from the live records once it holds more than
+# twice as many items as there are live records, plus this slack, so stale
+# items cannot pile up however often entries are refreshed.
+EXPIRY_HEAP_SLACK = 64
 
 
 @dataclass
@@ -84,31 +98,55 @@ class BridgeState:
         self.lock_timer = lock_timer
         self.learnt_timer = learnt_timer
         self.entries = {}
+        self._expiry = []  # heap of (expires_at, seq, entry), stale items included
+        self._seq = itertools.count()
 
     # -- entry lifecycle --------------------------------------------------
 
     def tick(self, now):
-        """Apply timer transitions; returns (key, old_state, new_state) list."""
+        """Apply due timer transitions; returns (key, old_state, new_state) list.
+
+        A locked entry that is due becomes learnt and is pushed again with
+        its learnt expiry, so lock -> learnt -> expired can happen in one
+        tick.  Transitions come in expiry order.
+        """
         transitions = []
-        for key, e in list(self.entries.items()):
-            if e.state == LOCKED and now >= e.expires_at:
+        heap = self._expiry
+        while heap and heap[0][0] <= now:
+            expires_at, _seq, e = heapq.heappop(heap)
+            if self.entries.get(e.key) is not e or e.expires_at != expires_at:
+                continue  # stale: replaced, deleted or re-timed since the push
+            if e.state == LOCKED:
                 e.state = LEARNT
-                e.expires_at = e.expires_at + self.learnt_timer
-                transitions.append((key, LOCKED, LEARNT))
-            if e.state == LEARNT and now >= e.expires_at:
-                del self.entries[key]
-                transitions.append((key, LEARNT, None))
+                e.expires_at = expires_at + self.learnt_timer
+                self._schedule(e)
+                transitions.append((e.key, LOCKED, LEARNT))
+            else:
+                del self.entries[e.key]
+                transitions.append((e.key, LEARNT, None))
         return transitions
 
+    def _schedule(self, entry):
+        """Queue the expiry of a live entry."""
+        heap = self._expiry
+        if len(heap) > 2 * len(self.entries) + EXPIRY_HEAP_SLACK:
+            heap[:] = [(e.expires_at, next(self._seq), e) for e in self.entries.values()]
+            heapq.heapify(heap)
+        else:
+            heapq.heappush(heap, (entry.expires_at, next(self._seq), entry))
+
     def _lock(self, key, port, now, race_id):
-        self.entries[key] = ForwardingEntry(key, port, LOCKED, now + self.lock_timer, race_id)
+        e = self.entries[key] = ForwardingEntry(key, port, LOCKED, now + self.lock_timer, race_id)
+        self._schedule(e)
 
     def _learn(self, key, port, now):
-        self.entries[key] = ForwardingEntry(key, port, LEARNT, now + self.learnt_timer)
+        e = self.entries[key] = ForwardingEntry(key, port, LEARNT, now + self.learnt_timer)
+        self._schedule(e)
 
     def _refresh(self, entry, now):
         if entry.state == LEARNT:
             entry.expires_at = now + self.learnt_timer
+            self._schedule(entry)
 
     def _race_admit(self, key, ingress, now, race_id):
         """Locked-port race logic shared by all exploration floods.
@@ -239,6 +277,7 @@ class BridgePathBridge(BridgeState):
         super().__init__(bridge_id, ports, host_ports, **kw)
         self.attachments = dict(attachments or {})  # host mac -> host port
         self.directory = {}  # host mac -> (edge id, expires_at)
+        self._dir_expiry = []  # heap of (expires_at, seq, mac), stale items included
 
     @property
     def is_edge(self):
@@ -246,13 +285,23 @@ class BridgePathBridge(BridgeState):
 
     def tick(self, now):
         transitions = super().tick(now)
-        for mac, (edge, expires) in list(self.directory.items()):
-            if now >= expires:
+        heap = self._dir_expiry
+        while heap and heap[0][0] <= now:
+            expires, _seq, mac = heapq.heappop(heap)
+            rec = self.directory.get(mac)
+            if rec is not None and rec[1] == expires:
                 del self.directory[mac]
         return transitions
 
     def _dir_learn(self, mac, edge, now):
-        self.directory[mac] = (edge, now + self.learnt_timer)
+        expires = now + self.learnt_timer
+        self.directory[mac] = (edge, expires)
+        heap = self._dir_expiry
+        if len(heap) > 2 * len(self.directory) + EXPIRY_HEAP_SLACK:
+            heap[:] = [(exp, next(self._seq), m) for m, (_edge, exp) in self.directory.items()]
+            heapq.heapify(heap)
+        else:
+            heapq.heappush(heap, (expires, next(self._seq), mac))
 
     def handle(self, ingress, frame, now):
         self.tick(now)

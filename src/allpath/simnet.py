@@ -96,7 +96,9 @@ class SimReport:
     flows: list = field(default_factory=list)
     drop_traces: list = field(default_factory=list)
     link_utilization: list = field(default_factory=list)  # (time, "a-b", util)
-    table_series: list = field(default_factory=list)  # (time, total entries)
+    # (time, total entries) at the first frame and at every frame that
+    # changed the network-wide total: change points, not one row per frame
+    table_series: list = field(default_factory=list)
     final_tables: dict = field(default_factory=dict)
 
     def to_json_dict(self):
@@ -144,6 +146,7 @@ class Engine:
         self.now = 0.0
         self._heap = []
         self._seq = 0
+        self._entries_total = 0  # sum of len(bs.entries) over all bridges
 
         cls = BRIDGE_CLASSES[protocol]
         self.bridges = {}
@@ -200,7 +203,9 @@ class Engine:
 
     def tick_all(self, now):
         for bs in self.bridges.values():
+            before = len(bs.entries)
             bs.tick(now)
+            self._entries_total += len(bs.entries) - before
 
     # -- queues and frame transport --------------------------------------
 
@@ -226,7 +231,11 @@ class Engine:
     def _frame_at_bridge(self, now, bridge_id, ingress, frame):
         self.report.counters["frames_consumed"] += 1
         bs = self.bridges[bridge_id]
+        before = len(bs.entries)
         decision = bs.handle(ingress, frame, now)
+        # only the handling bridge's table can change, so the total is kept
+        # up to date from its size change instead of recounting every table
+        self._entries_total += len(bs.entries) - before
         for port, fr in decision.outputs:
             if port == ingress:
                 raise AssertionError("forwarding back out the ingress port")
@@ -241,7 +250,9 @@ class Engine:
             self.report.counters["dropped_miss"] += 1
         if decision.unresolved:
             self.report.counters["dropped_unresolved"] += 1
-        self.report.table_series.append((now, self._total_entries()))
+        series = self.report.table_series
+        if not series or series[-1][1] != self._entries_total:
+            series.append((now, self._entries_total))
 
     def _frame_at_host(self, now, host_id, frame):
         self.report.counters["frames_consumed"] += 1
@@ -477,9 +488,6 @@ class Engine:
             self.report.link_utilization.append((now, name, util))
 
     # -- reporting --------------------------------------------------------
-
-    def _total_entries(self):
-        return sum(len(bs.entries) for bs in self.bridges.values())
 
     def _finalize(self):
         self.report.races = [self._races[k] for k in sorted(self._races, key=str)]

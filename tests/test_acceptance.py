@@ -64,7 +64,7 @@ def test_criterion_04_r_fa_band():
 
 def test_criterion_05_table_count_oracle_equivalence():
     checked = 0
-    for n in (2, 3):
+    for n in range(2, 7):
         for hosts_per_corner in (1, 2):  # H = 4 and H = 8
             t = make_simple_grid(n, hosts_per_corner=hosts_per_corner)
             for protocol in simnet.PROTOCOLS:
@@ -75,9 +75,9 @@ def test_criterion_05_table_count_oracle_equivalence():
                         "bridge_path": t_bp}[protocol]
                 assert abs(total - pred) < 1e-9, (n, H, protocol, total, pred)
                 checked += 1
-    assert checked == 12
+    assert checked == 30
     ok(5, "simulated table totals equal the closed-form predictions exactly "
-          "in all 12 (grid, H, protocol) cases")
+          "in all 30 (grid n = 2..6, H = 4 and 8, protocol) cases")
 
 
 def _exploration_key(protocol, eng, src_host, dst_host):

@@ -1,7 +1,10 @@
 """Per-bridge forwarding state machines: locking, learning, timers."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from allpath import protocol
 from allpath.protocol import (
     ARP_REPLY,
     ARP_REQUEST,
@@ -234,3 +237,101 @@ class TestCounting:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "protocol,bridge,key,port,state,expires_at"
         assert lines[1].startswith("arp_path,2,A,1,locked,")
+
+
+def full_scan_tick(bs, now):
+    """Reference tick: the scan of every entry and directory record it replaced."""
+    transitions = []
+    for key, e in list(bs.entries.items()):
+        if e.state == LOCKED and now >= e.expires_at:
+            e.state = LEARNT
+            e.expires_at = e.expires_at + bs.learnt_timer
+            transitions.append((key, LOCKED, LEARNT))
+        if e.state == LEARNT and now >= e.expires_at:
+            del bs.entries[key]
+            transitions.append((key, LEARNT, None))
+    for mac, (_edge, expires) in list(getattr(bs, "directory", {}).items()):
+        if now >= expires:
+            del bs.directory[mac]
+    return transitions
+
+
+KEYS = ["A", "B"]
+PORTS = [1, 2, 3]
+# time steps around the 0.25 s lock and 1 s learnt timers: 0 gives equal
+# timestamps, 1.25 takes a fresh lock through learnt to expired in one tick
+STEPS = [0.0, 0.0, 0.1, 0.25, 0.5, 0.5, 0.75, 1.0, 1.25, 2.0]
+OPS = st.one_of(
+    st.tuples(st.just("admit"), st.sampled_from(KEYS), st.sampled_from(PORTS),
+              st.integers(0, 3)),
+    st.tuples(st.just("learn"), st.sampled_from(KEYS), st.sampled_from(PORTS)),
+    st.tuples(st.just("refresh"), st.sampled_from(KEYS)),
+    st.tuples(st.just("dir"), st.sampled_from(KEYS), st.sampled_from(PORTS)),
+    st.tuples(st.just("tick"), st.sampled_from(STEPS)),
+)
+
+
+def snapshot(bs):
+    entries = [(k, e.port, e.state, e.expires_at) for k, e in bs.entries.items()]
+    return entries, list(bs.directory.items())
+
+
+class TestExpiryHeap:
+    """The heap tick against the full-scan reference on random operation sequences."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=st.lists(OPS, max_size=80), slack=st.sampled_from([0, 64]))
+    # a refresh or re-learn leaves a stale heap item due before the live one
+    @example(ops=[("learn", "A", 1), ("tick", 0.5), ("refresh", "A"), ("tick", 0.5),
+                  ("tick", 1.0)], slack=64)
+    @example(ops=[("dir", "A", 1), ("tick", 0.5), ("dir", "A", 2), ("tick", 0.5),
+                  ("tick", 1.0)], slack=64)
+    # a re-pointed entry at the same timestamp, then lock -> learnt -> expired
+    @example(ops=[("admit", "A", 1, 0), ("tick", 0.5), ("admit", "A", 2, 1),
+                  ("learn", "B", 1), ("tick", 0.0), ("tick", 2.0)], slack=0)
+    def test_matches_full_scan(self, ops, slack):
+        old = protocol.EXPIRY_HEAP_SLACK
+        protocol.EXPIRY_HEAP_SLACK = slack  # 0 rebuilds the heaps on most writes
+        try:
+            self.check(ops, slack)
+        finally:
+            protocol.EXPIRY_HEAP_SLACK = old
+
+    @staticmethod
+    def check(ops, slack):
+        def make():
+            return BridgePathBridge(1, ports=PORTS + ["H"], host_ports=["H"],
+                                    attachments={"H": "H"}, lock_timer=0.25,
+                                    learnt_timer=1.0)
+
+        heap_bs, ref = make(), make()
+        now = 0.0
+        for op in ops:
+            if op[0] == "tick":
+                now += op[1]
+                got = heap_bs.tick(now)
+                want = full_scan_tick(ref, now)
+                assert sorted(got, key=repr) == sorted(want, key=repr)
+                assert snapshot(heap_bs) == snapshot(ref)
+                continue
+            for bs in (heap_bs, ref):
+                if op[0] == "admit":
+                    bs._race_admit(op[1], op[2], now, op[3])
+                elif op[0] == "learn":
+                    bs._learn(op[1], op[2], now)
+                elif op[0] == "refresh":
+                    e = bs.entries.get(op[1])
+                    if e is not None:
+                        bs._refresh(e, now)
+                else:
+                    bs._dir_learn(op[1], op[2], now)
+            assert snapshot(heap_bs) == snapshot(ref)
+            # stale heap items stay within the rebuild bound after every write
+            assert len(heap_bs._expiry) <= 2 * len(heap_bs.entries) + slack + 1
+            assert len(heap_bs._dir_expiry) <= 2 * len(heap_bs.directory) + slack + 1
+
+    def test_lock_to_expired_in_one_tick(self):
+        bs = ArpPathBridge(2, ports=[1, 3], lock_timer=0.1, learnt_timer=1.0)
+        bs.handle(1, req("A", "ip-B", race=1), now=0.0)
+        assert bs.tick(5.0) == [("A", LOCKED, LEARNT), ("A", LEARNT, None)]
+        assert bs.entries == {}

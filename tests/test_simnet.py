@@ -1,8 +1,11 @@
 """Discrete-event engine: latency model, races, census, determinism."""
 
+import json
+
 import pytest
 
 from allpath import simnet
+from allpath.cli import main as cli_main
 from allpath.simnet import (
     Engine,
     FlowSpec,
@@ -129,6 +132,28 @@ class TestScenarios:
             assert 0.0 <= u <= 1.0 + 1e-12
 
 
+class TestTableSeries:
+    @pytest.mark.parametrize("protocol", ["arp-path", "flow-path", "bridge-path"])
+    def test_change_points_of_a_per_frame_recount(self, protocol, tmp_path, monkeypatch):
+        recount = []
+        handle_frame = Engine._frame_at_bridge
+
+        def counted(eng, now, *args):
+            handle_frame(eng, now, *args)
+            recount.append((now, sum(len(bs.entries) for bs in eng.bridges.values())))
+
+        monkeypatch.setattr(Engine, "_frame_at_bridge", counted)
+        assert cli_main(["simulate", "--topology", "grid:3", "--protocol", protocol,
+                         "--out", str(tmp_path)]) == 0
+        series = [tuple(row) for row in
+                  json.loads((tmp_path / "report.json").read_text())["table_series"]]
+        assert all(a[1] != b[1] for a, b in zip(series, series[1:]))
+        change_points = [row for i, row in enumerate(recount)
+                         if i == 0 or row[1] != recount[i - 1][1]]
+        assert len(recount) > len(series) > 1
+        assert series == change_points
+
+
 class TestCensus:
     def test_line_counts_all_protocols(self):
         # one established pair on a 3-bridge line: 6 entries, b=3, L_e=0
@@ -138,16 +163,17 @@ class TestCensus:
             assert (total, b, L_e, B_E, H) == (6, 3.0, 0.0, 2, 2)
 
     @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_grid_census_matches_equations(self, protocol, n):
         from allpath.scalability import ScalabilityParams, eval_tables
 
-        t = make_simple_grid(n, hosts_per_corner=1)
-        total, b, L_e, B_E, H = measure_empirical_tables(t, protocol, seed=3)
-        p = ScalabilityParams(H=H, B_E=B_E, b=b, L_e=L_e)
-        t_fp, t_ap, t_bp = eval_tables(p)
-        pred = {"arp_path": t_ap, "flow_path": t_fp, "bridge_path": t_bp}[protocol]
-        assert total == pytest.approx(pred, abs=1e-9)
+        for hosts_per_corner in (1, 2):  # H = 4 and H = 8
+            t = make_simple_grid(n, hosts_per_corner=hosts_per_corner)
+            total, b, L_e, B_E, H = measure_empirical_tables(t, protocol, seed=3)
+            p = ScalabilityParams(H=H, B_E=B_E, b=b, L_e=L_e)
+            t_fp, t_ap, t_bp = eval_tables(p)
+            pred = {"arp_path": t_ap, "flow_path": t_fp, "bridge_path": t_bp}[protocol]
+            assert total == pytest.approx(pred, abs=1e-9), H
 
     def test_rejects_single_host(self):
         with pytest.raises(ScenarioError):
