@@ -93,8 +93,9 @@ class BridgeState:
                  lock_timer=DEFAULT_LOCK_TIMER, learnt_timer=DEFAULT_LEARNT_TIMER):
         self.bridge_id = bridge_id
         self.ports = list(ports)  # all ports, hosts included
-        self.host_ports = set(host_ports)
+        self.host_ports = set(host_ports)  # membership tests only: set order follows hashes
         self.bridge_ports = [p for p in self.ports if p not in self.host_ports]
+        self.host_port_list = [p for p in self.ports if p in self.host_ports]
         self.lock_timer = lock_timer
         self.learnt_timer = learnt_timer
         self.entries = {}
@@ -341,7 +342,7 @@ class BridgePathBridge(BridgeState):
                 if outer_src != self.bridge_id:
                     self._dir_learn(frame.src_mac, outer_src, now)
                 deliver = local_copy if local_copy is not None else self._decap(out)
-                outputs += [(p, deliver) for p in self.host_ports if p != ingress]
+                outputs += [(p, deliver) for p in self.host_port_list if p != ingress]
             return ForwardingDecision(outputs)
 
         if frame.kind == ARP_REPLY:

@@ -1,11 +1,17 @@
 """CLI subcommands: outputs, manifests, error codes, replay."""
 
+import itertools
 import json
 import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import allpath
 from allpath.cli import main
+from allpath.topology import make_simple_grid
 
 
 def run(argv):
@@ -51,6 +57,31 @@ class TestSimulate:
         monkeypatch.setenv("ALLPATH_OUTDIR", str(tmp_path / "envout"))
         assert run(["simulate", "--topology", "diamond", "--flows", "1"]) == 0
         assert (tmp_path / "envout" / "report.json").exists()
+
+
+class TestHashSeedIndependence:
+    def test_bridge_path_bytes_do_not_depend_on_pythonhashseed(self, tmp_path):
+        # four hosts per edge bridge: Bridge-Path delivers a flood to several
+        # local hosts, and the order of those copies must not come from set
+        # iteration, which follows the string hash of the host ids
+        topo = make_simple_grid(4, hosts_per_corner=4)
+        pairs = list(itertools.permutations(sorted(topo.hosts), 2))
+        random.Random(2017).shuffle(pairs)
+        flows = [{"src": a, "dst": b, "size_bits": 12000, "start_time": 0.3 * k}
+                 for k, (a, b) in enumerate(pairs[:30])]
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"topology": topo.to_json_dict(), "seed": 1,
+                                        "flows": flows}))
+        src_dir = os.path.dirname(os.path.dirname(allpath.__file__))
+        outputs = []
+        for hash_seed in ("0", "1", "2"):
+            out = tmp_path / ("hash" + hash_seed)
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src_dir)
+            subprocess.run([sys.executable, "-m", "allpath.cli", "simulate",
+                            "--scenario", str(scenario), "--protocol", "bridge-path",
+                            "--out", str(out)], env=env, check=True)
+            outputs.append([read(out / name) for name in ("report.json", "tables.csv")])
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestScalability:
