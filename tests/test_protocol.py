@@ -250,7 +250,7 @@ def full_scan_tick(bs, now):
         if e.state == LEARNT and now >= e.expires_at:
             del bs.entries[key]
             transitions.append((key, LEARNT, None))
-    for mac, (_edge, expires) in list(getattr(bs, "directory", {}).items()):
+    for mac, (_edge, expires) in list(bs.directory.items()):
         if now >= expires:
             del bs.directory[mac]
     return transitions
@@ -280,12 +280,13 @@ class TestExpiryHeap:
     """The heap tick against the full-scan reference on random operation sequences."""
 
     @settings(max_examples=300, deadline=None)
-    @given(ops=st.lists(OPS, max_size=80), slack=st.sampled_from([0, 64]))
+    @given(ops=st.lists(OPS, max_size=80),
+           slack=st.sampled_from([0, protocol.EXPIRY_HEAP_SLACK]))
     # a refresh or re-learn leaves a stale heap item due before the live one
     @example(ops=[("learn", "A", 1), ("tick", 0.5), ("refresh", "A"), ("tick", 0.5),
-                  ("tick", 1.0)], slack=64)
+                  ("tick", 1.0)], slack=protocol.EXPIRY_HEAP_SLACK)
     @example(ops=[("dir", "A", 1), ("tick", 0.5), ("dir", "A", 2), ("tick", 0.5),
-                  ("tick", 1.0)], slack=64)
+                  ("tick", 1.0)], slack=protocol.EXPIRY_HEAP_SLACK)
     # a re-pointed entry at the same timestamp, then lock -> learnt -> expired
     @example(ops=[("admit", "A", 1, 0), ("tick", 0.5), ("admit", "A", 2, 1),
                   ("learn", "B", 1), ("tick", 0.0), ("tick", 2.0)], slack=0)
