@@ -1,15 +1,10 @@
 from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("allpath._balance_core", ["src/allpath/_balance_core.pyx"])],
-        language_level=3,
-    )
-except ImportError:
-    # Pure-python fallback kernel is used when the extension is unavailable.
-    pass
-
-setup(ext_modules=ext_modules)
+# optional: without a C compiler the package installs and runs on the
+# pure-python twin, allpath._balance_py.  -ffp-contract=off keeps the
+# compiler from fusing a multiply and an add, which would round differently
+# from the Python twin.
+setup(ext_modules=[
+    Extension("allpath._balance_core", ["src/allpath/_balance_core.c"],
+              optional=True, extra_compile_args=["-ffp-contract=off"]),
+])

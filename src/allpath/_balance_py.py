@@ -1,8 +1,11 @@
 """Pure-python replication kernel for the flow-level balance simulator.
 
-Mirrors allpath._balance_core (the Cython build) operation for operation:
-same splitmix64 stream, same draw order, same arrival-before-departure tie
-rule, so both kernels produce matching statistics for a given seed.
+The executable specification of the algorithm, and the fallback when the C
+kernel allpath._balance_core is not built.  That kernel mirrors this code
+operation for operation: the same splitmix64 stream and draw order, the
+same arrival-before-departure tie rule, the same k-th-maximizer tie break
+and the same heapq order of departures, so both return identical results
+for a given seed.  A change here must be made there too.
 """
 
 from __future__ import annotations

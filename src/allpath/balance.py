@@ -4,9 +4,11 @@ Arriving flows always take the path with the most available capacity, ties
 broken uniformly at random; each flow occupies exactly one resource unit
 for its holding time and is lost when every path is full.
 
-The replication loop runs on a compiled kernel when the extension built
-(allpath._balance_core), otherwise on the pure-python twin.  Replications
-are independent and the first warmup fraction of each is discarded.
+The replication loop runs on the hand-written C kernel
+(allpath._balance_core) when it was built, otherwise on its pure-python
+twin (allpath._balance_py); KERNEL names the one in use, "c" or "python".
+The twins return identical results for a given seed.  Replications are
+independent and the first warmup fraction of each is discarded.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 try:  # pragma: no cover - depends on the build
     from . import _balance_core as _kernel
-    KERNEL = "cython"
+    KERNEL = "c"
 except ImportError:  # pragma: no cover
     from . import _balance_py as _kernel
     KERNEL = "python"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -73,6 +74,22 @@ def _parse_float_list(text):
 def _parse_range(text):
     lo, hi = text.split("..")
     return list(range(int(lo), int(hi) + 1))
+
+
+def _checked(convert, ok, what):
+    """An argparse type: convert, then reject values outside the domain (exit 2)."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError("%s is not %s" % (text, what))
+        return value
+    parse.__name__ = convert.__name__  # argparse names the type in its errors
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 
 
 # -- subcommands ----------------------------------------------------------
@@ -155,8 +172,6 @@ def cmd_scalability(args):
 def cmd_qbd(args):
     started = time.time()
     outdir = _outdir(args)
-    if args.c1 < 1 or args.c2 < 1:
-        raise ValueError("capacities must be positive")
     params = {"c1": args.c1, "c2": args.c2, "rho": args.rho, "mu": args.mu,
               "method": args.method}
     summary = []
@@ -230,7 +245,7 @@ def build_parser():
                             "arp_path", "flow_path", "bridge_path"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--flows", type=int, default=4)
+    p.add_argument("--flows", type=_nonnegative_int, default=4)
     p.add_argument("--scenario", default=None, help="scenario JSON file")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_simulate)
@@ -243,21 +258,21 @@ def build_parser():
     p.set_defaults(fn=cmd_scalability)
 
     p = sub.add_parser("qbd", help="two-path CTMC stationary analysis")
-    p.add_argument("--c1", type=int, required=True)
-    p.add_argument("--c2", type=int, required=True)
+    p.add_argument("--c1", type=_positive_int, required=True)
+    p.add_argument("--c2", type=_positive_int, required=True)
     p.add_argument("--rho", default="0.5,1,2", help="offered load lambda/mu, comma list")
-    p.add_argument("--mu", type=float, default=1.0)
+    p.add_argument("--mu", type=_positive_float, default=1.0)
     p.add_argument("--method", choices=["dense", "block_tridiagonal"], default="dense")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_qbd)
 
     p = sub.add_parser("balance", help="flow-level load-balance simulation")
-    p.add_argument("--paths", type=int, default=6)
-    p.add_argument("--capacity", type=int, default=20)
+    p.add_argument("--paths", type=_positive_int, default=6)
+    p.add_argument("--capacity", type=_positive_int, default=20)
     p.add_argument("--traffic", choices=["exp", "dcmix"], default="exp")
     p.add_argument("--rho", default="0.5,1", help="offered load per unit of total capacity")
-    p.add_argument("--replications", type=int, default=10)
-    p.add_argument("--duration", type=float, default=5.0)
+    p.add_argument("--replications", type=_positive_int, default=10)
+    p.add_argument("--duration", type=_positive_float, default=5.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_balance)

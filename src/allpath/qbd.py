@@ -98,7 +98,23 @@ class Generator:
     def state_index(self, i, j):
         return i * self.block_size + j
 
+    def left_product(self, pi):
+        """pi Q for pi of shape (levels, block_size), block by block.
+
+        Column block i of pi Q is pi_i D_i + pi_{i-1} M_{i-1} + pi_{i+1} L_i,
+        so Q itself, 8 * n_states**2 bytes, is never formed.
+        """
+        out = np.empty_like(pi)
+        for i in range(self.levels):
+            out[i] = pi[i] @ self.D[i]
+            if i > 0:
+                out[i] += pi[i - 1] @ self.M[i - 1]
+            if i < self.levels - 1:
+                out[i] += pi[i + 1] @ self.L[i]
+        return out
+
     def dense(self):
+        """The full rate matrix, for the dense solve and for tests."""
         n = self.n_states
         bs = self.block_size
         Q = np.zeros((n, n))
@@ -188,7 +204,7 @@ def solve_stationary(g: Generator, method="dense") -> StationaryDistribution:
     pi = (pi / pi.sum()).reshape(g.levels, g.block_size)
     if g.model.C1 == g.model.C2:
         pi = (pi + pi.T) / 2
-    residual = float(np.abs(pi.ravel() @ g.dense()).max())
+    residual = float(np.abs(g.left_product(pi)).max())
     if residual > SOLVER_TOL:
         raise QbdError("stationary residual %.3g exceeds tolerance" % residual)
     return StationaryDistribution(pi=pi, residual=residual)

@@ -143,7 +143,29 @@ class TestQbd:
         assert min(psis) == -20 and max(psis) == 30
 
     def test_rejects_bad_capacity(self, tmp_path):
-        assert run(["qbd", "--c1", "0", "--c2", "1", "--out", str(tmp_path)]) == 1
+        with pytest.raises(SystemExit) as exc:
+            run(["qbd", "--c1", "0", "--c2", "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--flows", "-1"],
+    ["qbd", "--c1", "1", "--c2", "0"],
+    ["qbd", "--c1", "1", "--c2", "1", "--mu", "0"],
+    ["qbd", "--c1", "1", "--c2", "1", "--mu", "nan"],
+    ["balance", "--paths", "0"],
+    ["balance", "--capacity", "-3"],
+    ["balance", "--replications", "0"],
+    ["balance", "--duration", "0"],
+    ["balance", "--duration", "inf"],
+    ["balance", "--paths", "2.5"],
+])
+def test_invalid_value_is_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "error: argument " + argv[-2] in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 class TestBalance:

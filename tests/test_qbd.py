@@ -58,6 +58,19 @@ class TestGenerator:
                                                     + Q[s(0, 0), s(1, 0)]
                                                     + Q[s(0, 0), s(0, 1)])
 
+    @pytest.mark.parametrize("C1,C2", [(1, 1), (4, 4), (5, 2), (2, 7)])
+    def test_left_product_matches_dense(self, C1, C2):
+        g = build_generator(QbdModel(C1, C2, 1.7, 0.6))
+        # an arbitrary vector, so that every block contributes
+        pi = np.random.default_rng(10 * C1 + C2).random((g.levels, g.block_size))
+        want = pi.ravel() @ g.dense()
+        np.testing.assert_allclose(g.left_product(pi).ravel(), want,
+                                   rtol=1e-14, atol=1e-14)
+        for method in ("dense", "block_tridiagonal"):
+            d = solve_stationary(g, method)
+            dense_residual = np.abs(d.pi.ravel() @ g.dense()).max()
+            assert d.residual == pytest.approx(dense_residual, abs=1e-15)
+
     def test_model_validation(self):
         with pytest.raises(QbdError):
             QbdModel(0, 1, 1.0, 1.0)
