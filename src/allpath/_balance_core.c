@@ -179,6 +179,11 @@ static PyObject *run_replication(PyObject *module, PyObject *args, PyObject *kwa
                                      &r.lam, &r.duration, &r.warmup, &seed, &r.hold_kind,
                                      &r.p[0], &r.p[1], &r.p[2], &r.p[3]))
         return NULL;
+    /* a NaN rate would pop an empty heap, an infinite duration never ends */
+    if (!(r.lam > 0 && r.lam < INFINITY && r.duration > 0 && r.duration < INFINITY)) {
+        PyErr_SetString(PyExc_ValueError, "lam and duration must be finite and positive");
+        return NULL;
+    }
     if ((seed = PyNumber_Index(seed)) == NULL)
         return NULL;
     r.state = PyLong_AsUnsignedLongLongMask(seed);  /* seed mod 2**64, as the twin */

@@ -47,6 +47,8 @@ def run_replication(capacities, lam, duration, warmup, seed,
     path i; span is the measured interval length; arrivals/losses count
     post-warmup flow arrivals and blocked arrivals.
     """
+    if not (0 < lam < math.inf and 0 < duration < math.inf):
+        raise ValueError("lam and duration must be finite and positive")
     n = len(capacities)
     caps = list(capacities)
     rng = _SplitMix64(seed)

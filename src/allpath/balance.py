@@ -110,9 +110,11 @@ def _ci_half_width(samples):
         return None
     mean = sum(samples) / n
     var = sum((x - mean) ** 2 for x in samples) / (n - 1)
-    from scipy.stats import t as t_dist
+    # the 97.5% Student t quantile; scipy.stats.t.ppf calls this function,
+    # and importing scipy.stats costs about a second
+    from scipy.special import stdtrit
 
-    return float(t_dist.ppf(0.975, n - 1)) * math.sqrt(var / n)
+    return float(stdtrit(n - 1, 0.975)) * math.sqrt(var / n)
 
 
 def _mix_seed(seed, rep):
@@ -127,10 +129,10 @@ def simulate(capacities, arrival_rate, holding, duration, replications=1, seed=0
     capacities = [int(c) for c in capacities]
     if not capacities or any(c < 1 for c in capacities):
         raise BalanceError("capacities must be positive integers")
-    if duration <= 0:
-        raise BalanceError("duration must be positive")
-    if arrival_rate <= 0:
-        raise BalanceError("arrival rate must be positive")
+    if not 0 < duration < math.inf:
+        raise BalanceError("duration must be finite and positive")
+    if not 0 < arrival_rate < math.inf:
+        raise BalanceError("arrival rate must be finite and positive")
     if replications < 1:
         raise BalanceError("need at least one replication")
 
@@ -174,8 +176,8 @@ def simulate(capacities, arrival_rate, holding, duration, replications=1, seed=0
 
 def arrival_rate_for_load(rho, capacities, mean_holding_s):
     """Offered load rho = lambda * E[holding] / total capacity."""
-    if rho <= 0:
-        raise BalanceError("rho must be positive")
+    if not 0 < rho < math.inf:
+        raise BalanceError("rho must be finite and positive")
     return rho * sum(capacities) / mean_holding_s
 
 

@@ -92,6 +92,19 @@ _nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 
 
+def _load_list(text):
+    """An argparse type for --rho: one or more finite numbers > 0, comma
+    separated.  It returns the text as given, so the manifest keeps it."""
+    try:
+        loads = _parse_float_list(text)
+    except ValueError:
+        loads = []
+    if not loads or not all(0 < v < math.inf for v in loads):
+        raise argparse.ArgumentTypeError(
+            "%s is not a comma list of finite numbers > 0" % text)
+    return text
+
+
 # -- subcommands ----------------------------------------------------------
 
 
@@ -260,7 +273,8 @@ def build_parser():
     p = sub.add_parser("qbd", help="two-path CTMC stationary analysis")
     p.add_argument("--c1", type=_positive_int, required=True)
     p.add_argument("--c2", type=_positive_int, required=True)
-    p.add_argument("--rho", default="0.5,1,2", help="offered load lambda/mu, comma list")
+    p.add_argument("--rho", type=_load_list, default="0.5,1,2",
+                   help="offered load lambda/mu, comma list")
     p.add_argument("--mu", type=_positive_float, default=1.0)
     p.add_argument("--method", choices=["dense", "block_tridiagonal"], default="dense")
     p.add_argument("--out", default=None)
@@ -270,7 +284,8 @@ def build_parser():
     p.add_argument("--paths", type=_positive_int, default=6)
     p.add_argument("--capacity", type=_positive_int, default=20)
     p.add_argument("--traffic", choices=["exp", "dcmix"], default="exp")
-    p.add_argument("--rho", default="0.5,1", help="offered load per unit of total capacity")
+    p.add_argument("--rho", type=_load_list, default="0.5,1",
+                   help="offered load per unit of total capacity")
     p.add_argument("--replications", type=_positive_int, default=10)
     p.add_argument("--duration", type=_positive_float, default=5.0)
     p.add_argument("--seed", type=int, default=0)

@@ -7,7 +7,8 @@ from either with rate lambda/2 on a tie; the C_k - s_k occupied units on
 path k each free up at rate mu.  An arrival in state (0, 0) finds no
 transition enabled and is lost.
 
-The generator is block tridiagonal over levels i = 0..C1 with blocks of
+`Generator` holds the rates of this rule as arrays over the states, built
+once.  Ordered by levels i = 0..C1, Q is block tridiagonal with blocks of
 size (C2+1); the block solver does forward block elimination and back
 substitution, the dense solver is a plain linear solve.  Both must agree.
 
@@ -20,6 +21,7 @@ symmetric.  `solve_stationary` returns pi with pi == pi.T elementwise and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,55 +43,42 @@ class QbdModel:
     def __post_init__(self):
         if self.C1 < 1 or self.C2 < 1:
             raise QbdError("capacities must be >= 1")
-        if self.lam <= 0 or self.mu <= 0:
-            raise QbdError("lambda and mu must be positive")
+        if not (0 < self.lam < math.inf and 0 < self.mu < math.inf):
+            raise QbdError("lambda and mu must be finite and positive")
+
+
+def _take_rate(s, other, lam):
+    """Rate at which an arrival takes a unit from the path with s available
+    when the other path has `other` available: lam, lam/2 on a tie, else 0."""
+    return np.where(s > other, lam, np.where((s == other) & (s > 0), lam / 2, 0.0))
 
 
 class Generator:
-    """Block-tridiagonal rate matrix; level index = available capacity of path 1."""
+    """The rates of the chain as (C1+1, C2+1) arrays indexed by state (i, j).
+
+    take1: arrivals taking a unit from path 1, to state (i-1, j);
+    take2: arrivals taking a unit from path 2, to state (i, j-1);
+    free1: departures on path 1, (C1 - i) mu, to state (i+1, j);
+    free2: departures on path 2, (C2 - j) mu, to state (i, j+1);
+    diag: the diagonal of Q, minus the sum of the other four.
+
+    Ordered by levels i, Q is block tridiagonal: the diagonal blocks D_i are
+    tridiagonal (`block`), the blocks to level i+1 are diag(free1[i]) and the
+    blocks to level i-1 are diag(take1[i]).
+    """
 
     def __init__(self, model: QbdModel):
         self.model = model
         C1, C2, lam, mu = model.C1, model.C2, model.lam, model.mu
         self.block_size = C2 + 1
         self.levels = C1 + 1
-        self.D = []  # diagonal blocks, one per level
-        self.M = []  # level i -> i+1 (departures on path 1)
-        self.L = []  # level i -> i-1 (arrivals taking path 1)
-
-        def arrival_rate(i, j):
-            # rate of taking a unit from path 1 in state (i, j)
-            if i == 0:
-                return 0.0
-            if i > j:
-                return lam
-            if i == j:
-                return lam / 2
-            return 0.0
-
-        for i in range(C1 + 1):
-            D = np.zeros((C2 + 1, C2 + 1))
-            for j in range(C2 + 1):
-                # arrivals taking path 2: symmetric rule
-                if j > 0 and (j > i or j == i):
-                    D[j, j - 1] = lam if j > i else lam / 2
-                # departures on path 2
-                if j < C2:
-                    D[j, j + 1] = (C2 - j) * mu
-            self.D.append(D)
-            if i < C1:
-                self.M.append(np.eye(C2 + 1) * (C1 - i) * mu)
-            if i > 0:
-                self.L.append(np.diag([arrival_rate(i, j) for j in range(C2 + 1)]))
-
-        # diagonal entries: negative row sums including inter-level rates
-        for i in range(C1 + 1):
-            out = self.D[i].sum(axis=1)
-            if i < C1:
-                out += self.M[i].sum(axis=1)
-            if i > 0:
-                out += self.L[i - 1].sum(axis=1)
-            self.D[i][np.diag_indices(C2 + 1)] -= out
+        i, j = np.indices((self.levels, self.block_size))
+        self.take1 = _take_rate(i, j, lam)
+        self.take2 = _take_rate(j, i, lam)
+        self.free1 = (C1 - i) * mu
+        self.free2 = (C2 - j) * mu
+        # this order of summation fixes the last bit of every solve
+        self.diag = -(((self.take2 + self.free2) + self.free1) + self.take1)
 
     @property
     def n_states(self):
@@ -98,32 +87,30 @@ class Generator:
     def state_index(self, i, j):
         return i * self.block_size + j
 
-    def left_product(self, pi):
-        """pi Q for pi of shape (levels, block_size), block by block.
+    def block(self, i):
+        """D_i, the within-level block of Q at level i."""
+        return (np.diag(self.diag[i]) + np.diag(self.take2[i, 1:], -1)
+                + np.diag(self.free2[i, :-1], 1))
 
-        Column block i of pi Q is pi_i D_i + pi_{i-1} M_{i-1} + pi_{i+1} L_i,
-        so Q itself, 8 * n_states**2 bytes, is never formed.
-        """
-        out = np.empty_like(pi)
-        for i in range(self.levels):
-            out[i] = pi[i] @ self.D[i]
-            if i > 0:
-                out[i] += pi[i - 1] @ self.M[i - 1]
-            if i < self.levels - 1:
-                out[i] += pi[i + 1] @ self.L[i]
+    def left_product(self, pi):
+        """pi Q for pi of shape (levels, block_size); Q itself, 8 * n_states**2
+        bytes, is never formed."""
+        out = pi * self.diag
+        out[:-1] += pi[1:] * self.take1[1:]
+        out[:, :-1] += pi[:, 1:] * self.take2[:, 1:]
+        out[1:] += pi[:-1] * self.free1[:-1]
+        out[:, 1:] += pi[:, :-1] * self.free2[:, :-1]
         return out
 
     def dense(self):
         """The full rate matrix, for the dense solve and for tests."""
-        n = self.n_states
-        bs = self.block_size
-        Q = np.zeros((n, n))
-        for i in range(self.levels):
-            Q[i * bs:(i + 1) * bs, i * bs:(i + 1) * bs] = self.D[i]
-            if i < self.levels - 1:
-                Q[i * bs:(i + 1) * bs, (i + 1) * bs:(i + 2) * bs] = self.M[i]
-            if i > 0:
-                Q[i * bs:(i + 1) * bs, (i - 1) * bs:i * bs] = self.L[i - 1]
+        s = np.arange(self.n_states).reshape(self.levels, self.block_size)
+        Q = np.zeros((self.n_states, self.n_states))
+        Q[s, s] = self.diag
+        Q[s[1:], s[:-1]] = self.take1[1:]
+        Q[s[:, 1:], s[:, :-1]] = self.take2[:, 1:]
+        Q[s[:-1], s[1:]] = self.free1[:-1]
+        Q[s[:, :-1], s[:, 1:]] = self.free2[:, :-1]
         return Q
 
 
@@ -138,8 +125,7 @@ def build_generator(model: QbdModel) -> Generator:
 
 
 def _solve_dense(g: Generator) -> np.ndarray:
-    Q = g.dense()
-    A = Q.T.copy()
+    A = g.dense().T.copy()  # Q is freed here, before LAPACK copies A
     A[-1, :] = 1.0
     rhs = np.zeros(g.n_states)
     rhs[-1] = 1.0
@@ -153,17 +139,21 @@ def _solve_dense(g: Generator) -> np.ndarray:
 def _solve_block(g: Generator) -> np.ndarray:
     """Forward block elimination over levels, then back substitution.
 
-    Eliminating level columns left to right gives U_0 = D_0 and
-    U_i = D_i - L_i U_{i-1}^{-1} M_{i-1}; the top-level balance leaves
-    pi_K U_K = 0, solved as a small left null space.
+    With L_i = diag(take1[i]) and M_i = diag(free1[i]), eliminating level
+    columns left to right gives U_0 = D_0 and U_i = D_i - L_i U_{i-1}^{-1}
+    M_{i-1}; the top-level balance leaves pi_K U_K = 0, solved as a small
+    left null space.  U fills in, so it is dense; products with L and M are
+    row and column scalings.
     """
-    U = [g.D[0]]
+    U = [g.block(0)]
     for i in range(1, g.levels):
         try:
-            X = np.linalg.solve(U[i - 1].T, g.L[i - 1].T).T  # L_i @ inv(U_{i-1})
+            # L_i @ inv(U_{i-1}); row-scaling inv(U_{i-1}) instead would
+            # round differently
+            X = np.linalg.solve(U[i - 1].T, np.diag(g.take1[i])).T
         except np.linalg.LinAlgError as exc:
             raise QbdError("singular elimination step at level %d" % i) from exc
-        U.append(g.D[i] - X @ g.M[i - 1])
+        U.append(g.block(i) - X * g.free1[i - 1])
 
     _, s, vh = np.linalg.svd(U[-1].T)
     if s[-2] < 1e-8 * max(s[0], 1.0):
@@ -172,7 +162,7 @@ def _solve_block(g: Generator) -> np.ndarray:
     levels = [pi_top]
     for i in range(g.levels - 2, -1, -1):
         # pi_i = -pi_{i+1} L_{i+1} U_i^{-1}
-        rhs = -(levels[0] @ g.L[i])
+        rhs = -(levels[0] * g.take1[i + 1])
         levels.insert(0, np.linalg.solve(U[i].T, rhs))
     pi = np.concatenate(levels)
     total = pi.sum()
@@ -198,6 +188,8 @@ def solve_stationary(g: Generator, method="dense") -> StationaryDistribution:
         pi = _solve_block(g)
     else:
         raise QbdError("unknown method %r" % (method,))
+    if not np.isfinite(pi).all():
+        raise QbdError("stationary solve gave non-finite probabilities")
     if pi.min() < -1e-9:
         raise QbdError("negative stationary probability (non-irreducible chain?)")
     pi = np.clip(pi, 0.0, None)
@@ -205,7 +197,7 @@ def solve_stationary(g: Generator, method="dense") -> StationaryDistribution:
     if g.model.C1 == g.model.C2:
         pi = (pi + pi.T) / 2
     residual = float(np.abs(g.left_product(pi)).max())
-    if residual > SOLVER_TOL:
+    if not residual <= SOLVER_TOL:  # a NaN residual fails too
         raise QbdError("stationary residual %.3g exceeds tolerance" % residual)
     return StationaryDistribution(pi=pi, residual=residual)
 

@@ -95,7 +95,8 @@ class SimReport:
     races: list = field(default_factory=list)
     flows: list = field(default_factory=list)
     drop_traces: list = field(default_factory=list)
-    link_utilization: list = field(default_factory=list)  # (time, "a-b", util)
+    # (time, "a-b", util) at every fluid recompute; written to report.csv only
+    link_utilization: list = field(default_factory=list)
     # (time, total entries) at the first frame and at every frame that
     # changed the network-wide total: change points, not one row per frame
     table_series: list = field(default_factory=list)
@@ -108,7 +109,6 @@ class SimReport:
             "counters": dict(sorted(self.counters.items())),
             "races": self.races,
             "flows": self.flows,
-            "link_utilization": self.link_utilization,
             "table_series": self.table_series,
             "final_tables": self.final_tables,
         }
@@ -215,13 +215,14 @@ class Engine:
             q = self.queues[(node, port)] = PortQueue()
         return q
 
-    def _send(self, node, port, frame, now, dest_is_host):
+    def _send(self, node, port, frame, now):
+        """Queue frame on node's link to port; it arrives at host or bridge port."""
         link = self.t.link_between(node, port)
         q = self.queue(node, port)
         depart = q.transmit(now, frame.size_bits, link.bandwidth_bps)
         arrive = depart + link.prop_delay_s + self.config.d_proc
         self.report.counters["frames_created"] += 1
-        if dest_is_host:
+        if port in self.hosts:
             self.schedule(arrive, self._frame_at_host, port, frame)
         else:
             self.schedule(arrive, self._frame_at_bridge, port, node, frame)
@@ -239,10 +240,7 @@ class Engine:
         for port, fr in decision.outputs:
             if port == ingress:
                 raise AssertionError("forwarding back out the ingress port")
-            if port in self.hosts:
-                self._send(bridge_id, port, fr, now, dest_is_host=True)
-            else:
-                self._send(bridge_id, port, fr, now, dest_is_host=False)
+            self._send(bridge_id, port, fr, now)
         if decision.duplicate:
             self.report.counters["dropped_duplicate"] += 1
             self.report.drop_traces.append(list(frame.trace) + [bridge_id])
@@ -266,7 +264,7 @@ class Engine:
                 reply = Frame(kind=ARP_REPLY, src_mac=host.mac, dst_mac=frame.src_mac,
                               src_ip=host.ip, dst_ip=frame.src_ip,
                               size_bits=self.config.arp_size_bits, race_id=frame.race_id)
-                self._emit(host, reply, now)
+                self._send(host.id, host.bridge, reply, now)
             else:
                 self.report.counters["absorbed"] += 1
         elif frame.kind == ARP_REPLY:
@@ -286,14 +284,6 @@ class Engine:
                     self.report.flows[flow[1]]["probe_trace"] = list(frame.trace)
             else:
                 self.report.counters["absorbed"] += 1
-
-    def _emit(self, host, frame, now):
-        self.report.counters["frames_created"] += 1
-        link = self.t.host_links[host.id]
-        q = self.queue(host.id, host.bridge)
-        depart = q.transmit(now, frame.size_bits, link.bandwidth_bps)
-        arrive = depart + link.prop_delay_s + self.config.d_proc
-        self.schedule(arrive, self._frame_at_bridge, host.bridge, host.id, frame)
 
     # -- flows ------------------------------------------------------------
 
@@ -329,7 +319,7 @@ class Engine:
         req = Frame(kind=ARP_REQUEST, src_mac=src.mac, dst_mac=BROADCAST,
                     src_ip=src.ip, dst_ip=dst.ip,
                     size_bits=self.config.arp_size_bits, race_id=race_id)
-        self._emit(src, req, now)
+        self._send(src.id, src.bridge, req, now)
 
     def _resolve_pending(self, host, resolved_ip, now):
         key = (host.id, resolved_ip)
@@ -352,7 +342,7 @@ class Engine:
                       src_ip=src.ip, dst_ip=dst.ip,
                       size_bits=min(self.config.probe_size_bits, int(rec["size_bits"])) or 1,
                       race_id=("probe", idx))
-        self._emit(src, probe, now)
+        self._send(src.id, src.bridge, probe, now)
         self._fluid_register(idx, rec, now)
 
     # -- table walking (side-effect-free path lookup) ---------------------

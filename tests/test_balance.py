@@ -28,6 +28,11 @@ from allpath.balance import (
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# (lam, duration) pairs that both kernel twins reject: a NaN rate would pop
+# an empty heap in the C kernel, an infinite duration would never end
+BAD_RATES = [(math.nan, 2.0), (math.inf, 2.0), (0.0, 2.0), (-1.0, 2.0),
+             (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, -1.0)]
+
 
 def erlang_b(servers, offered):
     """Erlang-B blocking probability via the standard recursion."""
@@ -106,8 +111,9 @@ class TestTrafficMix:
 
     def test_arrival_rate_for_load(self):
         assert arrival_rate_for_load(0.5, [20, 20], 2.0) == pytest.approx(10.0)
-        with pytest.raises(BalanceError):
-            arrival_rate_for_load(0.0, [20], 1.0)
+        for rho in (0.0, math.nan, math.inf):
+            with pytest.raises(BalanceError):
+                arrival_rate_for_load(rho, [20], 1.0)
 
 
 class TestSimulate:
@@ -122,6 +128,29 @@ class TestSimulate:
             simulate([5], 1.0, ("pareto", 1.0), 1.0)
         with pytest.raises(BalanceError):
             simulate([5], 1.0, ("exp", 1.0), 1.0, replications=0)
+        for lam, duration in BAD_RATES:
+            with pytest.raises(BalanceError):
+                simulate([5], lam, ("exp", 1.0), duration)
+
+    def test_confidence_interval_without_scipy_stats(self):
+        # the t quantile comes from scipy.special; scipy.stats takes ~1 s to import
+        code = ("import sys\n"
+                "from allpath.balance import simulate\n"
+                "rep = simulate([5, 5], 4.0, ('exp', 1.0), 2.0, replications=2, seed=1)\n"
+                "assert rep.u_ci[0] is not None\n"
+                "assert 'scipy.stats' not in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_confidence_interval_quantile(self):
+        # two replications: the 97.5% t quantile with one degree of freedom
+        rep = simulate([5, 5], 4.0, ("exp", 1.0), 2.0, replications=2, seed=1)
+        xs = [u[0] for u in rep.u_reps]
+        sd = abs(xs[0] - xs[1]) / math.sqrt(2)
+        assert rep.u_ci[0] == pytest.approx(12.706204736174694 * sd / math.sqrt(2), rel=1e-12)
 
     def test_deterministic_given_seed(self):
         a = simulate([10, 10], 8.0, ("exp", 1.0), 50.0, replications=3, seed=5)
@@ -215,6 +244,16 @@ class TestKernels:
             with pytest.raises(error):
                 compiled_kernel.run_replication(caps, 1.0, 2.0, 0.2, 1,
                                                 _balance_py.HOLD_EXP, 1.0, 0, 0, 0)
+        for lam, duration in BAD_RATES:
+            with pytest.raises(ValueError):
+                compiled_kernel.run_replication([2], lam, duration, 0.2, 1,
+                                                _balance_py.HOLD_EXP, 1.0, 0, 0, 0)
+
+    def test_python_kernel_rejects_bad_rates(self):
+        for lam, duration in BAD_RATES:
+            with pytest.raises(ValueError):
+                _balance_py.run_replication([2], lam, duration, 0.2, 1,
+                                            _balance_py.HOLD_EXP, 1.0, 0, 0, 0)
 
     def test_splitmix_reference_values(self):
         # first outputs of splitmix64 seeded with 0 (published reference)

@@ -142,6 +142,11 @@ class TestQbd:
         psis = [int(r.split(",")[1]) for r in rows]
         assert min(psis) == -20 and max(psis) == 30
 
+    def test_overflowing_load_is_a_runtime_error(self, tmp_path, capsys):
+        assert run(["qbd", "--c1", "5", "--c2", "5", "--rho", "1e300",
+                    "--method", "block_tridiagonal", "--out", str(tmp_path)]) == 1
+        assert "allpath: error: " in capsys.readouterr().err
+
     def test_rejects_bad_capacity(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["qbd", "--c1", "0", "--c2", "1", "--out", str(tmp_path)])
@@ -159,6 +164,15 @@ class TestQbd:
     ["balance", "--duration", "0"],
     ["balance", "--duration", "inf"],
     ["balance", "--paths", "2.5"],
+    ["balance", "--rho", "nan"],
+    ["balance", "--rho", "inf"],
+    ["balance", "--rho", "-1"],
+    ["balance", "--rho", "0.5,abc"],
+    ["qbd", "--c1", "1", "--c2", "1", "--rho", "nan"],
+    ["qbd", "--c1", "1", "--c2", "1", "--rho", "inf"],
+    ["qbd", "--c1", "1", "--c2", "1", "--rho", "0"],
+    ["qbd", "--c1", "1", "--c2", "1", "--rho", "abc"],
+    ["qbd", "--c1", "1", "--c2", "1", "--rho", ""],
 ])
 def test_invalid_value_is_usage_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:

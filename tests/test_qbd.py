@@ -1,5 +1,7 @@
 """Two-path CTMC: generator structure, stationary solves, derived metrics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,11 @@ class TestGenerator:
             QbdModel(0, 1, 1.0, 1.0)
         with pytest.raises(QbdError):
             QbdModel(1, 1, -1.0, 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(QbdError):
+                QbdModel(1, 1, bad, 1.0)
+            with pytest.raises(QbdError):
+                QbdModel(1, 1, 1.0, bad)
 
 
 class TestFourStateOracle:
@@ -125,6 +132,11 @@ class TestSolvers:
         assert u1 == u2
         assert all(gap[psi] == gap[-psi] for psi in range(1, C + 1))
 
+    def test_overflowing_load_is_an_error(self):
+        # the elimination overflows to NaN; the checks must not let it pass
+        with pytest.raises(QbdError):
+            solve_model(5, 5, 1e300, 1.0, method="block_tridiagonal")
+
     def test_low_load_limits(self):
         d, u1, u2, lp, _ = solve_model(4, 4, 1e-8, 1.0)
         assert d.pi[4, 4] > 0.999
@@ -164,6 +176,36 @@ def test_property_solvers_agree(C1, C2, rho, mu):
     a = solve_stationary(g, "dense")
     b = solve_stationary(g, "block_tridiagonal")
     assert np.abs(a.pi - b.pi).max() < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(C1=st.integers(min_value=1, max_value=12),
+       C2=st.integers(min_value=1, max_value=12),
+       lam=st.floats(min_value=1e-3, max_value=1e3),
+       mu=st.floats(min_value=1e-3, max_value=1e3))
+def test_property_generator_is_the_transition_rule(C1, C2, lam, mu):
+    g = build_generator(QbdModel(C1, C2, lam, mu))
+    s = g.state_index
+    want = np.zeros((g.n_states, g.n_states))
+    for i in range(C1 + 1):
+        for j in range(C2 + 1):
+            # an arrival joins the path with more available capacity
+            if i > j:
+                want[s(i, j), s(i - 1, j)] = lam
+            elif j > i:
+                want[s(i, j), s(i, j - 1)] = lam
+            elif i > 0:
+                want[s(i, j), s(i - 1, j)] = lam / 2
+                want[s(i, j), s(i, j - 1)] = lam / 2
+            # each occupied unit frees up at rate mu
+            if i < C1:
+                want[s(i, j), s(i + 1, j)] = (C1 - i) * mu
+            if j < C2:
+                want[s(i, j), s(i, j + 1)] = (C2 - j) * mu
+    Q = g.dense()
+    off = ~np.eye(g.n_states, dtype=bool)
+    assert (Q[off] == want[off]).all()
+    assert np.abs(Q.sum(axis=1)).max() <= 1e-12 * max(lam, mu * (C1 + C2))
 
 
 class TestMetrics:

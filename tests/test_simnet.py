@@ -130,6 +130,9 @@ class TestScenarios:
         assert rep.link_utilization
         for _t, _link, u in rep.link_utilization:
             assert 0.0 <= u <= 1.0 + 1e-12
+        # the rows are written once, to report.csv
+        assert "link_utilization" not in json.loads(rep.to_json())
+        assert len(list(rep.utilization_csv_rows())) == len(rep.link_utilization) + 1
 
 
 class TestTableSeries:
