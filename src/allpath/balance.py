@@ -33,6 +33,12 @@ DC_ELEPHANT_FRACTION = 0.01
 DC_ELEPHANT_HOLDING_S = 100e6 * 8 / 1e9  # 100 MB chunk at 1 Gbps
 DC_MOUSE_HOLDING_RANGE_S = (2e3 * 8 / 1e9, 50e3 * 8 / 1e9)  # 2..50 KB
 
+# Largest expected arrival count (arrival rate x duration) of one replication.
+# The C kernel handles about 3.6e6 arrivals/s at N=16, C=250 (2 vCPU VM), so
+# the limit is about half a minute of work; the largest benchmark case asks
+# for 1.8e4.
+MAX_ARRIVALS_PER_REPLICATION = 1e8
+
 
 class BalanceError(ValueError):
     pass
@@ -133,6 +139,10 @@ def simulate(capacities, arrival_rate, holding, duration, replications=1, seed=0
         raise BalanceError("duration must be finite and positive")
     if not 0 < arrival_rate < math.inf:
         raise BalanceError("arrival rate must be finite and positive")
+    if arrival_rate * duration > MAX_ARRIVALS_PER_REPLICATION:
+        raise BalanceError("arrival rate x duration is %g expected arrivals per replication, "
+                           "above the limit of %g" % (arrival_rate * duration,
+                                                      MAX_ARRIVALS_PER_REPLICATION))
     if replications < 1:
         raise BalanceError("need at least one replication")
 

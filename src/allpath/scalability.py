@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .topology import SHORTEST_ONLY, Topology, bridge_distances, designated_corner_pair
+from .topology import SHORTEST_ONLY, Topology, bridge_distances
 
 
 class ParamError(ValueError):

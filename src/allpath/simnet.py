@@ -17,6 +17,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .protocol import (
     ARP_REPLY,
@@ -76,11 +77,66 @@ class PortQueue:
         return self.busy_until
 
 
-def latency_of_hop(link, size_bits, queue: PortQueue, now, d_proc=0.0):
-    """d_prop + d_trans + d_queue (+ constant d_proc) for one hop."""
-    d_queue = max(0.0, queue.busy_until - now)
-    d_trans = size_bits / link.bandwidth_bps
-    return link.prop_delay_s + d_trans + d_queue + d_proc
+class FluidLink:
+    """A link as the fluid plane sees it: one per link and engine, built once.
+
+    Holds the link key, its bandwidth, its "a-b" name in report.csv and the
+    sort key of that name, so that no recompute rebuilds any of them.
+    """
+
+    __slots__ = ("key", "bandwidth_bps", "name", "order")
+
+    def __init__(self, link):
+        self.key = link.key
+        self.bandwidth_bps = link.bandwidth_bps
+        self.order = tuple(sorted(map(str, self.key)))
+        self.name = "-".join(self.order)
+
+
+def max_min_rates(flow_links):
+    """Max-min fair rate of every flow, by progressive filling.
+
+    flow_links maps each flow to the FluidLink records of the links it
+    crosses (each link once per flow, one shared record per link).  Each
+    round picks the link whose residual capacity, split evenly over its
+    unfrozen flows, is smallest (the first such link in order of first
+    appearance), freezes those flows at that share and takes it off every
+    link they cross (Bertsekas & Gallager, Data Networks, 2nd ed., 6.5.2).
+    Each link keeps a live count of its unfrozen flows.  Every flow frozen
+    in a round subtracts the same share, so the residuals do not depend on
+    the order in which the flows freeze.
+    """
+    residual = {}
+    count = {}  # links with unfrozen flows -> how many
+    crossing = {}
+    for i, links in flow_links.items():
+        for ln in links:
+            if ln in count:
+                count[ln] += 1
+                crossing[ln].append(i)
+            else:
+                count[ln] = 1
+                crossing[ln] = [i]
+                residual[ln] = ln.bandwidth_bps
+    rates = {}
+    while count:
+        best, best_share = None, None
+        for ln, n in count.items():
+            share = residual[ln] / n
+            if best_share is None or share < best_share:
+                best, best_share = ln, share
+        for i in crossing[best]:
+            if i in rates:
+                continue
+            rates[i] = best_share
+            for ln in flow_links[i]:
+                residual[ln] -= best_share
+                n = count[ln] - 1
+                if n:
+                    count[ln] = n
+                else:
+                    del count[ln]
+    return rates
 
 
 def host_ip(host_id):
@@ -173,6 +229,7 @@ class Engine:
         self._races = {}  # race_id -> record
         self._pending = {}  # (src_host, dst_ip) -> list of flows awaiting resolution
         self._active_flows = {}
+        self._fluid_links = {}  # link key -> FluidLink
         self._flow_gen = 0
         self._fluid_t = 0.0
         self.report = SimReport(protocol=protocol, seed=seed, counters={
@@ -395,7 +452,13 @@ class Engine:
         links = [self.t.host_links[rec["src"]], self.t.host_links[rec["dst"]]]
         path = rec["path"]
         links += [self.t.link_between(a, b) for a, b in zip(path, path[1:])]
-        return links
+        records = []
+        for ln in links:
+            fl = self._fluid_links.get(ln.key)
+            if fl is None:
+                fl = self._fluid_links[ln.key] = FluidLink(ln)
+            records.append(fl)
+        return tuple(records)
 
     def _fluid_register(self, idx, rec, now):
         self._active_flows[idx] = {
@@ -439,43 +502,17 @@ class Engine:
         self._fluid_recompute(now)
 
     def _max_min_rates(self):
-        residual = {}
-        members = {}
-        for i, f in self._active_flows.items():
-            for ln in f["links"]:
-                residual.setdefault(ln.key, ln.bandwidth_bps)
-                members.setdefault(ln.key, set()).add(i)
-        rates = {}
-        unfrozen = set(self._active_flows)
-        while unfrozen:
-            best_key, best_share = None, None
-            for key, flows in members.items():
-                live = flows & unfrozen
-                if not live:
-                    continue
-                share = residual[key] / len(live)
-                if best_share is None or share < best_share:
-                    best_key, best_share = key, share
-            if best_key is None:
-                break
-            for i in members[best_key] & unfrozen:
-                rates[i] = best_share
-                unfrozen.discard(i)
-                for ln in self._active_flows[i]["links"]:
-                    residual[ln.key] -= best_share
-            residual[best_key] = 0.0
-        return rates
+        return max_min_rates({i: f["links"] for i, f in self._active_flows.items()})
 
     def _record_utilization(self, now):
         load = {}
         for f in self._active_flows.values():
+            rate = f["rate"]
             for ln in f["links"]:
-                load[ln.key] = load.get(ln.key, 0.0) + f["rate"]
-        for key in sorted(load, key=lambda k: sorted(map(str, k))):
-            ln = self.t.links[key]
-            util = load[key] / ln.bandwidth_bps
-            name = "-".join(sorted(map(str, key)))
-            self.report.link_utilization.append((now, name, util))
+                load[ln] = load.get(ln, 0.0) + rate
+        rows = self.report.link_utilization
+        for ln in sorted(load, key=attrgetter("order")):
+            rows.append((now, ln.name, load[ln] / ln.bandwidth_bps))
 
     # -- reporting --------------------------------------------------------
 

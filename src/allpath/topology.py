@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 BridgeId = int
 HostId = str
@@ -41,8 +42,10 @@ class Link:
         if self.prop_delay_s < 0:
             raise TopologyError("propagation delay must be nonnegative")
 
-    @property
+    @cached_property
     def key(self):
+        # built on first use and kept in the instance dict; fields, equality
+        # and hashing are untouched
         return frozenset((self.a, self.b))
 
 

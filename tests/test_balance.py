@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from allpath import _balance_py
 from allpath.balance import (
+    MAX_ARRIVALS_PER_REPLICATION,
     BalanceError,
     TrafficMix,
     arrival_rate_for_load,
@@ -131,6 +132,13 @@ class TestSimulate:
         for lam, duration in BAD_RATES:
             with pytest.raises(BalanceError):
                 simulate([5], lam, ("exp", 1.0), duration)
+        # the expected arrival count of a replication is bounded
+        with pytest.raises(BalanceError, match="expected arrivals"):
+            simulate([5], 1e300, ("exp", 1.0), 1.0)
+        with pytest.raises(BalanceError, match="expected arrivals"):
+            simulate([5], 1e150, ("exp", 1.0), 1e200)
+        with pytest.raises(BalanceError, match="expected arrivals"):
+            simulate([5], 2.0, ("exp", 1.0), MAX_ARRIVALS_PER_REPLICATION)
 
     def test_confidence_interval_without_scipy_stats(self):
         # the t quantile comes from scipy.special; scipy.stats takes ~1 s to import

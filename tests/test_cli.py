@@ -206,6 +206,19 @@ class TestBalance:
         fields = row.split(",")
         assert fields[5] == "" and fields[6] == ""
 
+    def test_huge_arrival_count_is_refused_at_once(self, tmp_path):
+        # rho 1e300 asks for ~4e301 arrivals per replication: the call must
+        # fail before the kernel starts, not run without end
+        src_dir = os.path.dirname(os.path.dirname(allpath.__file__))
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        proc = subprocess.run([sys.executable, "-m", "allpath.cli", "balance", "--paths", "2",
+                               "--rho", "1e300", "--replications", "1", "--duration", "1",
+                               "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert "expected arrivals per replication" in proc.stderr
+        assert not (tmp_path / "balance.csv").exists()
+
     def test_all_fields_finite(self, tmp_path):
         assert run(["balance", "--paths", "3", "--rho", "0.5,1",
                     "--replications", "3", "--duration", "2",

@@ -166,6 +166,30 @@ class TestSolvers:
         assert tail < 1e-3
 
 
+def erlang_b(servers, offered):
+    """Erlang-B blocking probability via the standard recursion."""
+    b = 1.0
+    for k in range(1, servers + 1):
+        b = offered * b / (k + offered * b)
+    return b
+
+
+# Join-max-available loses a flow only when both paths are full, so the total
+# occupancy is an M/M/c/c loss system with c = C1 + C2: LP is Erlang-B and the
+# carried load is the offered load times (1 - B).  rho is the offered load per
+# unit of capacity, lambda / (mu * (C1 + C2)).
+@pytest.mark.parametrize("method", ["dense", "block_tridiagonal"])
+@pytest.mark.parametrize("C1,C2", [(1, 1), (5, 3), (7, 15), (20, 20), (30, 20), (60, 60)])
+@pytest.mark.parametrize("rho", [0.2, 0.5, 1.0, 2.0, 5.0])
+def test_erlang_b_oracle(method, C1, C2, rho):
+    offered = rho * (C1 + C2)
+    _, u1, u2, lp, _ = solve_model(C1, C2, offered, 1.0, method=method)
+    b = erlang_b(C1 + C2, offered)
+    assert abs(lp - b) <= 1e-12 * b + 1e-16
+    carried = offered * (1 - b)
+    assert abs(C1 * u1 + C2 * u2 - carried) <= 1e-12 * carried
+
+
 @settings(max_examples=25, deadline=None)
 @given(C1=st.integers(min_value=1, max_value=12),
        C2=st.integers(min_value=1, max_value=12),

@@ -3,37 +3,48 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from allpath import simnet
 from allpath.cli import main as cli_main
+from allpath.protocol import DATA, Frame
 from allpath.simnet import (
     Engine,
     FlowSpec,
+    FluidLink,
     PortQueue,
     ScenarioError,
     SimConfig,
-    latency_of_hop,
+    max_min_rates,
     measure_empirical_tables,
     run_scenario,
 )
-from allpath.topology import Link, make_diamond, make_line, make_simple_grid
+from allpath.topology import Link, Topology, make_diamond, make_line, make_simple_grid
+
+
+def _arrival_of_one_hop(size_bits, initial_busy=None):
+    """Arrival time _send schedules for a frame sent at t=0 over a 1 Gbps,
+    1 us link from bridge 1 to bridge 2."""
+    topo = Topology([1, 2], [Link(1, 2, bandwidth_bps=1e9, prop_delay_s=1e-6)],
+                    {"A": 1, "B": 2})
+    eng = Engine(topo, "arp_path", SimConfig(initial_busy=initial_busy or {}))
+    eng._send(1, 2, Frame(kind=DATA, src_mac="A", dst_mac="B", size_bits=size_bits), 0.0)
+    [(arrive, _tie, _seq, handler, args)] = eng._heap
+    assert handler == eng._frame_at_bridge and args[:2] == (2, 1)
+    return arrive
 
 
 class TestLatency:
     def test_idle_link_arithmetic(self):
-        # 1 Gbps link, 1500-byte frame, idle queue, 1 us propagation -> 13 us
-        link = Link(1, 2, bandwidth_bps=1e9, prop_delay_s=1e-6)
-        lat = latency_of_hop(link, 1500 * 8, PortQueue(), now=0.0)
-        assert lat == pytest.approx(13e-6)
+        # 1500-byte frame, idle queue: 12 us transmission + 1 us propagation
+        assert _arrival_of_one_hop(1500 * 8) == pytest.approx(13e-6)
 
     def test_busy_queue_adds_wait(self):
-        link = Link(1, 2, bandwidth_bps=1e9, prop_delay_s=1e-6)
-        lat = latency_of_hop(link, 1500 * 8, PortQueue(busy_until=50e-6), now=0.0)
-        assert lat == pytest.approx(63e-6)
+        assert _arrival_of_one_hop(1500 * 8, {(1, 2): 50e-6}) == pytest.approx(63e-6)
 
     def test_zero_size_is_pure_propagation(self):
-        link = Link(1, 2, bandwidth_bps=1e9, prop_delay_s=1e-6)
-        assert latency_of_hop(link, 0, PortQueue(), now=0.0) == pytest.approx(1e-6)
+        assert _arrival_of_one_hop(0) == pytest.approx(1e-6)
 
     def test_busy_until_nondecreasing(self):
         q = PortQueue()
@@ -133,6 +144,103 @@ class TestScenarios:
         # the rows are written once, to report.csv
         assert "link_utilization" not in json.loads(rep.to_json())
         assert len(list(rep.utilization_csv_rows())) == len(rep.link_utilization) + 1
+
+
+def reference_max_min_rates(flow_links):
+    """Progressive filling over flow sets, as the engine computed it before
+    keeping live counts: rescan every link and intersect its flow set with
+    the unfrozen flows in every round."""
+    residual = {}
+    members = {}
+    for i, links in flow_links.items():
+        for ln in links:
+            residual.setdefault(ln.key, ln.bandwidth_bps)
+            members.setdefault(ln.key, set()).add(i)
+    rates = {}
+    unfrozen = set(flow_links)
+    while unfrozen:
+        best_key, best_share = None, None
+        for key, flows in members.items():
+            live = flows & unfrozen
+            if not live:
+                continue
+            share = residual[key] / len(live)
+            if best_share is None or share < best_share:
+                best_key, best_share = key, share
+        if best_key is None:
+            break
+        for i in members[best_key] & unfrozen:
+            rates[i] = best_share
+            unfrozen.discard(i)
+            for ln in flow_links[i]:
+                residual[ln.key] -= best_share
+        residual[best_key] = 0.0
+    return rates
+
+
+def _bits(rates):
+    return {i: r.hex() for i, r in rates.items()}
+
+
+@st.composite
+def fluid_flows(draw):
+    # mostly equal bandwidths, so that exact share ties are common
+    bandwidths = draw(st.lists(st.sampled_from([1e9] * 4 + [2.5e8, 4e9 / 3]),
+                               min_size=1, max_size=12))
+    links = [FluidLink(Link("a%d" % k, "b%d" % k, bandwidth_bps=bw))
+             for k, bw in enumerate(bandwidths)]
+    routes = draw(st.lists(
+        st.lists(st.sampled_from(range(len(links))), min_size=1, unique=True),
+        min_size=1, max_size=20))
+    flows = draw(st.permutations(range(len(routes))))
+    return {i: tuple(links[k] for k in route) for i, route in zip(flows, routes)}
+
+
+class TestMaxMin:
+    @settings(max_examples=300, deadline=None)
+    @given(flow_links=fluid_flows())
+    def test_matches_set_based_filling_bitwise(self, flow_links):
+        rates = max_min_rates(flow_links)
+        assert _bits(rates) == _bits(reference_max_min_rates(flow_links))
+        load = {}
+        for i, links in flow_links.items():
+            for ln in links:
+                load.setdefault(ln, []).append(rates[i])
+        for ln, on_link in load.items():
+            assert sum(on_link) <= ln.bandwidth_bps * (1 + 1e-12)
+        # max-min: every flow crosses a saturated link on which no flow is
+        # faster; the shares of two tied rounds may come out an ulp apart
+        for i, links in flow_links.items():
+            assert any(ln.bandwidth_bps - sum(load[ln]) <= 1e-9 * ln.bandwidth_bps
+                       and max(load[ln]) <= rates[i] * (1 + 1e-12) for ln in links), i
+
+    def test_engine_rates_match_set_based_filling(self, monkeypatch):
+        calls = []
+
+        def checked(flow_links):
+            rates = max_min_rates(flow_links)
+            assert _bits(rates) == _bits(reference_max_min_rates(flow_links))
+            calls.append(len(flow_links))
+            return rates
+
+        monkeypatch.setattr(simnet, "max_min_rates", checked)
+        t = make_simple_grid(3, hosts_per_corner=2)
+        hosts = sorted(t.hosts)
+        wl = [FlowSpec(a, b, 4e7, 0.001 * k) for k, (a, b) in
+              enumerate((a, b) for a in hosts for b in hosts if a != b)]
+        rep = run_scenario(t, "flow_path", wl, seed=5)
+        assert max(calls) > 10
+        assert all(f["status"] == "done" for f in rep.flows)
+
+    def test_link_records_are_built_once(self):
+        t = make_simple_grid(3, hosts_per_corner=2)
+        eng = Engine(t, "flow_path", seed=2)
+        eng.add_flow(FlowSpec("h1_0", "h9_0", 4e7, 0.0))
+        eng.add_flow(FlowSpec("h1_1", "h9_1", 4e7, 0.0))
+        eng.run()
+        a, b = (eng._flow_links(rec) for rec in eng.report.flows)
+        assert all(x is eng._fluid_links[x.key] for x in a + b)
+        assert [x.name for x in a[:2]] == ["1-h1_0", "9-h9_0"]
 
 
 class TestTableSeries:
