@@ -68,21 +68,6 @@ class TrafficMix:
         return HOLD_DCMIX, self.elephant_fraction, self.elephant_holding_s, lo, hi
 
 
-def schedule(available, rng):
-    """Chosen path index for the given available-capacity vector, or None.
-
-    Picks argmax(available); ties are broken uniformly with rng.random();
-    returns None (loss) when no path has spare capacity.
-    """
-    best = max(available)
-    if best <= 0:
-        return None
-    winners = [i for i, s in enumerate(available) if s == best]
-    if len(winners) == 1:
-        return winners[0]
-    return winners[int(rng.random() * len(winners)) % len(winners)]
-
-
 def jain_index(u):
     """(sum u)^2 / (N * sum u^2); 1 is perfectly even, 1/N one-path-only."""
     if not len(u):

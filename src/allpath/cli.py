@@ -184,6 +184,12 @@ def cmd_scalability(args):
 
 def cmd_qbd(args):
     started = time.time()
+    states = (args.c1 + 1) * (args.c2 + 1)
+    if args.method == "dense" and states > qbd.DENSE_MAX_STATES:
+        print("allpath: error: --method dense is limited to %d states, and C1 = %d, C2 = %d "
+              "has %d; use block_tridiagonal" % (qbd.DENSE_MAX_STATES, args.c1, args.c2, states),
+              file=sys.stderr)
+        return 2
     outdir = _outdir(args)
     params = {"c1": args.c1, "c2": args.c2, "rho": args.rho, "mu": args.mu,
               "method": args.method}
@@ -276,7 +282,11 @@ def build_parser():
     p.add_argument("--rho", type=_load_list, default="0.5,1,2",
                    help="offered load lambda/mu, comma list")
     p.add_argument("--mu", type=_positive_float, default=1.0)
-    p.add_argument("--method", choices=["dense", "block_tridiagonal"], default="dense")
+    p.add_argument("--method", choices=["dense", "block_tridiagonal"],
+                   default="block_tridiagonal",
+                   help="both solve Q^T pinned at one modal state: block_tridiagonal "
+                        "as a banded LU (default), dense as a full LU, a small-model "
+                        "oracle refused above %d states (exit 2)" % qbd.DENSE_MAX_STATES)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_qbd)
 

@@ -269,14 +269,15 @@ class BridgePathBridge(BridgeState):
     Core forwarding runs the ARP-Path machine keyed on the *outer*
     (edge-bridge) addresses.  Edge bridges keep an EdgeDirectory mapping
     remote host MACs to their edge bridge, populated only from decapsulated
-    ARP traffic, and deliver to local hosts from the static attachment map.
+    ARP traffic, and deliver to local hosts from the static attachment map:
+    each host port is named after the host attached to it.
     """
 
     protocol = "bridge_path"
 
-    def __init__(self, bridge_id, ports, host_ports=(), attachments=None, **kw):
+    def __init__(self, bridge_id, ports, host_ports=(), **kw):
         super().__init__(bridge_id, ports, host_ports, **kw)
-        self.attachments = dict(attachments or {})  # host mac -> host port
+        self.attachments = {h: h for h in self.host_port_list}  # host mac -> host port
         self.directory = {}  # host mac -> (edge id, expires_at)
         self._dir_expiry = []  # heap of (expires_at, seq, mac), stale items included
 

@@ -8,9 +8,13 @@ path k each free up at rate mu.  An arrival in state (0, 0) finds no
 transition enabled and is lost.
 
 `Generator` holds the rates of this rule as arrays over the states, built
-once.  Ordered by levels i = 0..C1, Q is block tridiagonal with blocks of
-size (C2+1); the block solver does forward block elimination and back
-substitution, the dense solver is a plain linear solve.  Both must agree.
+once, and lists the chain's five transitions once.  Both solvers solve the
+same linear system A x = e_k: A is Q^T with row k replaced by e_k, where k
+is a state on the modal occupancy level, so that x = pi / pi_k stays in
+range; pi is x / sum(x).  Ordered by levels i = 0..C1, A is banded with
+half-bandwidth C2 + 1.  `block_tridiagonal` (the default) stores that band
+and runs LAPACK's banded LU; `dense` fills the whole matrix and is kept as
+a small-model oracle, refused above DENSE_MAX_STATES states.
 
 Swap invariant: for C1 == C2 the generator is unchanged by relabelling the
 paths, (i, j) -> (j, i) (a tie gives lambda/2 to each path, departures run
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SOLVER_TOL = 1e-10
+DENSE_MAX_STATES = 4096  # a 128 MiB matrix; C1 = C2 = 60 has 3,721 states
 
 
 class QbdError(ValueError):
@@ -62,9 +67,9 @@ class Generator:
     free2: departures on path 2, (C2 - j) mu, to state (i, j+1);
     diag: the diagonal of Q, minus the sum of the other four.
 
-    Ordered by levels i, Q is block tridiagonal: the diagonal blocks D_i are
-    tridiagonal (`block`), the blocks to level i+1 are diag(free1[i]) and the
-    blocks to level i-1 are diag(take1[i]).
+    `transitions` lists these five as (rate, source, target) triples of
+    equal-shape arrays, Q[source, target] = rate elementwise, with the flat
+    state indices in level order.  Every use of Q reads this one list.
     """
 
     def __init__(self, model: QbdModel):
@@ -79,6 +84,15 @@ class Generator:
         self.free2 = (C2 - j) * mu
         # this order of summation fixes the last bit of every solve
         self.diag = -(((self.take2 + self.free2) + self.free1) + self.take1)
+        s = self.state_index(i, j)
+        # the order of this list fixes the last bit of left_product
+        self.transitions = [
+            (self.diag, s, s),
+            (self.take1[1:], s[1:], s[:-1]),
+            (self.take2[:, 1:], s[:, 1:], s[:, :-1]),
+            (self.free1[:-1], s[:-1], s[1:]),
+            (self.free2[:, :-1], s[:, :-1], s[:, 1:]),
+        ]
 
     @property
     def n_states(self):
@@ -87,30 +101,32 @@ class Generator:
     def state_index(self, i, j):
         return i * self.block_size + j
 
-    def block(self, i):
-        """D_i, the within-level block of Q at level i."""
-        return (np.diag(self.diag[i]) + np.diag(self.take2[i, 1:], -1)
-                + np.diag(self.free2[i, :-1], 1))
+    def pinned_state(self):
+        """Flat index of a state on the modal occupancy level.
+
+        Total occupancy is an M/M/c/c loss system with c = C1 + C2, whose
+        mode is floor(lam / mu) capped at c; join-max keeps the two paths'
+        available capacities as even as the capacities allow.
+        """
+        m = self.model
+        total = m.C1 + m.C2 - int(min(m.lam / m.mu, m.C1 + m.C2))  # lam / mu may be inf
+        i = min(m.C1, max(total - m.C2, total // 2))
+        return self.state_index(i, total - i)
 
     def left_product(self, pi):
         """pi Q for pi of shape (levels, block_size); Q itself, 8 * n_states**2
         bytes, is never formed."""
-        out = pi * self.diag
-        out[:-1] += pi[1:] * self.take1[1:]
-        out[:, :-1] += pi[:, 1:] * self.take2[:, 1:]
-        out[1:] += pi[:-1] * self.free1[:-1]
-        out[:, 1:] += pi[:, :-1] * self.free2[:, :-1]
-        return out
+        flat = pi.ravel()
+        out = np.zeros(self.n_states)
+        for rate, src, tgt in self.transitions:
+            out[tgt] += flat[src] * rate
+        return out.reshape(pi.shape)
 
     def dense(self):
         """The full rate matrix, for the dense solve and for tests."""
-        s = np.arange(self.n_states).reshape(self.levels, self.block_size)
         Q = np.zeros((self.n_states, self.n_states))
-        Q[s, s] = self.diag
-        Q[s[1:], s[:-1]] = self.take1[1:]
-        Q[s[:, 1:], s[:, :-1]] = self.take2[:, 1:]
-        Q[s[:-1], s[1:]] = self.free1[:-1]
-        Q[s[:, :-1], s[:, 1:]] = self.free2[:, :-1]
+        for rate, src, tgt in self.transitions:
+            Q[src, tgt] = rate
         return Q
 
 
@@ -124,55 +140,31 @@ def build_generator(model: QbdModel) -> Generator:
     return Generator(model)
 
 
-def _solve_dense(g: Generator) -> np.ndarray:
+def _solve_dense(g: Generator, k: int) -> np.ndarray:
+    if g.n_states > DENSE_MAX_STATES:
+        raise QbdError("dense solve refused: %d states, above the limit of %d"
+                       % (g.n_states, DENSE_MAX_STATES))
     A = g.dense().T.copy()  # Q is freed here, before LAPACK copies A
-    A[-1, :] = 1.0
-    rhs = np.zeros(g.n_states)
-    rhs[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise QbdError("dense solve failed: %s" % exc) from exc
-    return pi
+    A[k] = 0.0
+    A[k, k] = 1.0
+    return np.linalg.solve(A, np.eye(1, g.n_states, k)[0])
 
 
-def _solve_block(g: Generator) -> np.ndarray:
-    """Forward block elimination over levels, then back substitution.
+def _solve_banded(g: Generator, k: int) -> np.ndarray:
+    """The same system in LAPACK band storage, ab[w + r - c, c] = A[r, c]."""
+    from scipy.linalg import solve_banded  # a cold import costs about 0.3 s
 
-    With L_i = diag(take1[i]) and M_i = diag(free1[i]), eliminating level
-    columns left to right gives U_0 = D_0 and U_i = D_i - L_i U_{i-1}^{-1}
-    M_{i-1}; the top-level balance leaves pi_K U_K = 0, solved as a small
-    left null space.  U fills in, so it is dense; products with L and M are
-    row and column scalings.
-    """
-    U = [g.block(0)]
-    for i in range(1, g.levels):
-        try:
-            # L_i @ inv(U_{i-1}); row-scaling inv(U_{i-1}) instead would
-            # round differently
-            X = np.linalg.solve(U[i - 1].T, np.diag(g.take1[i])).T
-        except np.linalg.LinAlgError as exc:
-            raise QbdError("singular elimination step at level %d" % i) from exc
-        U.append(g.block(i) - X * g.free1[i - 1])
-
-    _, s, vh = np.linalg.svd(U[-1].T)
-    if s[-2] < 1e-8 * max(s[0], 1.0):
-        raise QbdError("top-level block has a degenerate null space")
-    pi_top = vh[-1]
-    levels = [pi_top]
-    for i in range(g.levels - 2, -1, -1):
-        # pi_i = -pi_{i+1} L_{i+1} U_i^{-1}
-        rhs = -(levels[0] * g.take1[i + 1])
-        levels.insert(0, np.linalg.solve(U[i].T, rhs))
-    pi = np.concatenate(levels)
-    total = pi.sum()
-    if abs(total) < 1e-300:
-        raise QbdError("null vector normalization failed")
-    pi = pi / total
-    return pi
+    w, n = g.block_size, g.n_states  # level order: (i +- 1, j) is w states away
+    ab = np.zeros((2 * w + 1, n))
+    for rate, src, tgt in g.transitions:
+        ab[w + tgt - src, src] = rate  # A[tgt, src] = Q[src, tgt]
+    c = np.arange(max(0, k - w), min(n, k + w + 1))
+    ab[w + k - c, c] = 0.0
+    ab[w, k] = 1.0
+    return solve_banded((w, w), ab, np.eye(1, n, k)[0])
 
 
-def solve_stationary(g: Generator, method="dense") -> StationaryDistribution:
+def solve_stationary(g: Generator, method="block_tridiagonal") -> StationaryDistribution:
     """Stationary distribution of the chain, reshaped to (C1+1, C2+1).
 
     For C1 == C2 the solved pi is replaced by (pi + pi.T) / 2.  The unique
@@ -183,11 +175,15 @@ def solve_stationary(g: Generator, method="dense") -> StationaryDistribution:
     pi that is returned.
     """
     if method == "dense":
-        pi = _solve_dense(g)
+        solve = _solve_dense
     elif method == "block_tridiagonal":
-        pi = _solve_block(g)
+        solve = _solve_banded
     else:
         raise QbdError("unknown method %r" % (method,))
+    try:
+        pi = solve(g, g.pinned_state())
+    except np.linalg.LinAlgError as exc:
+        raise QbdError("%s solve failed: %s" % (method, exc)) from exc
     if not np.isfinite(pi).all():
         raise QbdError("stationary solve gave non-finite probabilities")
     if pi.min() < -1e-9:
@@ -221,17 +217,13 @@ def utilization(d: StationaryDistribution, m: QbdModel):
 
 
 def gap_distribution(d: StationaryDistribution):
-    """P(available capacity gap s1 - s2 = psi) for psi in [-C2, C1]."""
+    """P(available capacity gap s1 - s2 = psi) for psi in [-C2, C1].
+
+    Each diagonal of pi is summed in increasing i, starting from 0.0."""
     n1, n2 = d.pi.shape
-    out = {}
-    for psi in range(-(n2 - 1), n1):
-        total = 0.0
-        for i in range(n1):
-            j = i - psi
-            if 0 <= j < n2:
-                total += d.pi[i, j]
-        out[psi] = total
-    return out
+    i, j = np.indices((n1, n2))
+    p = np.bincount((i - j + n2 - 1).ravel(), weights=d.pi.ravel())
+    return dict(zip(range(-(n2 - 1), n1), p.tolist()))
 
 
 def loss_probability(d: StationaryDistribution) -> float:
@@ -239,7 +231,7 @@ def loss_probability(d: StationaryDistribution) -> float:
     return float(d.pi[0, 0])
 
 
-def solve_model(C1, C2, lam, mu, method="dense"):
+def solve_model(C1, C2, lam, mu, method="block_tridiagonal"):
     """Convenience: model -> (distribution, u1, u2, LP, gap)."""
     m = QbdModel(C1, C2, lam, mu)
     d = solve_stationary(build_generator(m), method=method)

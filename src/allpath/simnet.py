@@ -25,7 +25,6 @@ from .protocol import (
     BRIDGE_CLASSES,
     BROADCAST,
     DATA,
-    BridgePathBridge,
     DEFAULT_LEARNT_TIMER,
     DEFAULT_LOCK_TIMER,
     Frame,
@@ -48,7 +47,6 @@ class SimConfig:
     arp_size_bits: int = 64 * 8
     probe_size_bits: int = 1500 * 8
     initial_busy: dict = field(default_factory=dict)  # (node, port) -> busy_until
-    prepopulated_arp: bool = False
 
 
 @dataclass
@@ -61,6 +59,8 @@ class FlowSpec:
     def __post_init__(self):
         if self.size_bits <= 0:
             raise ScenarioError("flow size must be positive")
+        if self.src_host == self.dst_host:
+            raise ScenarioError("flow from host %r to itself" % (self.src_host,))
 
 
 class PortQueue:
@@ -209,17 +209,11 @@ class Engine:
         for b in topology.bridges:
             hosts = topology.hosts_at(b)
             ports = topology.bridge_neighbors(b) + hosts
-            kw = dict(lock_timer=self.config.lock_timer, learnt_timer=self.config.learnt_timer)
-            if cls is BridgePathBridge:
-                kw["attachments"] = {h: h for h in hosts}
-            self.bridges[b] = cls(b, ports, host_ports=hosts, **kw)
+            self.bridges[b] = cls(b, ports, host_ports=hosts,
+                                  lock_timer=self.config.lock_timer,
+                                  learnt_timer=self.config.learnt_timer)
 
         self.hosts = {h: _Host(h, b) for h, b in topology.hosts.items()}
-        if self.config.prepopulated_arp:
-            for h in self.hosts.values():
-                for other in self.hosts.values():
-                    if other is not h:
-                        h.arp_cache[other.ip] = other.mac
 
         self.queues = {}
         for (node, port), busy in self.config.initial_busy.items():

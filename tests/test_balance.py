@@ -22,7 +22,6 @@ from allpath.balance import (
     TrafficMix,
     arrival_rate_for_load,
     jain_index,
-    schedule,
     simulate,
     simulate_dc,
 )
@@ -43,36 +42,45 @@ def erlang_b(servers, offered):
     return b
 
 
+def _replication(caps, seed):
+    """A replication of 1 s from t = 0 at one arrival per second, each flow
+    holding its unit for 10 s, longer than the run."""
+    return _balance_py.run_replication(caps, 1.0, 1.0, 0.0, seed,
+                                       _balance_py.HOLD_DET, 10.0, 0, 0, 0)
+
+
 class TestSchedule:
     def test_unique_maximum(self):
-        assert schedule([3, 1], random.Random(0)) == 0
+        busy, _, arrivals, losses = _replication([3, 1], seed=5)
+        assert (arrivals, losses) == (1, 0)
+        assert busy[0] > 0 and busy[1] == 0
 
     def test_all_full_is_loss(self):
-        assert schedule([0, 0], random.Random(0)) is None
+        busy, _, arrivals, losses = _replication([1], seed=0)
+        assert (arrivals, losses) == (2, 1)
 
     def test_tie_split_roughly_even(self):
-        rng = random.Random(7)
-        picks = [schedule([2, 2], rng) for _ in range(4000)]
-        frac = picks.count(0) / len(picks)
+        # the first arrival breaks the tie and its path stays the busier one
+        firsts = []
+        for seed in range(4000):
+            busy, _, arrivals, _ = _replication([2, 2], seed)
+            if arrivals:
+                firsts.append(0 if busy[0] > busy[1] else 1)
+        frac = firsts.count(0) / len(firsts)
+        assert len(firsts) > 2000
         assert 0.45 < frac < 0.55
 
     def test_only_maximizers_chosen(self):
         rng = random.Random(3)
-        for _ in range(200):
-            avail = [rng.randint(0, 5) for _ in range(4)]
-            got = schedule(avail, rng)
-            if max(avail) == 0:
-                assert got is None
-            else:
-                assert avail[got] == max(avail)
-
-    def test_scale_invariance(self):
-        # scaling availability never changes the maximizer set
-        for avail in ([1, 3, 2], [5, 5, 1], [2, 2, 2]):
-            base = {i for i, s in enumerate(avail) if s == max(avail)}
-            scaled = [10 * s for s in avail]
-            got = {i for i, s in enumerate(scaled) if s == max(scaled)}
-            assert got == base
+        checked = 0
+        for seed in range(200):
+            caps = [rng.randint(1, 5) for _ in range(4)]
+            busy, _, arrivals, _ = _replication(caps, seed)
+            if arrivals == 1:
+                [path] = [i for i, b in enumerate(busy) if b > 0]
+                assert caps[path] == max(caps)
+                checked += 1
+        assert checked > 50
 
 
 class TestJain:

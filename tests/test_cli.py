@@ -6,12 +6,13 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import allpath
 from allpath.cli import main
-from allpath.topology import make_simple_grid
+from allpath.topology import make_line, make_simple_grid
 
 
 def run(argv):
@@ -52,6 +53,18 @@ class TestSimulate:
         doc = json.loads((out / "report.json").read_text())
         assert doc["protocol"] == "flow_path"
         assert doc["flows"][0]["status"] == "done"
+
+    def test_self_flow_runtime_error(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "topology": make_line(3).to_json_dict(), "protocol": "arp-path",
+            "flows": [{"src": "A", "dst": "A", "size_bits": 12000, "start_time": 0.0},
+                      {"src": "A", "dst": "B", "size_bits": 12000, "start_time": 0.0}],
+        }))
+        out = tmp_path / "run"
+        assert run(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+        assert "to itself" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_env_outdir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ALLPATH_OUTDIR", str(tmp_path / "envout"))
@@ -142,10 +155,24 @@ class TestQbd:
         psis = [int(r.split(",")[1]) for r in rows]
         assert min(psis) == -20 and max(psis) == 30
 
-    def test_overflowing_load_is_a_runtime_error(self, tmp_path, capsys):
-        assert run(["qbd", "--c1", "5", "--c2", "5", "--rho", "1e300",
-                    "--method", "block_tridiagonal", "--out", str(tmp_path)]) == 1
-        assert "allpath: error: " in capsys.readouterr().err
+    def test_overflowing_load_saturates(self, tmp_path, capsys):
+        summaries = []
+        for method in ("dense", "block_tridiagonal"):
+            out = tmp_path / method
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no overflow on the way
+                assert run(["qbd", "--c1", "5", "--c2", "5", "--rho", "1e300",
+                            "--method", method, "--out", str(out)]) == 0
+            summaries.append(read(out / "qbd_summary.csv"))
+        assert capsys.readouterr().err == ""
+        assert summaries[0] == summaries[1] == b"rho,u1,u2,lp\n1e+300,1,1,1\n"
+
+    def test_dense_refused_above_the_limit(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["qbd", "--c1", "64", "--c2", "64", "--method", "dense",
+                    "--out", str(out)]) == 2
+        assert "limited to 4096 states" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rejects_bad_capacity(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -167,8 +167,7 @@ class TestFlowPath:
 
 class TestBridgePath:
     def make_edge(self):
-        return BridgePathBridge(1, ports=[2, "A"], host_ports=["A"],
-                                attachments={"A": "A"})
+        return BridgePathBridge(1, ports=[2, "A"], host_ports=["A"])
 
     def test_encapsulates_broadcast_from_host(self):
         bs = self.make_edge()
@@ -187,8 +186,7 @@ class TestBridgePath:
         assert list(core.entries) == [1]  # keyed by the edge bridge id
 
     def test_local_delivery_without_encapsulation(self):
-        bs = BridgePathBridge(1, ports=["A", "B"], host_ports=["A", "B"],
-                              attachments={"A": "A", "B": "B"})
+        bs = BridgePathBridge(1, ports=["A", "B"], host_ports=["A", "B"])
         d = bs.handle("A", data("A", "B"), now=0.0)
         (port, out), = d.outputs
         assert port == "B" and out.outer is None
@@ -221,8 +219,7 @@ class TestCounting:
         assert counts["total"] == 0
 
     def test_directory_reported_separately(self):
-        bs = BridgePathBridge(1, ports=[2, "A"], host_ports=["A"],
-                              attachments={"A": "A"})
+        bs = BridgePathBridge(1, ports=[2, "A"], host_ports=["A"])
         bs._dir_learn("B", 3, now=0.0)
         counts = count_table_entries([bs])
         assert counts["total"] == 0
@@ -301,8 +298,7 @@ class TestExpiryHeap:
     @staticmethod
     def check(ops, slack):
         def make():
-            return BridgePathBridge(1, ports=PORTS + ["H"], host_ports=["H"],
-                                    attachments={"H": "H"}, lock_timer=0.25,
+            return BridgePathBridge(1, ports=PORTS + ["H"], host_ports=["H"], lock_timer=0.25,
                                     learnt_timer=1.0)
 
         heap_bs, ref = make(), make()

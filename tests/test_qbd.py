@@ -1,12 +1,14 @@
 """Two-path CTMC: generator structure, stationary solves, derived metrics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allpath import qbd
 from allpath.qbd import (
     QbdError,
     QbdModel,
@@ -98,14 +100,15 @@ class TestFourStateOracle:
 
 
 class TestSolvers:
-    @pytest.mark.parametrize("C1,C2", [(1, 1), (5, 5), (20, 20), (5, 3), (30, 20)])
+    @pytest.mark.parametrize("C1,C2", [(1, 1), (5, 5), (20, 20), (5, 3), (30, 20),
+                                       (7, 15), (60, 60)])
     @pytest.mark.parametrize("rho", [0.2, 1.0, 2.0])
     def test_dense_block_agree(self, C1, C2, rho):
         m = QbdModel(C1, C2, rho, 1.0)
         g = build_generator(m)
         a = solve_stationary(g, "dense")
         b = solve_stationary(g, "block_tridiagonal")
-        assert np.abs(a.pi - b.pi).max() < 1e-10
+        assert np.abs(a.pi - b.pi).max() < 1e-12
         assert a.residual < 1e-10 and b.residual < 1e-10
         assert a.pi.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -132,10 +135,59 @@ class TestSolvers:
         assert u1 == u2
         assert all(gap[psi] == gap[-psi] for psi in range(1, C + 1))
 
-    def test_overflowing_load_is_an_error(self):
-        # the elimination overflows to NaN; the checks must not let it pass
-        with pytest.raises(QbdError):
-            solve_model(5, 5, 1e300, 1.0, method="block_tridiagonal")
+    @pytest.mark.parametrize("method", ["dense", "block_tridiagonal"])
+    def test_overflowing_load_saturates(self, method):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow on the way
+            _, u1, u2, lp, _ = solve_model(5, 5, 1e300, 1.0, method=method)
+        assert (u1, u2, lp) == (1.0, 1.0, 1.0)
+
+    def test_deep_tail_loss_underflows(self):
+        # Erlang-B(200, 0.5) is about 1e-435, below the smallest double
+        _, _, _, lp, _ = solve_model(100, 100, 0.5, 1.0, method="block_tridiagonal")
+        assert lp <= 1e-300
+
+    def test_banded_erlang_b_past_the_dense_limit(self):
+        offered = 800.0
+        _, u1, u2, lp, _ = solve_model(100, 100, offered, 1.0, method="block_tridiagonal")
+        b = erlang_b(200, offered)
+        assert abs(lp - b) <= 1e-12 * b + 1e-16
+        carried = offered * (1 - b)
+        assert abs(100 * u1 + 100 * u2 - carried) <= 1e-12 * carried
+
+    def test_non_finite_solution_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(qbd, "_solve_banded", lambda g, k: np.full(g.n_states, np.nan))
+        with pytest.raises(QbdError, match="non-finite"):
+            solve_model(5, 5, 1.0, 1.0, method="block_tridiagonal")
+
+    def test_dense_refused_above_the_limit(self, monkeypatch):
+        def dense(self):
+            raise AssertionError("the matrix must not be built")
+        monkeypatch.setattr(qbd.Generator, "dense", dense)
+        g = build_generator(QbdModel(64, 64, 1.0, 1.0))
+        assert g.n_states > qbd.DENSE_MAX_STATES
+        with pytest.raises(QbdError, match="refused"):
+            solve_stationary(g, "dense")
+
+    @pytest.mark.parametrize("C1,C2", [(1, 1), (5, 3), (7, 15), (30, 20), (100, 100)])
+    def test_pinned_state_is_on_the_modal_level(self, C1, C2):
+        c = C1 + C2
+        # (1e300, 1e-10): lambda / mu overflows to inf
+        for lam, mu in ((1e-8, 1.0), (0.7, 1.0), (c / 3, 1.0), (c - 0.5, 1.0), (c, 1.0),
+                        (2.0 * c, 1.0), (1e300, 1e-10)):
+            g = build_generator(QbdModel(C1, C2, lam, mu))
+            i, j = divmod(g.pinned_state(), g.block_size)
+            total = i + j
+            # total occupancy is truncated Poisson(lam / mu) on 0..c: its mode
+            a = lam / mu
+            if a == math.inf:
+                assert total == 0
+            else:
+                weight = [n * math.log(a) - math.lgamma(n + 1) for n in range(c + 1)]
+                assert weight[c - total] >= max(weight) - 1e-9
+            # the most even split of total that the capacities allow
+            assert abs(i - j) == min(abs(2 * s - total)
+                                     for s in range(max(0, total - C2), min(C1, total) + 1))
 
     def test_low_load_limits(self):
         d, u1, u2, lp, _ = solve_model(4, 4, 1e-8, 1.0)
@@ -243,6 +295,26 @@ class TestMetrics:
     def test_loss_is_corner_state(self):
         d = solve_stationary(build_generator(QbdModel(3, 2, 4.0, 1.0)))
         assert loss_probability(d) == d.pi[0, 0]
+
+    @pytest.mark.parametrize("method, C1, C2, lam", [
+        ("dense", 60, 60, 30.0), ("dense", 7, 15, 9.0), ("dense", 30, 20, 40.0),
+        ("block_tridiagonal", 60, 60, 30.0), ("block_tridiagonal", 7, 15, 9.0),
+        ("block_tridiagonal", 30, 20, 40.0), ("block_tridiagonal", 100, 100, 150.0),
+        ("block_tridiagonal", 100, 100, 220.0)])
+    def test_gap_matches_diagonal_loop_bitwise(self, method, C1, C2, lam):
+        d = solve_stationary(build_generator(QbdModel(C1, C2, lam, 1.0)), method)
+        n1, n2 = d.pi.shape
+        want = {}
+        for psi in range(-(n2 - 1), n1):
+            total = 0.0
+            for i in range(n1):
+                j = i - psi
+                if 0 <= j < n2:
+                    total += d.pi[i, j]
+            want[psi] = total
+        got = gap_distribution(d)
+        assert list(got) == list(want)
+        assert all(float(got[psi]).hex() == float(want[psi]).hex() for psi in want)
 
     def test_gap_marginalizes_pi(self):
         d = solve_stationary(build_generator(QbdModel(3, 2, 1.0, 1.0)))

@@ -63,6 +63,15 @@ class TestScenarios:
         with pytest.raises(ScenarioError):
             eng.add_flow(FlowSpec("A", "nobody", 1000, 0.0))
 
+    def test_rejects_self_flow(self):
+        # its ARP request would never resolve, and its flood would lock the
+        # bridges to the host's MAC, so that A -> B at t = 0 stayed pending too
+        with pytest.raises(ScenarioError, match="to itself"):
+            FlowSpec("A", "A", 12000, 0.0)
+        rep = run_scenario(make_line(3), "arp_path", [FlowSpec("A", "B", 12000, 0.0)],
+                           seed=1, duration=1.0)
+        assert rep.flows[0]["status"] == "done"
+
     @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
     def test_single_path_topology_learns_that_path(self, protocol):
         rep = run_scenario(make_line(4), protocol,
