@@ -113,8 +113,7 @@ def _mix_seed(seed, rep):
     return (seed * 0x9E3779B97F4A7C15 + rep * 0xBF58476D1CE4E5B9 + 1) & ((1 << 64) - 1)
 
 
-def simulate(capacities, arrival_rate, holding, duration, replications=1, seed=0,
-             warmup_fraction=WARMUP_FRACTION):
+def simulate(capacities, arrival_rate, holding, duration, replications=1, seed=0):
     """Run independent replications; holding is ('exp', mean), ('det', value)
     or a TrafficMix."""
     capacities = [int(c) for c in capacities]
@@ -143,7 +142,7 @@ def simulate(capacities, arrival_rate, holding, duration, replications=1, seed=0
             raise BalanceError("unknown holding distribution %r" % (name,))
 
     n = len(capacities)
-    warmup = duration * warmup_fraction
+    warmup = duration * WARMUP_FRACTION
     u_reps = []
     lp_reps = []
     for rep in range(replications):
@@ -176,11 +175,10 @@ def arrival_rate_for_load(rho, capacities, mean_holding_s):
     return rho * sum(capacities) / mean_holding_s
 
 
-def simulate_dc(capacities=None, rho=1.0, mix=None, duration=10.0, replications=10,
-                seed=0, n_paths=6):
+def simulate_dc(capacities=None, rho=1.0, mix=None, duration=10.0, replications=10, seed=0):
     """Data-center mixture scenario (defaults: N=6 paths of 20 units)."""
     if capacities is None:
-        capacities = [20] * n_paths
+        capacities = [20] * 6
     mix = mix or TrafficMix()
     lam = arrival_rate_for_load(rho, capacities, mix.mean_holding_s)
     return simulate(capacities, lam, mix, duration, replications, seed)

@@ -76,16 +76,27 @@ class ForwardingEntry:
     race_id: object = None
 
 
+# Why a unicast or exploration frame was dropped; the engine counts each
+# reason as dropped_<reason>.
+DUPLICATE = "duplicate"  # later copy of an exploration this bridge already admitted
+MISS = "miss"  # no table entry for the frame's forwarding key
+UNRESOLVED = "unresolved"  # Bridge-Path: no edge bridge known for the destination host
+
+
 @dataclass
 class ForwardingDecision:
     outputs: list  # list of (port, Frame); empty means drop/absorb
-    miss: bool = False
-    unresolved: bool = False
-    duplicate: bool = False
+    drop: str | None = None  # DUPLICATE, MISS or UNRESOLVED when dropped
 
 
 class BridgeState:
-    """Common table machinery; subclasses implement handle()."""
+    """Common table machinery; subclasses implement handle().
+
+    route() is the one place a bridge decides where a unicast frame goes.
+    It has no side effects and does not stamp the frame, so the engine can
+    walk a flow's path through it; handle() applies its learning and
+    refreshes around it and appends the bridge to the output's trace.
+    """
 
     protocol = None
 
@@ -170,11 +181,41 @@ class BridgeState:
     def _flood_ports(self, ingress):
         return [p for p in self.ports if p != ingress]
 
-    def handle(self, ingress, frame, now) -> ForwardingDecision:
+    def _learn_source(self, key, ingress, frame, now):
+        """A reply creates a learnt entry for its source; data refreshes the
+        source's entry when it agrees with the ingress port."""
+        if frame.kind == ARP_REPLY:
+            self._learn(key, ingress, now)
+        else:
+            src = self.entries.get(key)
+            if src is not None and src.port == ingress:
+                self._refresh(src, now)
+
+    def _unicast_key(self, frame):
+        """Table key a unicast frame is forwarded by."""
         raise NotImplementedError
 
-    def lookup_port(self, dst_mac, src_mac=None):
-        """Side-effect-free unicast lookup; None on miss."""
+    def route(self, ingress, frame):
+        """Where a unicast frame goes: (decision, matched entry or None).
+
+        Side-effect free; the output frame is not stamped with this bridge.
+        """
+        e = self.entries.get(self._unicast_key(frame))
+        if e is None:
+            return ForwardingDecision([], MISS), None
+        return ForwardingDecision([(e.port, frame)]), e
+
+    def _forward(self, decision, entry, now):
+        """Apply a route() result: refresh the matched entry and append this
+        bridge to the trace of the output frame."""
+        if entry is not None:
+            self._refresh(entry, now)
+        if decision.outputs:
+            [(port, frame)] = decision.outputs
+            decision.outputs = [(port, frame.forwarded(self.bridge_id))]
+        return decision
+
+    def handle(self, ingress, frame, now) -> ForwardingDecision:
         raise NotImplementedError
 
 
@@ -185,33 +226,14 @@ class ArpPathBridge(BridgeState):
         self.tick(now)
         if frame.kind == ARP_REQUEST:
             if not self._race_admit(frame.src_mac, ingress, now, frame.race_id):
-                return ForwardingDecision([], duplicate=True)
-            out = self.forwarded(frame)
+                return ForwardingDecision([], DUPLICATE)
+            out = frame.forwarded(self.bridge_id)
             return ForwardingDecision([(p, out) for p in self._flood_ports(ingress)])
+        self._learn_source(frame.src_mac, ingress, frame, now)
+        return self._forward(*self.route(ingress, frame), now)
 
-        if frame.kind == ARP_REPLY:
-            self._learn(frame.src_mac, ingress, now)
-            return self._unicast(ingress, frame, now)
-
-        # unicast data: refresh the source entry when it agrees with the port
-        src = self.entries.get(frame.src_mac)
-        if src is not None and src.port == ingress:
-            self._refresh(src, now)
-        return self._unicast(ingress, frame, now)
-
-    def _unicast(self, ingress, frame, now):
-        e = self.entries.get(frame.dst_mac)
-        if e is None:
-            return ForwardingDecision([], miss=True)
-        self._refresh(e, now)
-        return ForwardingDecision([(e.port, self.forwarded(frame))])
-
-    def forwarded(self, frame):
-        return frame.forwarded(self.bridge_id)
-
-    def lookup_port(self, dst_mac, src_mac=None):
-        e = self.entries.get(dst_mac)
-        return None if e is None else e.port
+    def _unicast_key(self, frame):
+        return frame.dst_mac
 
 
 def _prov_key(mac_src, ip_src, ip_dst):
@@ -231,7 +253,7 @@ class FlowPathBridge(BridgeState):
             # provisional "A?" entry: destination MAC unknown, IPs disambiguate
             key = _prov_key(frame.src_mac, frame.src_ip, frame.dst_ip)
             if not self._race_admit(key, ingress, now, frame.race_id):
-                return ForwardingDecision([], duplicate=True)
+                return ForwardingDecision([], DUPLICATE)
             out = frame.forwarded(self.bridge_id)
             return ForwardingDecision([(p, out) for p in self._flood_ports(ingress)])
 
@@ -248,19 +270,17 @@ class FlowPathBridge(BridgeState):
             self._learn(_flow_key(frame.src_mac, frame.dst_mac), ingress, now)
             return ForwardingDecision([(port_back, frame.forwarded(self.bridge_id))])
 
-        # unicast data matches the (dst, src) flow key
-        e = self.entries.get(_flow_key(frame.dst_mac, frame.src_mac))
-        if e is None:
-            return ForwardingDecision([], miss=True)
-        self._refresh(e, now)
-        rev = self.entries.get(_flow_key(frame.src_mac, frame.dst_mac))
-        if rev is not None and rev.port == ingress:
-            self._refresh(rev, now)
-        return ForwardingDecision([(e.port, frame.forwarded(self.bridge_id))])
+        # a data frame that matched its flow entry also refreshes the reverse
+        # entry when it agrees with the ingress port
+        decision, e = self.route(ingress, frame)
+        if e is not None:
+            rev = self.entries.get(_flow_key(frame.src_mac, frame.dst_mac))
+            if rev is not None and rev.port == ingress:
+                self._refresh(rev, now)
+        return self._forward(decision, e, now)
 
-    def lookup_port(self, dst_mac, src_mac=None):
-        e = self.entries.get(_flow_key(dst_mac, src_mac))
-        return None if e is None else e.port
+    def _unicast_key(self, frame):
+        return _flow_key(frame.dst_mac, frame.src_mac)
 
 
 class BridgePathBridge(BridgeState):
@@ -269,21 +289,16 @@ class BridgePathBridge(BridgeState):
     Core forwarding runs the ARP-Path machine keyed on the *outer*
     (edge-bridge) addresses.  Edge bridges keep an EdgeDirectory mapping
     remote host MACs to their edge bridge, populated only from decapsulated
-    ARP traffic, and deliver to local hosts from the static attachment map:
-    each host port is named after the host attached to it.
+    ARP traffic, and deliver to local hosts directly: each host port is
+    named after the host attached to it.
     """
 
     protocol = "bridge_path"
 
     def __init__(self, bridge_id, ports, host_ports=(), **kw):
         super().__init__(bridge_id, ports, host_ports, **kw)
-        self.attachments = {h: h for h in self.host_port_list}  # host mac -> host port
         self.directory = {}  # host mac -> (edge id, expires_at)
         self._dir_expiry = []  # heap of (expires_at, seq, mac), stale items included
-
-    @property
-    def is_edge(self):
-        return bool(self.host_ports)
 
     def tick(self, now):
         transitions = super().tick(now)
@@ -307,91 +322,60 @@ class BridgePathBridge(BridgeState):
 
     def handle(self, ingress, frame, now):
         self.tick(now)
-        if ingress in self.host_ports:
-            return self._from_host(ingress, frame, now)
-        return self._from_network(ingress, frame, now)
+        from_host = ingress in self.host_ports
+        if from_host:
+            self._dir_learn(frame.src_mac, self.bridge_id, now)
+            if frame.dst_mac == BROADCAST:
+                return self._flood(ingress, replace(frame, outer=(self.bridge_id, BROADCAST)), now)
+        elif frame.outer is not None and frame.outer[1] == BROADCAST:
+            return self._flood(ingress, frame, now)
+        decision, e = self.route(ingress, frame)
+        if from_host:
+            # the core machine sees the frame only if route() encapsulated it
+            if frame.dst_mac not in self.host_ports and decision.drop != UNRESOLVED:
+                self._learn_source(self.bridge_id, ingress, frame, now)
+        elif frame.outer is not None:
+            outer_src, outer_dst = frame.outer
+            self._learn_source(outer_src, ingress, frame, now)
+            if outer_dst == self.bridge_id:
+                self._dir_learn(frame.src_mac, outer_src, now)
+        return self._forward(decision, e, now)
 
-    def _from_host(self, ingress, frame, now):
-        self._dir_learn(frame.src_mac, self.bridge_id, now)
-        if frame.dst_mac == BROADCAST:
-            outer_dst = BROADCAST
-        elif frame.dst_mac in self.attachments:
-            # both hosts on this edge bridge: deliver locally, no encapsulation
-            return ForwardingDecision([(self.attachments[frame.dst_mac], frame)])
-        else:
+    def _flood(self, ingress, frame, now):
+        outer_src = frame.outer[0]
+        if not self._race_admit(outer_src, ingress, now, frame.race_id):
+            return ForwardingDecision([], DUPLICATE)
+        out = frame.forwarded(self.bridge_id)
+        outputs = [(p, out) for p in self.bridge_ports if p != ingress]
+        if self.host_ports:
+            if outer_src != self.bridge_id:
+                self._dir_learn(frame.src_mac, outer_src, now)
+            local = replace(out, outer=None)
+            outputs += [(p, local) for p in self.host_port_list if p != ingress]
+        return ForwardingDecision(outputs)
+
+    def route(self, ingress, frame):
+        """Local delivery, or encapsulation towards the destination's edge
+        bridge at an ingress edge; the core lookup of the outer destination;
+        decapsulation at the egress edge."""
+        if ingress in self.host_ports:
+            if frame.dst_mac in self.host_ports:
+                # both hosts on this edge bridge: deliver without encapsulation
+                return ForwardingDecision([(frame.dst_mac, frame)]), None
             rec = self.directory.get(frame.dst_mac)
             if rec is None:
-                return ForwardingDecision([], unresolved=True)
-            outer_dst = rec[0]
-        enc = replace(frame, outer=(self.bridge_id, outer_dst))
-        return self._core(ingress, enc, now, local_copy=frame)
+                return ForwardingDecision([], UNRESOLVED), None
+            frame = replace(frame, outer=(self.bridge_id, rec[0]))
+        elif frame.outer is None:
+            return ForwardingDecision([], MISS), None
+        elif frame.outer[1] == self.bridge_id:
+            if frame.dst_mac not in self.host_ports:
+                return ForwardingDecision([], UNRESOLVED), None
+            return ForwardingDecision([(frame.dst_mac, replace(frame, outer=None))]), None
+        return super().route(ingress, frame)
 
-    def _from_network(self, ingress, frame, now):
-        if frame.outer is None:
-            return ForwardingDecision([], miss=True)
-        return self._core(ingress, frame, now)
-
-    def _core(self, ingress, frame, now, local_copy=None):
-        outer_src, outer_dst = frame.outer
-        outputs = []
-        if outer_dst == BROADCAST:
-            if not self._race_admit(outer_src, ingress, now, frame.race_id):
-                return ForwardingDecision([], duplicate=True)
-            out = frame.forwarded(self.bridge_id)
-            outputs = [(p, out) for p in self.bridge_ports if p != ingress]
-            if self.is_edge:
-                if outer_src != self.bridge_id:
-                    self._dir_learn(frame.src_mac, outer_src, now)
-                deliver = local_copy if local_copy is not None else self._decap(out)
-                outputs += [(p, deliver) for p in self.host_port_list if p != ingress]
-            return ForwardingDecision(outputs)
-
-        if frame.kind == ARP_REPLY:
-            self._learn(outer_src, ingress, now)
-        else:
-            src = self.entries.get(outer_src)
-            if src is not None and src.port == ingress:
-                self._refresh(src, now)
-
-        if outer_dst == self.bridge_id:
-            # egress edge: decapsulate and deliver
-            self._dir_learn(frame.src_mac, outer_src, now)
-            port = self.attachments.get(frame.dst_mac)
-            if port is None:
-                return ForwardingDecision([], unresolved=True)
-            return ForwardingDecision([(port, self._decap(frame.forwarded(self.bridge_id)))])
-
-        e = self.entries.get(outer_dst)
-        if e is None:
-            return ForwardingDecision([], miss=True)
-        self._refresh(e, now)
-        return ForwardingDecision([(e.port, frame.forwarded(self.bridge_id))])
-
-    @staticmethod
-    def _decap(frame):
-        return replace(frame, outer=None)
-
-    def lookup_port(self, dst_mac, src_mac=None):
-        """Follow outer keys; at an edge bridge dst_mac is first resolved."""
-        if self.is_edge and dst_mac in self.attachments:
-            return self.attachments[dst_mac]
-        key = dst_mac
-        if self.is_edge:
-            rec = self.directory.get(dst_mac)
-            if rec is not None:
-                key = rec[0]
-        e = self.entries.get(key)
-        return None if e is None else e.port
-
-    def lookup_outer_port(self, outer_dst):
-        if outer_dst == self.bridge_id:
-            return None
-        e = self.entries.get(outer_dst)
-        return None if e is None else e.port
-
-    def resolve_edge(self, dst_mac):
-        rec = self.directory.get(dst_mac)
-        return None if rec is None else rec[0]
+    def _unicast_key(self, frame):
+        return frame.outer[1]
 
 
 BRIDGE_CLASSES = {

@@ -34,19 +34,12 @@ from .topology import Topology
 
 PROTOCOLS = ("arp_path", "flow_path", "bridge_path")
 
+ARP_SIZE_BITS = 64 * 8  # ARP requests and replies
+PROBE_SIZE_BITS = 1500 * 8  # the data probe of a flow, capped at the flow size
+
 
 class ScenarioError(ValueError):
     pass
-
-
-@dataclass
-class SimConfig:
-    lock_timer: float = DEFAULT_LOCK_TIMER
-    learnt_timer: float = DEFAULT_LEARNT_TIMER
-    d_proc: float = 0.0  # per-bridge processing delay
-    arp_size_bits: int = 64 * 8
-    probe_size_bits: int = 1500 * 8
-    initial_busy: dict = field(default_factory=dict)  # (node, port) -> busy_until
 
 
 @dataclass
@@ -150,7 +143,6 @@ class SimReport:
     counters: dict = field(default_factory=dict)
     races: list = field(default_factory=list)
     flows: list = field(default_factory=list)
-    drop_traces: list = field(default_factory=list)
     # (time, "a-b", util) at every fluid recompute; written to report.csv only
     link_utilization: list = field(default_factory=list)
     # (time, total entries) at the first frame and at every frame that
@@ -190,13 +182,11 @@ class _Host:
 class Engine:
     """One scenario = one engine = one single-threaded event loop."""
 
-    def __init__(self, topology: Topology, protocol: str, config: SimConfig | None = None,
-                 seed: int = 0):
+    def __init__(self, topology: Topology, protocol: str, seed: int = 0):
         if protocol not in PROTOCOLS:
             raise ScenarioError("unknown protocol %r" % (protocol,))
         self.t = topology
         self.protocol = protocol
-        self.config = config or SimConfig()
         self.seed = seed
         self.rng = random.Random(seed)
         self.now = 0.0
@@ -209,15 +199,11 @@ class Engine:
         for b in topology.bridges:
             hosts = topology.hosts_at(b)
             ports = topology.bridge_neighbors(b) + hosts
-            self.bridges[b] = cls(b, ports, host_ports=hosts,
-                                  lock_timer=self.config.lock_timer,
-                                  learnt_timer=self.config.learnt_timer)
+            self.bridges[b] = cls(b, ports, host_ports=hosts)
 
         self.hosts = {h: _Host(h, b) for h, b in topology.hosts.items()}
 
-        self.queues = {}
-        for (node, port), busy in self.config.initial_busy.items():
-            self.queues[(node, port)] = PortQueue(busy)
+        self.queues = {}  # (node, port) -> PortQueue, made on first use
 
         self._race_seq = 0
         self._races = {}  # race_id -> record
@@ -271,7 +257,7 @@ class Engine:
         link = self.t.link_between(node, port)
         q = self.queue(node, port)
         depart = q.transmit(now, frame.size_bits, link.bandwidth_bps)
-        arrive = depart + link.prop_delay_s + self.config.d_proc
+        arrive = depart + link.prop_delay_s
         self.report.counters["frames_created"] += 1
         if port in self.hosts:
             self.schedule(arrive, self._frame_at_host, port, frame)
@@ -292,13 +278,8 @@ class Engine:
             if port == ingress:
                 raise AssertionError("forwarding back out the ingress port")
             self._send(bridge_id, port, fr, now)
-        if decision.duplicate:
-            self.report.counters["dropped_duplicate"] += 1
-            self.report.drop_traces.append(list(frame.trace) + [bridge_id])
-        if decision.miss:
-            self.report.counters["dropped_miss"] += 1
-        if decision.unresolved:
-            self.report.counters["dropped_unresolved"] += 1
+        if decision.drop:
+            self.report.counters["dropped_" + decision.drop] += 1
         series = self.report.table_series
         if not series or series[-1][1] != self._entries_total:
             series.append((now, self._entries_total))
@@ -314,7 +295,7 @@ class Engine:
                     race["winning_trace"] = list(frame.trace)
                 reply = Frame(kind=ARP_REPLY, src_mac=host.mac, dst_mac=frame.src_mac,
                               src_ip=host.ip, dst_ip=frame.src_ip,
-                              size_bits=self.config.arp_size_bits, race_id=frame.race_id)
+                              size_bits=ARP_SIZE_BITS, race_id=frame.race_id)
                 self._send(host.id, host.bridge, reply, now)
             else:
                 self.report.counters["absorbed"] += 1
@@ -369,7 +350,7 @@ class Engine:
         }
         req = Frame(kind=ARP_REQUEST, src_mac=src.mac, dst_mac=BROADCAST,
                     src_ip=src.ip, dst_ip=dst.ip,
-                    size_bits=self.config.arp_size_bits, race_id=race_id)
+                    size_bits=ARP_SIZE_BITS, race_id=race_id)
         self._send(src.id, src.bridge, req, now)
 
     def _resolve_pending(self, host, resolved_ip, now):
@@ -391,7 +372,7 @@ class Engine:
         dst = self.hosts[rec["dst"]]
         probe = Frame(kind=DATA, src_mac=src.mac, dst_mac=dst.mac,
                       src_ip=src.ip, dst_ip=dst.ip,
-                      size_bits=min(self.config.probe_size_bits, int(rec["size_bits"])) or 1,
+                      size_bits=min(PROBE_SIZE_BITS, int(rec["size_bits"])) or 1,
                       race_id=("probe", idx))
         self._send(src.id, src.bridge, probe, now)
         self._fluid_register(idx, rec, now)
@@ -399,45 +380,24 @@ class Engine:
     # -- table walking (side-effect-free path lookup) ---------------------
 
     def walk_path(self, src_host, dst_host):
-        """Bridge sequence the tables would carry a frame along, or None."""
+        """Bridges a data frame would cross through each bridge's route(),
+        or None if a table misses or the walk revisits more bridges than exist."""
         src = self.hosts[src_host]
         dst = self.hosts[dst_host]
-        if self.protocol == "bridge_path":
-            return self._walk_bridge_path(src, dst)
-        cur = src.bridge
+        frame = Frame(kind=DATA, src_mac=src.mac, dst_mac=dst.mac)
+        cur, ingress = src.bridge, src.id
         path = []
-        limit = len(self.bridges) + 1
-        while len(path) < limit:
+        while len(path) <= len(self.bridges):
             path.append(cur)
-            port = self.bridges[cur].lookup_port(dst.mac, src.mac)
-            if port is None:
+            decision, _entry = self.bridges[cur].route(ingress, frame)
+            if not decision.outputs:
                 return None
+            [(port, frame)] = decision.outputs
             if port == dst.id:
                 return path
             if port not in self.bridges:
                 return None
-            cur = port
-        return None
-
-    def _walk_bridge_path(self, src, dst):
-        edge = self.bridges[src.bridge]
-        if dst.mac in edge.attachments:
-            return [src.bridge]
-        outer = edge.resolve_edge(dst.mac)
-        if outer is None:
-            return None
-        cur = src.bridge
-        path = []
-        limit = len(self.bridges) + 1
-        while len(path) < limit:
-            path.append(cur)
-            if cur == outer:
-                bs = self.bridges[cur]
-                return path if dst.mac in bs.attachments else None
-            port = self.bridges[cur].lookup_outer_port(outer)
-            if port is None or port not in self.bridges:
-                return None
-            cur = port
+            cur, ingress = port, cur
         return None
 
     # -- fluid data plane -------------------------------------------------
@@ -517,15 +477,15 @@ class Engine:
             self.report.counters["frames_created"] - self.report.counters["frames_consumed"])
 
 
-def run_scenario(topology, protocol, workload, seed=0, duration=None, config=None) -> SimReport:
+def run_scenario(topology, protocol, workload, seed=0, duration=None) -> SimReport:
     """Run a traffic scenario to completion; deterministic given (workload, seed)."""
-    eng = Engine(topology, protocol, config=config, seed=seed)
+    eng = Engine(topology, protocol, seed=seed)
     for spec in workload:
         eng.add_flow(spec)
     return eng.run(until=duration)
 
 
-def measure_empirical_tables(topology, protocol, hosts=None, config=None, seed=0):
+def measure_empirical_tables(topology, protocol, seed=0):
     """Steady-state table census for a deterministic all-pairs workload.
 
     Phase 1 establishes every unordered host pair (ARP exchange + data);
@@ -537,30 +497,28 @@ def measure_empirical_tables(topology, protocol, hosts=None, config=None, seed=0
     equations: b is the mean bridge count of the used unidirectional paths,
     L_e the mean extra tree bridges per destination key.
     """
-    cfg = config or SimConfig()
-    hosts = sorted(hosts or topology.hosts)
+    lock, learnt = DEFAULT_LOCK_TIMER, DEFAULT_LEARNT_TIMER
+    hosts = sorted(topology.hosts)
     if len(hosts) < 2:
         raise ScenarioError("need at least two hosts")
-    gap = max(4 * cfg.lock_timer, 0.25)
+    gap = max(4 * lock, 0.25)
     pairs = [(a, b) for i, a in enumerate(hosts) for b in hosts[i + 1:]]
     window = gap * len(pairs)
-    if window > cfg.learnt_timer / 2 - 1:
+    if window > learnt / 2 - 1:
         raise ScenarioError("workload window too long for the learnt timer")
 
-    eng = Engine(topology, protocol, config=cfg, seed=seed)
-    probe_bits = cfg.probe_size_bits
+    eng = Engine(topology, protocol, seed=seed)
     t = 0.0
     for a, b in pairs:
-        eng.add_flow(FlowSpec(a, b, probe_bits, t))
+        eng.add_flow(FlowSpec(a, b, PROBE_SIZE_BITS, t))
         t += gap
-    refresh_at = window + cfg.lock_timer + cfg.learnt_timer / 2
     refresh_flows = {}
-    tt = refresh_at
+    tt = window + lock + learnt / 2
     for a, b in pairs:
-        refresh_flows[(a, b)] = eng.add_flow(FlowSpec(a, b, probe_bits, tt))
-        refresh_flows[(b, a)] = eng.add_flow(FlowSpec(b, a, probe_bits, tt + gap / 4))
+        refresh_flows[(a, b)] = eng.add_flow(FlowSpec(a, b, PROBE_SIZE_BITS, tt))
+        refresh_flows[(b, a)] = eng.add_flow(FlowSpec(b, a, PROBE_SIZE_BITS, tt + gap / 4))
         tt += gap / 2
-    measure_at = window + cfg.lock_timer + cfg.learnt_timer + 1.0
+    measure_at = window + lock + learnt + 1.0
     report = eng.run(until=measure_at)
 
     counts = count_table_entries(eng.bridges.values())

@@ -107,11 +107,11 @@ def _assert_flood_tree(eng, key, src_bridge):
             raise AssertionError("cycle while walking to the source from %r" % start)
 
 
-def test_criterion_06_protocol_invariants_at_scale():
+def test_criterion_06_protocol_invariants_at_scale(bridge_arrivals):
     grid = make_simple_grid(3, hosts_per_corner=2)
     diamond = make_diamond()
     grid_hosts = sorted(grid.hosts)
-    runs = 0
+    runs = frames = 0
     for seed in range(500):
         for topo in (diamond, grid):
             protocol = simnet.PROTOCOLS[seed % 3]
@@ -123,9 +123,12 @@ def test_criterion_06_protocol_invariants_at_scale():
                 src, dst = random.Random(seed).sample(grid_hosts, 2)
             eng.add_flow(FlowSpec(src, dst, 12000, 0.0))
             rep = eng.run()
-            # loop freedom: no trace revisits a bridge
-            for trace in rep.drop_traces:
-                assert len(set(trace)) == len(trace)
+            # loop freedom: no frame reaches a bridge it already crossed,
+            # whether that bridge forwards it or drops it
+            for trace in bridge_arrivals:
+                assert len(set(trace)) == len(trace), trace
+            frames += len(bridge_arrivals)
+            bridge_arrivals.clear()
             race = rep.races[0]
             for tr in (race["winning_trace"], race["reply_trace"]):
                 assert tr is not None and len(set(tr)) == len(tr)
@@ -136,9 +139,10 @@ def test_criterion_06_protocol_invariants_at_scale():
             # flow_path)
             assert race["reply_trace"] == list(reversed(race["winning_trace"]))
             runs += 1
-    assert runs == 1000
-    ok(6, "1000 seeded runs on diamond and 3x3 grids: loop-free traces, "
-          "spanning-tree floods, reply = reversed request path")
+    assert runs == 1000 and frames > 10000
+    ok(6, "1000 seeded runs on diamond and 3x3 grids: %d frames reach bridges, "
+          "none a bridge it crossed; spanning-tree floods, reply = reversed "
+          "request path" % frames)
 
 
 def test_criterion_07_qbd_correctness():

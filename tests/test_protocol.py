@@ -10,8 +10,11 @@ from allpath.protocol import (
     ARP_REQUEST,
     BROADCAST,
     DATA,
+    DUPLICATE,
     LEARNT,
     LOCKED,
+    MISS,
+    UNRESOLVED,
     ArpPathBridge,
     BridgePathBridge,
     FlowPathBridge,
@@ -64,14 +67,14 @@ class TestArpPath:
         bs = ArpPathBridge(2, ports=[1, 3])
         bs.handle(1, req("A", "ip-B", race=1), now=0.0)
         d = bs.handle(3, req("A", "ip-B", race=1), now=0.001)
-        assert d.duplicate and d.outputs == []
+        assert d.drop == DUPLICATE and d.outputs == []
         assert bs.entries["A"].port == 1  # locked binding untouched
 
     def test_locked_entry_immutable_across_races(self):
         bs = ArpPathBridge(2, ports=[1, 3])
         bs.handle(1, req("A", "ip-B", race=1), now=0.0)
         d = bs.handle(3, req("A", "ip-C", race=2), now=0.01)  # still locked
-        assert d.duplicate
+        assert d.drop == DUPLICATE
         assert bs.entries["A"].port == 1
 
     def test_learnt_entry_repointed_by_fresher_race(self):
@@ -79,7 +82,7 @@ class TestArpPath:
         bs.handle(1, req("A", "ip-B", race=1), now=0.0)
         bs.tick(0.2)  # locked -> learnt
         d = bs.handle(3, req("A", "ip-C", race=2), now=0.2)
-        assert not d.duplicate
+        assert d.drop is None
         assert bs.entries["A"].port == 3
         assert bs.entries["A"].state == LOCKED
 
@@ -93,7 +96,7 @@ class TestArpPath:
     def test_unicast_miss_reported(self):
         bs = ArpPathBridge(2, ports=[1, 3])
         d = bs.handle(1, data("A", "Z"), now=0.0)
-        assert d.miss and d.outputs == []
+        assert d.drop == MISS and d.outputs == []
 
     def test_tick_transitions(self):
         bs = ArpPathBridge(2, ports=[1, 3], lock_timer=0.1, learnt_timer=1.0)
@@ -139,7 +142,7 @@ class TestFlowPath:
         bs.handle("A", req("A", "ip-B", race=1), now=0.0)
         bs.handle(2, reply("B", "A", race=1), now=0.001)
         late = bs.handle(3, req("A", "ip-B", race=1), now=0.002)
-        assert late.duplicate and late.outputs == []
+        assert late.drop == DUPLICATE and late.outputs == []
 
     def test_reply_off_winning_path_dropped(self):
         bs = FlowPathBridge(1, ports=[2, 3])
@@ -153,7 +156,7 @@ class TestFlowPath:
         d = bs.handle("A", data("A", "B"), now=0.002)
         assert d.outputs[0][0] == 2
         miss = bs.handle("A", data("A", "C"), now=0.003)
-        assert miss.miss
+        assert miss.drop == MISS
 
     def test_independent_couples(self):
         bs = FlowPathBridge(1, ports=[2, 3, "A"], host_ports=["A"])
@@ -190,18 +193,37 @@ class TestBridgePath:
         d = bs.handle("A", data("A", "B"), now=0.0)
         (port, out), = d.outputs
         assert port == "B" and out.outer is None
+        assert out.trace == [1]  # stamped like every other delivery
+
+    def test_local_flood_copy_is_stamped(self):
+        bs = BridgePathBridge(1, ports=[2, "A", "B"], host_ports=["A", "B"])
+        d = bs.handle("A", req("A", "ip-B", race=1), now=0.0)
+        out = dict(d.outputs)
+        assert out[2].outer == (1, BROADCAST) and out[2].trace == [1]
+        assert out["B"].outer is None and out["B"].trace == [1]
 
     def test_unresolved_unicast_from_host(self):
         bs = self.make_edge()
         d = bs.handle("A", data("A", "Z"), now=0.0)
-        assert d.unresolved and d.outputs == []
+        assert d.drop == UNRESOLVED and d.outputs == []
+
+    def test_frames_kept_off_the_core_learn_no_core_entry(self):
+        # a locally delivered or unresolved reply is never encapsulated, so
+        # the edge does not learn its own id; an encapsulated one does
+        bs = BridgePathBridge(1, ports=[2, "A", "B"], host_ports=["A", "B"])
+        bs.handle("B", reply("B", "A", race=1), now=0.0)
+        bs.handle("B", reply("B", "Z", race=2), now=0.0)
+        assert bs.entries == {}
+        bs._dir_learn("C", 3, now=0.0)
+        bs.handle("B", reply("B", "C", race=3), now=0.0)
+        assert bs.entries[1].port == "B" and bs.entries[1].state == LEARNT
 
     def test_directory_learned_from_decapsulated_arp(self):
         bs = self.make_edge()
         enc = Frame(kind=ARP_REQUEST, src_mac="B", dst_mac=BROADCAST,
                     src_ip="ip-B", dst_ip="ip-A", outer=(3, BROADCAST), race_id=9)
         d = bs.handle(2, enc, now=0.0)
-        assert bs.resolve_edge("B") == 3
+        assert bs.directory["B"][0] == 3
         delivered = [out for port, out in d.outputs if port == "A"]
         assert delivered and delivered[0].outer is None  # decapsulated copy
 
@@ -209,7 +231,42 @@ class TestBridgePath:
         bs = self.make_edge()
         bs._dir_learn("B", 3, now=0.0)
         bs.tick(bs.learnt_timer + 1.0)
-        assert bs.resolve_edge("B") is None
+        assert "B" not in bs.directory
+
+
+def _table_state(bs):
+    entries = [(k, e.port, e.state, e.expires_at) for k, e in bs.entries.items()]
+    return entries, len(bs._expiry), dict(getattr(bs, "directory", {}))
+
+
+class TestRoute:
+    @pytest.mark.parametrize("cls", [ArpPathBridge, FlowPathBridge, BridgePathBridge])
+    def test_route_is_side_effect_free_and_handle_follows_it(self, cls):
+        # edge bridge 1 with host A; B answers A's request through port 2
+        bs = cls(1, ports=[2, 3, "A"], host_ports=["A"])
+        bs.handle("A", req("A", "ip-B", race=1), now=0.0)
+        answer = reply("B", "A", race=1)
+        if cls is BridgePathBridge:
+            answer = Frame(**{**vars(answer), "outer": (5, 1)})
+        bs.handle(2, answer, now=0.001)
+        before = _table_state(bs)
+        frame = data("A", "B")
+        decision, entry = bs.route("A", frame)
+        [(port, routed)] = decision.outputs
+        assert port == 2 and routed.trace == [] and entry is not None
+        assert _table_state(bs) == before and frame.trace == []
+        [(port_h, out)] = bs.handle("A", frame, now=0.5).outputs
+        assert port_h == 2 and out.trace == [1]
+        assert entry.expires_at == 0.5 + bs.learnt_timer  # handle refreshed it
+        if cls is BridgePathBridge:
+            assert routed.outer == out.outer == (1, 5)
+
+    @pytest.mark.parametrize("cls", [ArpPathBridge, FlowPathBridge, BridgePathBridge])
+    def test_route_misses_on_empty_tables(self, cls):
+        bs = cls(1, ports=[2, "A"], host_ports=["A"])
+        decision, entry = bs.route("A", data("A", "B"))
+        expected = UNRESOLVED if cls is BridgePathBridge else MISS
+        assert decision.outputs == [] and decision.drop == expected and entry is None
 
 
 class TestCounting:

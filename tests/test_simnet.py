@@ -1,6 +1,7 @@
 """Discrete-event engine: latency model, races, census, determinism."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,6 @@ from allpath.simnet import (
     FluidLink,
     PortQueue,
     ScenarioError,
-    SimConfig,
     max_min_rates,
     measure_empirical_tables,
     run_scenario,
@@ -23,12 +23,13 @@ from allpath.simnet import (
 from allpath.topology import Link, Topology, make_diamond, make_line, make_simple_grid
 
 
-def _arrival_of_one_hop(size_bits, initial_busy=None):
+def _arrival_of_one_hop(size_bits, busy_until=0.0):
     """Arrival time _send schedules for a frame sent at t=0 over a 1 Gbps,
-    1 us link from bridge 1 to bridge 2."""
+    1 us link from bridge 1 to bridge 2 whose queue is busy until busy_until."""
     topo = Topology([1, 2], [Link(1, 2, bandwidth_bps=1e9, prop_delay_s=1e-6)],
                     {"A": 1, "B": 2})
-    eng = Engine(topo, "arp_path", SimConfig(initial_busy=initial_busy or {}))
+    eng = Engine(topo, "arp_path")
+    eng.queue(1, 2).busy_until = busy_until
     eng._send(1, 2, Frame(kind=DATA, src_mac="A", dst_mac="B", size_bits=size_bits), 0.0)
     [(arrive, _tie, _seq, handler, args)] = eng._heap
     assert handler == eng._frame_at_bridge and args[:2] == (2, 1)
@@ -41,7 +42,7 @@ class TestLatency:
         assert _arrival_of_one_hop(1500 * 8) == pytest.approx(13e-6)
 
     def test_busy_queue_adds_wait(self):
-        assert _arrival_of_one_hop(1500 * 8, {(1, 2): 50e-6}) == pytest.approx(63e-6)
+        assert _arrival_of_one_hop(1500 * 8, 50e-6) == pytest.approx(63e-6)
 
     def test_zero_size_is_pure_propagation(self):
         assert _arrival_of_one_hop(0) == pytest.approx(1e-6)
@@ -101,22 +102,23 @@ class TestScenarios:
         assert c["dropped_duplicate"] >= 1  # grid floods always race somewhere
         assert c["dropped_miss"] == 0 and c["dropped_unresolved"] == 0
 
-    def test_loop_freedom_in_all_traces(self):
+    def test_loop_freedom_in_all_traces(self, bridge_arrivals):
         t = make_simple_grid(3, hosts_per_corner=2)
         rep = run_scenario(t, "arp_path",
                            [FlowSpec("h1_0", "h9_0", 12000, 0.0)], seed=7, duration=1.0)
-        for trace in rep.drop_traces:
-            assert len(set(trace)) == len(trace)
+        assert rep.counters["dropped_duplicate"] >= 1 and len(bridge_arrivals) > 1
+        for trace in bridge_arrivals:
+            assert len(set(trace)) == len(trace), trace
         for race in rep.races:
             for tr in (race["winning_trace"], race["reply_trace"]):
                 assert tr is not None and len(set(tr)) == len(tr)
 
     def test_congested_branch_avoided(self):
         # preload the 1->2 output queue: the request copy over 1->4 wins
-        t = make_diamond()
-        cfg = SimConfig(initial_busy={(1, 2): 1e-3})
-        rep = run_scenario(t, "arp_path", [FlowSpec("A", "B", 12000, 0.0)],
-                           seed=0, duration=1.0, config=cfg)
+        eng = Engine(make_diamond(), "arp_path", seed=0)
+        eng.queue(1, 2).busy_until = 1e-3
+        eng.add_flow(FlowSpec("A", "B", 12000, 0.0))
+        rep = eng.run(until=1.0)
         assert rep.races[0]["winning_trace"] == [1, 4, 3]
 
     def test_idle_diamond_race_is_seed_dependent(self):
@@ -142,6 +144,27 @@ class TestScenarios:
             eng.add_flow(FlowSpec("h1_0", "h9_0", 12000, 0.0))
             rep = eng.run(until=1.0)
             assert eng.walk_path("h1_0", "h9_0") == rep.flows[0]["probe_trace"]
+
+    @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
+    def test_flow_path_is_the_path_its_probe_took(self, protocol):
+        # same-edge pairs included: 3 hosts on each corner of a 3x3 grid
+        t = make_simple_grid(3, hosts_per_corner=3)
+        hosts = sorted(t.hosts)
+        rng = random.Random(11)
+        wl = [FlowSpec(*rng.sample(hosts, 2), 12000 if k % 2 else 4e7, 0.05 * k)
+              for k in range(120)]
+        rep = run_scenario(t, protocol, wl, seed=3)
+        delivered = [f for f in rep.flows if f["probe_trace"] is not None]
+        same_edge = [f for f in delivered if t.hosts[f["src"]] == t.hosts[f["dst"]]]
+        assert len(delivered) > 100 and same_edge
+        for f in delivered:
+            assert f["path"] == f["probe_trace"], f
+
+    @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
+    def test_walk_path_none_on_empty_tables(self, protocol):
+        eng = Engine(make_line(3), protocol)
+        assert eng.walk_path("A", "B") is None
+        assert eng.walk_path("B", "A") is None
 
     def test_utilization_bounded(self):
         t = make_simple_grid(2, hosts_per_corner=2)
