@@ -23,7 +23,7 @@ except ImportError:  # pragma: no cover
     from . import _balance_py as _kernel
     KERNEL = "python"
 
-from ._balance_py import HOLD_DCMIX, HOLD_DET, HOLD_EXP
+from ._balance_py import HOLD_DCMIX, HOLD_EXP
 
 WARMUP_FRACTION = 0.1
 
@@ -90,7 +90,7 @@ class BalanceReport:
     u_ci: list  # 95% half-width per path (None with a single replication)
     loss_probability: float
     loss_ci: float | None
-    fairness_index: float
+    fairness_index: float | None  # None when every u is 0
     u_reps: list  # per-replication utilization vectors
     lp_reps: list
 
@@ -114,8 +114,9 @@ def _mix_seed(seed, rep):
 
 
 def simulate(capacities, arrival_rate, holding, duration, replications=1, seed=0):
-    """Run independent replications; holding is ('exp', mean), ('det', value)
-    or a TrafficMix."""
+    """Run independent replications; holding is ('exp', mean) or a TrafficMix.
+
+    fairness_index is None when no path carried any load."""
     capacities = [int(c) for c in capacities]
     if not capacities or any(c < 1 for c in capacities):
         raise BalanceError("capacities must be positive integers")
@@ -134,12 +135,9 @@ def simulate(capacities, arrival_rate, holding, duration, replications=1, seed=0
         kind, p0, p1, p2, p3 = holding.kernel_params()
     else:
         name, value = holding
-        if name == "exp":
-            kind, p0, p1, p2, p3 = HOLD_EXP, float(value), 0.0, 0.0, 0.0
-        elif name == "det":
-            kind, p0, p1, p2, p3 = HOLD_DET, float(value), 0.0, 0.0, 0.0
-        else:
+        if name != "exp":
             raise BalanceError("unknown holding distribution %r" % (name,))
+        kind, p0, p1, p2, p3 = HOLD_EXP, float(value), 0.0, 0.0, 0.0
 
     n = len(capacities)
     warmup = duration * WARMUP_FRACTION
@@ -162,7 +160,7 @@ def simulate(capacities, arrival_rate, holding, duration, replications=1, seed=0
         u_ci=[_ci_half_width([rep[i] for rep in u_reps]) for i in range(n)],
         loss_probability=lp,
         loss_ci=_ci_half_width(lp_reps),
-        fairness_index=jain_index(u),
+        fairness_index=jain_index(u) if any(u) else None,
         u_reps=u_reps,
         lp_reps=lp_reps,
     )
@@ -175,10 +173,10 @@ def arrival_rate_for_load(rho, capacities, mean_holding_s):
     return rho * sum(capacities) / mean_holding_s
 
 
-def simulate_dc(capacities=None, rho=1.0, mix=None, duration=10.0, replications=10, seed=0):
+def simulate_dc(capacities=None, rho=1.0, duration=10.0, replications=10, seed=0):
     """Data-center mixture scenario (defaults: N=6 paths of 20 units)."""
     if capacities is None:
         capacities = [20] * 6
-    mix = mix or TrafficMix()
+    mix = TrafficMix()
     lam = arrival_rate_for_load(rho, capacities, mix.mean_holding_s)
     return simulate(capacities, lam, mix, duration, replications, seed)

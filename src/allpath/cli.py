@@ -49,12 +49,6 @@ def _write_manifest(outdir, subcommand, params, outputs, started):
         fh.write("\n")
 
 
-def _outdir(args):
-    out = args.out or os.environ.get("ALLPATH_OUTDIR") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _parse_topology(spec):
     if spec.startswith("grid:"):
         return topology.make_simple_grid(int(spec.split(":", 1)[1]))
@@ -76,6 +70,10 @@ def _parse_range(text):
     return list(range(int(lo), int(hi) + 1))
 
 
+def _parse_int_list(text):
+    return [int(x) for x in text.split(",")]
+
+
 def _checked(convert, ok, what):
     """An argparse type: convert, then reject values outside the domain (exit 2)."""
     def parse(text):
@@ -92,29 +90,31 @@ _nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 
 
-def _load_list(text):
-    """An argparse type for --rho: one or more finite numbers > 0, comma
-    separated.  It returns the text as given, so the manifest keeps it."""
-    try:
-        loads = _parse_float_list(text)
-    except ValueError:
-        loads = []
-    if not loads or not all(0 < v < math.inf for v in loads):
-        raise argparse.ArgumentTypeError(
-            "%s is not a comma list of finite numbers > 0" % text)
-    return text
+def _as_given(parse, ok, what):
+    """An argparse type that parses the text and checks the values (exit 2),
+    then returns the text as given, so the manifest keeps it."""
+    def check(text):
+        try:
+            good = ok(parse(text))
+        except ValueError:
+            good = False
+        if not good:
+            raise argparse.ArgumentTypeError("%s is not %s" % (text, what))
+        return text
+    return check
+
+
+_load_list = _as_given(_parse_float_list, lambda v: v and all(0 < x < math.inf for x in v),
+                       "a comma list of finite numbers > 0")
+_n_range = _as_given(_parse_range, lambda v: v and v[0] >= 2, "A..B with 2 <= A <= B")
+_host_list = _as_given(_parse_int_list, lambda v: all(h > 0 and h % 4 == 0 for h in v),
+                       "a comma list of positive multiples of 4")
 
 
 # -- subcommands ----------------------------------------------------------
 
 
-def cmd_simulate(args):
-    started = time.time()
-    outdir = _outdir(args)
-    params = {
-        "topology": args.topology, "protocol": args.protocol, "seed": args.seed,
-        "duration": args.duration, "flows": args.flows, "scenario": args.scenario,
-    }
+def cmd_simulate(args, outdir):
     if args.scenario:
         with open(args.scenario) as fh:
             doc = json.load(fh)
@@ -145,7 +145,6 @@ def cmd_simulate(args):
         eng.add_flow(spec)
     report = eng.run(until=duration)
 
-    outputs = ["report.json", "report.csv", "tables.csv"]
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         fh.write(report.to_json())
     with open(os.path.join(outdir, "report.csv"), "w") as fh:
@@ -155,44 +154,24 @@ def cmd_simulate(args):
 
     with open(os.path.join(outdir, "tables.csv"), "w") as fh:
         dump_tables_csv(eng.bridges.values(), fh)
-    _write_manifest(outdir, "simulate", params, outputs, started)
-    return 0
+    return ["report.json", "report.csv", "tables.csv"]
 
 
-def cmd_scalability(args):
-    started = time.time()
-    outdir = _outdir(args)
-    params = {"grid": args.grid, "n_range": args.n_range, "hosts": args.hosts}
-    n_values = _parse_range(args.n_range)
-    hosts = [int(h) for h in args.hosts.split(",")]
+def cmd_scalability(args, outdir):
     if args.grid == "simple":
         factory, criterion = topology.make_simple_grid, topology.SHORTEST_ONLY
-        if min(n_values) < 2:
-            raise ValueError("n-range must start at 2")
     else:
         factory, criterion = topology.make_crossed_grid, topology.SHORTEST_PLUS_ONE
-        if min(n_values) < 2:
-            raise ValueError("crossed grid needs n >= 2")
     header = ["n", "H", "P_FP", "P_AP", "P_BP", "T_FP", "T_AP", "T_BP",
               "R_FA", "R_AB", "psi_paths"]
     rows = [[r[k] for k in header]
-            for r in scalability.sweep_rows(factory, n_values, hosts, criterion)]
+            for r in scalability.sweep_rows(factory, _parse_range(args.n_range),
+                                            _parse_int_list(args.hosts), criterion)]
     _write_csv(os.path.join(outdir, "scalability.csv"), header, rows)
-    _write_manifest(outdir, "scalability", params, ["scalability.csv"], started)
-    return 0
+    return ["scalability.csv"]
 
 
-def cmd_qbd(args):
-    started = time.time()
-    states = (args.c1 + 1) * (args.c2 + 1)
-    if args.method == "dense" and states > qbd.DENSE_MAX_STATES:
-        print("allpath: error: --method dense is limited to %d states, and C1 = %d, C2 = %d "
-              "has %d; use block_tridiagonal" % (qbd.DENSE_MAX_STATES, args.c1, args.c2, states),
-              file=sys.stderr)
-        return 2
-    outdir = _outdir(args)
-    params = {"c1": args.c1, "c2": args.c2, "rho": args.rho, "mu": args.mu,
-              "method": args.method}
+def cmd_qbd(args, outdir):
     summary = []
     gaps = []
     for rho in _parse_float_list(args.rho):
@@ -204,16 +183,10 @@ def cmd_qbd(args):
             gaps.append([rho, psi, gap[psi]])
     _write_csv(os.path.join(outdir, "qbd_summary.csv"), ["rho", "u1", "u2", "lp"], summary)
     _write_csv(os.path.join(outdir, "qbd_gap.csv"), ["rho", "psi", "probability"], gaps)
-    _write_manifest(outdir, "qbd", params, ["qbd_summary.csv", "qbd_gap.csv"], started)
-    return 0
+    return ["qbd_summary.csv", "qbd_gap.csv"]
 
 
-def cmd_balance(args):
-    started = time.time()
-    outdir = _outdir(args)
-    params = {"paths": args.paths, "capacity": args.capacity, "traffic": args.traffic,
-              "rho": args.rho, "replications": args.replications, "seed": args.seed,
-              "duration": args.duration}
+def cmd_balance(args, outdir):
     capacities = [args.capacity] * args.paths
     rows = []
     for rho in _parse_float_list(args.rho):
@@ -224,15 +197,15 @@ def cmd_balance(args):
             lam = balance.arrival_rate_for_load(rho, capacities, 1.0)
             rep = balance.simulate(capacities, lam, ("exp", 1.0), args.duration,
                                    args.replications, args.seed)
+        fi = "" if rep.fairness_index is None else rep.fairness_index
         for i, u in enumerate(rep.u):
             ci = rep.u_ci[i]
-            rows.append([rho, i + 1, u, rep.loss_probability, rep.fairness_index,
+            rows.append([rho, i + 1, u, rep.loss_probability, fi,
                          "" if ci is None else _fmt(u - ci),
                          "" if ci is None else _fmt(u + ci)])
     _write_csv(os.path.join(outdir, "balance.csv"),
                ["rho", "path_id", "u", "lp", "fi", "ci_low", "ci_high"], rows)
-    _write_manifest(outdir, "balance", params, ["balance.csv"], started)
-    return 0
+    return ["balance.csv"]
 
 
 def cmd_replay(args):
@@ -271,8 +244,10 @@ def build_parser():
 
     p = sub.add_parser("scalability", help="table-size and path-count sweep")
     p.add_argument("--grid", choices=["simple", "crossed"], default="simple")
-    p.add_argument("--n-range", default="2..6")
-    p.add_argument("--hosts", default="4,8,12")
+    p.add_argument("--n-range", type=_n_range, default="2..6",
+                   help="grid sizes A..B, 2 <= A <= B")
+    p.add_argument("--hosts", type=_host_list, default="4,8,12",
+                   help="host counts, comma list of positive multiples of 4")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_scalability)
 
@@ -305,15 +280,33 @@ def build_parser():
     p = sub.add_parser("replay", help="re-run a manifest, reproducing outputs")
     p.add_argument("manifest")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_replay)
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    """Parse, run one subcommand into the output directory, write its manifest.
+
+    The manifest's params are the parsed options, so replay passes back
+    exactly what the parser accepted.
+    """
+    args = build_parser().parse_args(argv)
+    if args.cmd == "qbd" and args.method == "dense":
+        states = (args.c1 + 1) * (args.c2 + 1)
+        if states > qbd.DENSE_MAX_STATES:
+            print("allpath: error: --method dense is limited to %d states, and C1 = %d, "
+                  "C2 = %d has %d; use block_tridiagonal"
+                  % (qbd.DENSE_MAX_STATES, args.c1, args.c2, states), file=sys.stderr)
+            return 2
     try:
-        return args.fn(args)
+        if args.cmd == "replay":
+            return cmd_replay(args)
+        started = time.time()
+        outdir = args.out or os.environ.get("ALLPATH_OUTDIR") or "."
+        os.makedirs(outdir, exist_ok=True)
+        outputs = args.fn(args, outdir)
+        params = {k: v for k, v in vars(args).items() if k not in ("cmd", "fn", "out")}
+        _write_manifest(outdir, args.cmd, params, outputs, started)
+        return 0
     except (ValueError, OSError, KeyError) as exc:
         print("allpath: error: %s" % exc, file=sys.stderr)
         return 1

@@ -15,7 +15,9 @@ timer-queue design (Varghese & Lauck, "Hashed and Hierarchical Timing
 Wheels", SOSP 1987): every write pushes (expires_at, seq, entry), and a tick
 pops only the items that are due, skipping those whose entry has been
 replaced, deleted or re-timed since.  A tick therefore costs O(log n) per
-due item instead of a scan of the whole table.
+due item instead of a scan of the whole table.  A stale item leaves the
+heap when it comes due, so after a tick a heap holds only the items pushed
+in the last LEARNT_TIMER seconds.
 """
 
 from __future__ import annotations
@@ -33,13 +35,8 @@ DATA = "data"
 LOCKED = "locked"
 LEARNT = "learnt"
 
-DEFAULT_LOCK_TIMER = 0.1
-DEFAULT_LEARNT_TIMER = 30.0
-
-# An expiry heap is rebuilt from the live records once it holds more than
-# twice as many items as there are live records, plus this slack, so stale
-# items cannot pile up however often entries are refreshed.
-EXPIRY_HEAP_SLACK = 64
+LOCK_TIMER = 0.1  # seconds an exploration's entry stays locked
+LEARNT_TIMER = 30.0  # seconds a learnt entry lives without a refresh
 
 
 @dataclass
@@ -100,15 +97,12 @@ class BridgeState:
 
     protocol = None
 
-    def __init__(self, bridge_id, ports, host_ports=(),
-                 lock_timer=DEFAULT_LOCK_TIMER, learnt_timer=DEFAULT_LEARNT_TIMER):
+    def __init__(self, bridge_id, ports, host_ports=()):
         self.bridge_id = bridge_id
         self.ports = list(ports)  # all ports, hosts included
         self.host_ports = set(host_ports)  # membership tests only: set order follows hashes
         self.bridge_ports = [p for p in self.ports if p not in self.host_ports]
         self.host_port_list = [p for p in self.ports if p in self.host_ports]
-        self.lock_timer = lock_timer
-        self.learnt_timer = learnt_timer
         self.entries = {}
         self._expiry = []  # heap of (expires_at, seq, entry), stale items included
         self._seq = itertools.count()
@@ -116,13 +110,12 @@ class BridgeState:
     # -- entry lifecycle --------------------------------------------------
 
     def tick(self, now):
-        """Apply due timer transitions; returns (key, old_state, new_state) list.
+        """Apply the timer transitions due by now.
 
         A locked entry that is due becomes learnt and is pushed again with
         its learnt expiry, so lock -> learnt -> expired can happen in one
-        tick.  Transitions come in expiry order.
+        tick.
         """
-        transitions = []
         heap = self._expiry
         while heap and heap[0][0] <= now:
             expires_at, _seq, e = heapq.heappop(heap)
@@ -130,34 +123,26 @@ class BridgeState:
                 continue  # stale: replaced, deleted or re-timed since the push
             if e.state == LOCKED:
                 e.state = LEARNT
-                e.expires_at = expires_at + self.learnt_timer
+                e.expires_at = expires_at + LEARNT_TIMER
                 self._schedule(e)
-                transitions.append((e.key, LOCKED, LEARNT))
             else:
                 del self.entries[e.key]
-                transitions.append((e.key, LEARNT, None))
-        return transitions
 
     def _schedule(self, entry):
         """Queue the expiry of a live entry."""
-        heap = self._expiry
-        if len(heap) > 2 * len(self.entries) + EXPIRY_HEAP_SLACK:
-            heap[:] = [(e.expires_at, next(self._seq), e) for e in self.entries.values()]
-            heapq.heapify(heap)
-        else:
-            heapq.heappush(heap, (entry.expires_at, next(self._seq), entry))
+        heapq.heappush(self._expiry, (entry.expires_at, next(self._seq), entry))
 
     def _lock(self, key, port, now, race_id):
-        e = self.entries[key] = ForwardingEntry(key, port, LOCKED, now + self.lock_timer, race_id)
+        e = self.entries[key] = ForwardingEntry(key, port, LOCKED, now + LOCK_TIMER, race_id)
         self._schedule(e)
 
     def _learn(self, key, port, now):
-        e = self.entries[key] = ForwardingEntry(key, port, LEARNT, now + self.learnt_timer)
+        e = self.entries[key] = ForwardingEntry(key, port, LEARNT, now + LEARNT_TIMER)
         self._schedule(e)
 
     def _refresh(self, entry, now):
         if entry.state == LEARNT:
-            entry.expires_at = now + self.learnt_timer
+            entry.expires_at = now + LEARNT_TIMER
             self._schedule(entry)
 
     def _race_admit(self, key, ingress, now, race_id):
@@ -295,30 +280,24 @@ class BridgePathBridge(BridgeState):
 
     protocol = "bridge_path"
 
-    def __init__(self, bridge_id, ports, host_ports=(), **kw):
-        super().__init__(bridge_id, ports, host_ports, **kw)
+    def __init__(self, bridge_id, ports, host_ports=()):
+        super().__init__(bridge_id, ports, host_ports)
         self.directory = {}  # host mac -> (edge id, expires_at)
         self._dir_expiry = []  # heap of (expires_at, seq, mac), stale items included
 
     def tick(self, now):
-        transitions = super().tick(now)
+        super().tick(now)
         heap = self._dir_expiry
         while heap and heap[0][0] <= now:
             expires, _seq, mac = heapq.heappop(heap)
             rec = self.directory.get(mac)
             if rec is not None and rec[1] == expires:
                 del self.directory[mac]
-        return transitions
 
     def _dir_learn(self, mac, edge, now):
-        expires = now + self.learnt_timer
+        expires = now + LEARNT_TIMER
         self.directory[mac] = (edge, expires)
-        heap = self._dir_expiry
-        if len(heap) > 2 * len(self.directory) + EXPIRY_HEAP_SLACK:
-            heap[:] = [(exp, next(self._seq), m) for m, (_edge, exp) in self.directory.items()]
-            heapq.heapify(heap)
-        else:
-            heapq.heappush(heap, (expires, next(self._seq), mac))
+        heapq.heappush(self._dir_expiry, (expires, next(self._seq), mac))
 
     def handle(self, ingress, frame, now):
         self.tick(now)

@@ -25,8 +25,8 @@ from .protocol import (
     BRIDGE_CLASSES,
     BROADCAST,
     DATA,
-    DEFAULT_LEARNT_TIMER,
-    DEFAULT_LOCK_TIMER,
+    LEARNT_TIMER,
+    LOCK_TIMER,
     Frame,
     count_table_entries,
 )
@@ -334,8 +334,9 @@ class Engine:
     def _flow_start(self, now, idx, spec):
         src = self.hosts[spec.src_host]
         dst = self.hosts[spec.dst_host]
-        if dst.ip in src.arp_cache and self.walk_path(spec.src_host, spec.dst_host) is not None:
-            self._start_data(idx, now)
+        path = self.walk_path(spec.src_host, spec.dst_host) if dst.ip in src.arp_cache else None
+        if path is not None:
+            self._start_data(idx, now, path)
             return
         key = (spec.src_host, dst.ip)
         if key in self._pending:
@@ -356,11 +357,12 @@ class Engine:
     def _resolve_pending(self, host, resolved_ip, now):
         key = (host.id, resolved_ip)
         for idx in self._pending.pop(key, []):
-            self._start_data(idx, now)
+            rec = self.report.flows[idx]
+            self._start_data(idx, now, self.walk_path(rec["src"], rec["dst"]))
 
-    def _start_data(self, idx, now):
+    def _start_data(self, idx, now, path):
+        """Start flow idx on path, the walk_path result taken at now."""
         rec = self.report.flows[idx]
-        path = self.walk_path(rec["src"], rec["dst"])
         if path is None:
             rec["status"] = "miss"
             self.report.counters["flows_unresolved"] += 1
@@ -494,17 +496,19 @@ def measure_empirical_tables(topology, protocol, seed=0):
     expired but before the refreshed entries do.
 
     Returns (total_entries, b, L_e, B_E, H) in the sense of the table-size
-    equations: b is the mean bridge count of the used unidirectional paths,
-    L_e the mean extra tree bridges per destination key.
+    equations: b is the mean bridge count of the refresh probes' paths (for
+    Bridge-Path, one path per ordered pair of distinct edge bridges).  L_e
+    is not measured but solved from the total, as total / H - b for ARP-Path
+    and total / B_E - b for Bridge-Path, so their equations hold by
+    construction; Flow-Path's L_e is 0 and its H(H-1)b is a real prediction.
     """
-    lock, learnt = DEFAULT_LOCK_TIMER, DEFAULT_LEARNT_TIMER
     hosts = sorted(topology.hosts)
     if len(hosts) < 2:
         raise ScenarioError("need at least two hosts")
-    gap = max(4 * lock, 0.25)
+    gap = max(4 * LOCK_TIMER, 0.25)
     pairs = [(a, b) for i, a in enumerate(hosts) for b in hosts[i + 1:]]
     window = gap * len(pairs)
-    if window > learnt / 2 - 1:
+    if window > LEARNT_TIMER / 2 - 1:
         raise ScenarioError("workload window too long for the learnt timer")
 
     eng = Engine(topology, protocol, seed=seed)
@@ -513,12 +517,12 @@ def measure_empirical_tables(topology, protocol, seed=0):
         eng.add_flow(FlowSpec(a, b, PROBE_SIZE_BITS, t))
         t += gap
     refresh_flows = {}
-    tt = window + lock + learnt / 2
+    tt = window + LOCK_TIMER + LEARNT_TIMER / 2
     for a, b in pairs:
         refresh_flows[(a, b)] = eng.add_flow(FlowSpec(a, b, PROBE_SIZE_BITS, tt))
         refresh_flows[(b, a)] = eng.add_flow(FlowSpec(b, a, PROBE_SIZE_BITS, tt + gap / 4))
         tt += gap / 2
-    measure_at = window + lock + learnt + 1.0
+    measure_at = window + LOCK_TIMER + LEARNT_TIMER + 1.0
     report = eng.run(until=measure_at)
 
     counts = count_table_entries(eng.bridges.values())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 BridgeId = int
@@ -47,17 +47,6 @@ class Link:
         # built on first use and kept in the instance dict; fields, equality
         # and hashing are untouched
         return frozenset((self.a, self.b))
-
-
-@dataclass
-class PathSet:
-    source: BridgeId
-    destination: BridgeId
-    criterion: str
-    paths: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.paths)
 
 
 class Topology:
@@ -199,8 +188,7 @@ def _corner_hosts(n, hosts_per_corner):
     return hosts
 
 
-def make_simple_grid(n, hosts_per_corner=1, bandwidth_bps=DEFAULT_BANDWIDTH_BPS,
-                     prop_delay_s=DEFAULT_PROP_DELAY_S):
+def make_simple_grid(n, hosts_per_corner=1):
     """n x n lattice with horizontal/vertical links; corner bridges are edge."""
     if n < 1:
         raise TopologyError("simple grid requires n >= 1")
@@ -210,26 +198,25 @@ def make_simple_grid(n, hosts_per_corner=1, bandwidth_bps=DEFAULT_BANDWIDTH_BPS,
         for c in range(n):
             b = r * n + c + 1
             if c + 1 < n:
-                links.append(Link(b, b + 1, bandwidth_bps, prop_delay_s))
+                links.append(Link(b, b + 1))
             if r + 1 < n:
-                links.append(Link(b, b + n, bandwidth_bps, prop_delay_s))
+                links.append(Link(b, b + n))
     hosts = _corner_hosts(n, hosts_per_corner)
     meta = {"kind": "simple_grid", "n": n, "corner_pair": [1, n * n]}
     return Topology(bridges, links, hosts, meta=meta)
 
 
-def make_crossed_grid(n, hosts_per_corner=1, bandwidth_bps=DEFAULT_BANDWIDTH_BPS,
-                      prop_delay_s=DEFAULT_PROP_DELAY_S):
+def make_crossed_grid(n, hosts_per_corner=1):
     """Simple grid plus both diagonals in every unit cell."""
     if n < 2:
         raise TopologyError("crossed grid requires n >= 2")
-    base = make_simple_grid(n, hosts_per_corner, bandwidth_bps, prop_delay_s)
+    base = make_simple_grid(n, hosts_per_corner)
     links = [ln for ln in base.links.values() if ln.a in base.adj and ln.b in base.adj]
     for r in range(n - 1):
         for c in range(n - 1):
             b = r * n + c + 1
-            links.append(Link(b, b + n + 1, bandwidth_bps, prop_delay_s))
-            links.append(Link(b + 1, b + n, bandwidth_bps, prop_delay_s))
+            links.append(Link(b, b + n + 1))
+            links.append(Link(b + 1, b + n))
     meta = {"kind": "crossed_grid", "n": n, "corner_pair": [1, n * n]}
     return Topology(base.bridges, links, _corner_hosts(n, hosts_per_corner), meta=meta)
 
@@ -274,8 +261,8 @@ def enumerate_paths(t: Topology, src: BridgeId, dst: BridgeId, criterion=SHORTES
 
     shortest_only keeps minimum-hop paths; shortest_plus_one additionally
     keeps simple paths with exactly one extra hop.  Exhaustive bounded DFS,
-    pruned with the distance-to-target lower bound; output is sorted
-    lexicographically so enumeration order is stable.
+    pruned with the distance-to-target lower bound; returns the list of
+    paths sorted lexicographically, so enumeration order is stable.
     """
     if src not in t.adj or dst not in t.adj:
         raise TopologyError("unknown bridge id in (%r, %r)" % (src, dst))
@@ -309,7 +296,7 @@ def enumerate_paths(t: Topology, src: BridgeId, dst: BridgeId, criterion=SHORTES
 
     dfs(src, budget)
     paths.sort()
-    return PathSet(source=src, destination=dst, criterion=criterion, paths=paths)
+    return paths
 
 
 def count_shortest_paths(t: Topology, src: BridgeId, dst: BridgeId) -> int:

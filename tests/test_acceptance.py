@@ -13,7 +13,7 @@ import pytest
 from allpath import balance, qbd, scalability, simnet, topology
 from allpath.cli import main as cli_main
 from allpath.scalability import ScalabilityParams, eval_ratios, eval_tables, grid_params
-from allpath.simnet import Engine, FlowSpec, measure_empirical_tables, run_scenario
+from allpath.simnet import Engine, FlowSpec, run_scenario
 from allpath.topology import (
     SHORTEST_ONLY,
     enumerate_paths,
@@ -36,8 +36,8 @@ def test_criterion_01_simple_grid_path_counts():
 
 def test_criterion_02_crossed_grid_unique_shortest():
     for n in range(2, 7):
-        ps = enumerate_paths(make_crossed_grid(n), 1, n * n, SHORTEST_ONLY)
-        assert len(ps) == 1, n
+        paths = enumerate_paths(make_crossed_grid(n), 1, n * n, SHORTEST_ONLY)
+        assert len(paths) == 1, n
     ok(2, "crossed grid n = 2..6 has exactly one corner-to-corner shortest path")
 
 
@@ -62,22 +62,27 @@ def test_criterion_04_r_fa_band():
           "(n=12 value %.3f)" % values[-1])
 
 
-def test_criterion_05_table_count_oracle_equivalence():
-    checked = 0
+def test_criterion_05_table_count_oracle_equivalence(census):
+    checked = bounded = 0
     for n in range(2, 7):
         for hosts_per_corner in (1, 2):  # H = 4 and H = 8
             t = make_simple_grid(n, hosts_per_corner=hosts_per_corner)
             for protocol in simnet.PROTOCOLS:
-                total, b, L_e, B_E, H = measure_empirical_tables(t, protocol, seed=3)
+                (total, b, L_e, B_E, H), bounds = census(t, protocol, seed=3)
                 p = ScalabilityParams(H=H, B_E=B_E, b=b, L_e=L_e)
                 t_fp, t_ap, t_bp = eval_tables(p)
                 pred = {"arp_path": t_ap, "flow_path": t_fp,
                         "bridge_path": t_bp}[protocol]
                 assert abs(total - pred) < 1e-9, (n, H, protocol, total, pred)
+                if bounds is not None:
+                    assert bounds[0] <= total <= bounds[1], (n, H, protocol, total, bounds)
+                    bounded += 1
                 checked += 1
-    assert checked == 30
-    ok(5, "simulated table totals equal the closed-form predictions exactly "
-          "in all 30 (grid n = 2..6, H = 4 and 8, protocol) cases")
+    assert (checked, bounded) == (30, 20)
+    ok(5, "in all 30 (grid n = 2..6, H = 4 and 8, protocol) censuses the "
+          "Flow-Path total equals H(H-1)b, and the ARP-Path and Bridge-Path "
+          "totals, whose equations hold by the fit of L_e, lie within the "
+          "bounds set by the refresh-probe traces")
 
 
 def _exploration_key(protocol, eng, src_host, dst_host):

@@ -125,7 +125,9 @@ class TestScalability:
         assert psi == want
 
     def test_bad_range(self, tmp_path):
-        assert run(["scalability", "--n-range", "1..3", "--out", str(tmp_path)]) == 1
+        with pytest.raises(SystemExit) as exc:
+            run(["scalability", "--n-range", "1..3", "--out", str(tmp_path)])
+        assert exc.value.code == 2
 
 
 class TestQbd:
@@ -200,6 +202,12 @@ class TestQbd:
     ["qbd", "--c1", "1", "--c2", "1", "--rho", "0"],
     ["qbd", "--c1", "1", "--c2", "1", "--rho", "abc"],
     ["qbd", "--c1", "1", "--c2", "1", "--rho", ""],
+    ["scalability", "--n-range", "5..2"],
+    ["scalability", "--n-range", "1..3"],
+    ["scalability", "--n-range", "2-6"],
+    ["scalability", "--hosts", "3"],
+    ["scalability", "--hosts", "0"],
+    ["scalability", "--hosts", "4,x"],
 ])
 def test_invalid_value_is_usage_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -232,6 +240,14 @@ class TestBalance:
         row = (tmp_path / "balance.csv").read_text().strip().split("\n")[1]
         fields = row.split(",")
         assert fields[5] == "" and fields[6] == ""
+
+    def test_idle_run_has_empty_fairness_index(self, tmp_path):
+        # no flow arrives, so every u is 0 and Jain's index is undefined
+        assert run(["balance", "--rho", "1e-9", "--duration", "1", "--replications", "2",
+                    "--out", str(tmp_path)]) == 0
+        for row in (tmp_path / "balance.csv").read_text().strip().split("\n")[1:]:
+            fields = row.split(",")
+            assert float(fields[2]) == 0 and fields[4] == ""
 
     def test_huge_arrival_count_is_refused_at_once(self, tmp_path):
         # rho 1e300 asks for ~4e301 arrivals per replication: the call must

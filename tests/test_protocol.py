@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from allpath import protocol
 from allpath.protocol import (
     ARP_REPLY,
     ARP_REQUEST,
@@ -12,6 +11,8 @@ from allpath.protocol import (
     DATA,
     DUPLICATE,
     LEARNT,
+    LEARNT_TIMER,
+    LOCK_TIMER,
     LOCKED,
     MISS,
     UNRESOLVED,
@@ -78,10 +79,10 @@ class TestArpPath:
         assert bs.entries["A"].port == 1
 
     def test_learnt_entry_repointed_by_fresher_race(self):
-        bs = ArpPathBridge(2, ports=[1, 3], lock_timer=0.1)
+        bs = ArpPathBridge(2, ports=[1, 3])
         bs.handle(1, req("A", "ip-B", race=1), now=0.0)
-        bs.tick(0.2)  # locked -> learnt
-        d = bs.handle(3, req("A", "ip-C", race=2), now=0.2)
+        bs.tick(2 * LOCK_TIMER)  # locked -> learnt
+        d = bs.handle(3, req("A", "ip-C", race=2), now=2 * LOCK_TIMER)
         assert d.drop is None
         assert bs.entries["A"].port == 3
         assert bs.entries["A"].state == LOCKED
@@ -99,15 +100,20 @@ class TestArpPath:
         assert d.drop == MISS and d.outputs == []
 
     def test_tick_transitions(self):
-        bs = ArpPathBridge(2, ports=[1, 3], lock_timer=0.1, learnt_timer=1.0)
+        bs = ArpPathBridge(2, ports=[1, 3])
         bs.handle(1, req("A", "ip-B", race=1), now=0.0)
-        assert bs.tick(0.11) == [("A", LOCKED, LEARNT)]
+        bs.tick(0.9 * LOCK_TIMER)
+        assert bs.entries["A"].state == LOCKED
+        bs.tick(1.1 * LOCK_TIMER)
         assert bs.entries["A"].state == LEARNT
-        assert bs.tick(5.0) == [("A", LEARNT, None)]
+        assert bs.entries["A"].expires_at == LOCK_TIMER + LEARNT_TIMER
+        bs.tick(LEARNT_TIMER)
+        assert bs.entries["A"].state == LEARNT
+        bs.tick(LOCK_TIMER + LEARNT_TIMER)
         assert "A" not in bs.entries
 
     def test_refresh_extends_expiry(self):
-        bs = ArpPathBridge(2, ports=[1, 3], lock_timer=0.1, learnt_timer=1.0)
+        bs = ArpPathBridge(2, ports=[1, 3])
         bs.handle(3, reply("B", "A", race=1), now=0.0)
         before = bs.entries["B"].expires_at
         bs.handle(1, data("A", "B"), now=0.5)
@@ -230,7 +236,7 @@ class TestBridgePath:
     def test_directory_expires(self):
         bs = self.make_edge()
         bs._dir_learn("B", 3, now=0.0)
-        bs.tick(bs.learnt_timer + 1.0)
+        bs.tick(LEARNT_TIMER + 1.0)
         assert "B" not in bs.directory
 
 
@@ -257,7 +263,7 @@ class TestRoute:
         assert _table_state(bs) == before and frame.trace == []
         [(port_h, out)] = bs.handle("A", frame, now=0.5).outputs
         assert port_h == 2 and out.trace == [1]
-        assert entry.expires_at == 0.5 + bs.learnt_timer  # handle refreshed it
+        assert entry.expires_at == 0.5 + LEARNT_TIMER  # handle refreshed it
         if cls is BridgePathBridge:
             assert routed.outer == out.outer == (1, 5)
 
@@ -295,26 +301,25 @@ class TestCounting:
 
 def full_scan_tick(bs, now):
     """Reference tick: the scan of every entry and directory record it replaced."""
-    transitions = []
     for key, e in list(bs.entries.items()):
         if e.state == LOCKED and now >= e.expires_at:
             e.state = LEARNT
-            e.expires_at = e.expires_at + bs.learnt_timer
-            transitions.append((key, LOCKED, LEARNT))
+            e.expires_at = e.expires_at + LEARNT_TIMER
         if e.state == LEARNT and now >= e.expires_at:
             del bs.entries[key]
-            transitions.append((key, LEARNT, None))
     for mac, (_edge, expires) in list(bs.directory.items()):
         if now >= expires:
             del bs.directory[mac]
-    return transitions
 
 
 KEYS = ["A", "B"]
 PORTS = [1, 2, 3]
-# time steps around the 0.25 s lock and 1 s learnt timers: 0 gives equal
-# timestamps, 1.25 takes a fresh lock through learnt to expired in one tick
-STEPS = [0.0, 0.0, 0.1, 0.25, 0.5, 0.5, 0.75, 1.0, 1.25, 2.0]
+# time steps around the lock and learnt timers: 0 gives equal timestamps,
+# LOCK_TIMER + LEARNT_TIMER takes a fresh lock through learnt to expired in
+# one tick
+STEPS = [0.0, 0.0, 0.4 * LOCK_TIMER, LOCK_TIMER, 0.5 * LEARNT_TIMER, 0.5 * LEARNT_TIMER,
+         0.75 * LEARNT_TIMER, LEARNT_TIMER, LOCK_TIMER + LEARNT_TIMER, 2 * LEARNT_TIMER]
+HALF = 0.5 * LEARNT_TIMER
 OPS = st.one_of(
     st.tuples(st.just("admit"), st.sampled_from(KEYS), st.sampled_from(PORTS),
               st.integers(0, 3)),
@@ -334,58 +339,42 @@ class TestExpiryHeap:
     """The heap tick against the full-scan reference on random operation sequences."""
 
     @settings(max_examples=300, deadline=None)
-    @given(ops=st.lists(OPS, max_size=80),
-           slack=st.sampled_from([0, protocol.EXPIRY_HEAP_SLACK]))
+    @given(ops=st.lists(OPS, max_size=80))
     # a refresh or re-learn leaves a stale heap item due before the live one
-    @example(ops=[("learn", "A", 1), ("tick", 0.5), ("refresh", "A"), ("tick", 0.5),
-                  ("tick", 1.0)], slack=protocol.EXPIRY_HEAP_SLACK)
-    @example(ops=[("dir", "A", 1), ("tick", 0.5), ("dir", "A", 2), ("tick", 0.5),
-                  ("tick", 1.0)], slack=protocol.EXPIRY_HEAP_SLACK)
+    @example(ops=[("learn", "A", 1), ("tick", HALF), ("refresh", "A"), ("tick", HALF),
+                  ("tick", LEARNT_TIMER)])
+    @example(ops=[("dir", "A", 1), ("tick", HALF), ("dir", "A", 2), ("tick", HALF),
+                  ("tick", LEARNT_TIMER)])
     # a re-pointed entry at the same timestamp, then lock -> learnt -> expired
-    @example(ops=[("admit", "A", 1, 0), ("tick", 0.5), ("admit", "A", 2, 1),
-                  ("learn", "B", 1), ("tick", 0.0), ("tick", 2.0)], slack=0)
-    def test_matches_full_scan(self, ops, slack):
-        old = protocol.EXPIRY_HEAP_SLACK
-        protocol.EXPIRY_HEAP_SLACK = slack  # 0 rebuilds the heaps on most writes
-        try:
-            self.check(ops, slack)
-        finally:
-            protocol.EXPIRY_HEAP_SLACK = old
-
-    @staticmethod
-    def check(ops, slack):
+    @example(ops=[("admit", "A", 1, 0), ("tick", HALF), ("admit", "A", 2, 1),
+                  ("learn", "B", 1), ("tick", 0.0), ("tick", 2 * LEARNT_TIMER)])
+    def test_matches_full_scan(self, ops):
         def make():
-            return BridgePathBridge(1, ports=PORTS + ["H"], host_ports=["H"], lock_timer=0.25,
-                                    learnt_timer=1.0)
+            return BridgePathBridge(1, ports=PORTS + ["H"], host_ports=["H"])
 
         heap_bs, ref = make(), make()
         now = 0.0
         for op in ops:
             if op[0] == "tick":
                 now += op[1]
-                got = heap_bs.tick(now)
-                want = full_scan_tick(ref, now)
-                assert sorted(got, key=repr) == sorted(want, key=repr)
-                assert snapshot(heap_bs) == snapshot(ref)
-                continue
-            for bs in (heap_bs, ref):
-                if op[0] == "admit":
-                    bs._race_admit(op[1], op[2], now, op[3])
-                elif op[0] == "learn":
-                    bs._learn(op[1], op[2], now)
-                elif op[0] == "refresh":
-                    e = bs.entries.get(op[1])
-                    if e is not None:
-                        bs._refresh(e, now)
-                else:
-                    bs._dir_learn(op[1], op[2], now)
+                heap_bs.tick(now)
+                full_scan_tick(ref, now)
+            else:
+                for bs in (heap_bs, ref):
+                    if op[0] == "admit":
+                        bs._race_admit(op[1], op[2], now, op[3])
+                    elif op[0] == "learn":
+                        bs._learn(op[1], op[2], now)
+                    elif op[0] == "refresh":
+                        e = bs.entries.get(op[1])
+                        if e is not None:
+                            bs._refresh(e, now)
+                    else:
+                        bs._dir_learn(op[1], op[2], now)
             assert snapshot(heap_bs) == snapshot(ref)
-            # stale heap items stay within the rebuild bound after every write
-            assert len(heap_bs._expiry) <= 2 * len(heap_bs.entries) + slack + 1
-            assert len(heap_bs._dir_expiry) <= 2 * len(heap_bs.directory) + slack + 1
 
     def test_lock_to_expired_in_one_tick(self):
-        bs = ArpPathBridge(2, ports=[1, 3], lock_timer=0.1, learnt_timer=1.0)
+        bs = ArpPathBridge(2, ports=[1, 3])
         bs.handle(1, req("A", "ip-B", race=1), now=0.0)
-        assert bs.tick(5.0) == [("A", LOCKED, LEARNT), ("A", LEARNT, None)]
-        assert bs.entries == {}
+        bs.tick(LOCK_TIMER + LEARNT_TIMER + 1.0)
+        assert bs.entries == {} and bs._expiry == []

@@ -20,7 +20,14 @@ from allpath.simnet import (
     measure_empirical_tables,
     run_scenario,
 )
-from allpath.topology import Link, Topology, make_diamond, make_line, make_simple_grid
+from allpath.topology import (
+    Link,
+    Topology,
+    make_crossed_grid,
+    make_diamond,
+    make_line,
+    make_simple_grid,
+)
 
 
 def _arrival_of_one_hop(size_bits, busy_until=0.0):
@@ -307,16 +314,19 @@ class TestCensus:
 
     @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_grid_census_matches_equations(self, protocol, n):
+    def test_grid_census_matches_equations(self, protocol, n, census):
+        # crossed grids at seed 7: criterion 5 covers simple grids at seed 3
         from allpath.scalability import ScalabilityParams, eval_tables
 
         for hosts_per_corner in (1, 2):  # H = 4 and H = 8
-            t = make_simple_grid(n, hosts_per_corner=hosts_per_corner)
-            total, b, L_e, B_E, H = measure_empirical_tables(t, protocol, seed=3)
+            t = make_crossed_grid(n, hosts_per_corner=hosts_per_corner)
+            (total, b, L_e, B_E, H), bounds = census(t, protocol, seed=7)
             p = ScalabilityParams(H=H, B_E=B_E, b=b, L_e=L_e)
             t_fp, t_ap, t_bp = eval_tables(p)
             pred = {"arp_path": t_ap, "flow_path": t_fp, "bridge_path": t_bp}[protocol]
             assert total == pytest.approx(pred, abs=1e-9), H
+            if bounds is not None:
+                assert bounds[0] <= total <= bounds[1], (H, bounds)
 
     def test_rejects_single_host(self):
         with pytest.raises(ScenarioError):

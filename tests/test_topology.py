@@ -105,48 +105,48 @@ class TestPathEnumeration:
     def test_simple_grid_shortest_counts(self, n, count):
         # corner-to-corner shortest paths = C(2(n-1), n-1)
         t = make_simple_grid(n)
-        ps = enumerate_paths(t, 1, n * n, SHORTEST_ONLY)
-        assert len(ps) == count
+        paths = enumerate_paths(t, 1, n * n, SHORTEST_ONLY)
+        assert len(paths) == count
         assert count == math.comb(2 * (n - 1), n - 1)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_dag_count_matches_enumeration(self, n):
         t = make_simple_grid(n)
-        ps = enumerate_paths(t, 1, n * n, SHORTEST_ONLY)
-        assert count_shortest_paths(t, 1, n * n) == len(ps)
+        paths = enumerate_paths(t, 1, n * n, SHORTEST_ONLY)
+        assert count_shortest_paths(t, 1, n * n) == len(paths)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_crossed_grid_unique_shortest(self, n):
         t = make_crossed_grid(n)
-        ps = enumerate_paths(t, 1, n * n, SHORTEST_ONLY)
-        assert len(ps) == 1
+        paths = enumerate_paths(t, 1, n * n, SHORTEST_ONLY)
+        assert len(paths) == 1
         # the unique shortest path is the main diagonal: n bridges, n-1 hops
-        assert len(ps.paths[0]) == n
-        assert ps.paths[0][0] == 1 and ps.paths[0][-1] == n * n
+        assert len(paths[0]) == n
+        assert paths[0][0] == 1 and paths[0][-1] == n * n
 
     def test_crossed_n3_diagonal(self):
         t = make_crossed_grid(3)
-        ps = enumerate_paths(t, 1, 9, SHORTEST_ONLY)
-        assert ps.paths == [[1, 5, 9]]
+        paths = enumerate_paths(t, 1, 9, SHORTEST_ONLY)
+        assert paths == [[1, 5, 9]]
 
     def test_shortest_plus_one_superset(self):
         t = make_crossed_grid(3)
         short = enumerate_paths(t, 1, 9, SHORTEST_ONLY)
         plus = enumerate_paths(t, 1, 9, SHORTEST_PLUS_ONE)
-        assert set(map(tuple, short.paths)) <= set(map(tuple, plus.paths))
+        assert set(map(tuple, short)) <= set(map(tuple, plus))
         assert len(plus) > len(short)
-        lens = {len(p) for p in plus.paths}
+        lens = {len(p) for p in plus}
         assert lens <= {3, 4}  # shortest has 3 bridges, plus-one has 4
 
     def test_paths_simple_and_valid(self):
         t = make_simple_grid(4)
-        for path in enumerate_paths(t, 1, 16, SHORTEST_ONLY).paths:
+        for path in enumerate_paths(t, 1, 16, SHORTEST_ONLY):
             assert validate_path(t, path)
 
     def test_enumeration_stable(self):
         t = make_simple_grid(3)
-        a = enumerate_paths(t, 1, 9, SHORTEST_ONLY).paths
-        b = enumerate_paths(t, 1, 9, SHORTEST_ONLY).paths
+        a = enumerate_paths(t, 1, 9, SHORTEST_ONLY)
+        b = enumerate_paths(t, 1, 9, SHORTEST_ONLY)
         assert a == b == sorted(a)
 
     def test_errors(self):
@@ -197,9 +197,9 @@ class TestSerialization:
 def test_property_every_path_is_simple_and_minimal(n, which):
     t = make_simple_grid(n) if which == "simple" else make_crossed_grid(n)
     dist = topology.bridge_distances(t, n * n)
-    ps = enumerate_paths(t, 1, n * n, SHORTEST_ONLY)
-    assert len(ps) >= 1
-    for path in ps.paths:
+    paths = enumerate_paths(t, 1, n * n, SHORTEST_ONLY)
+    assert len(paths) >= 1
+    for path in paths:
         assert validate_path(t, path)
         assert path[0] == 1 and path[-1] == n * n
         assert len(path) - 1 == dist[1]
