@@ -89,7 +89,6 @@ class BalanceReport:
     u: list  # mean utilization per path
     u_ci: list  # 95% half-width per path (None with a single replication)
     loss_probability: float
-    loss_ci: float | None
     fairness_index: float | None  # None when every u is 0
     u_reps: list  # per-replication utilization vectors
     lp_reps: list
@@ -114,7 +113,8 @@ def _mix_seed(seed, rep):
 
 
 def simulate(capacities, arrival_rate, holding, duration, replications=1, seed=0):
-    """Run independent replications; holding is ('exp', mean) or a TrafficMix.
+    """Run independent replications; holding is a TrafficMix, or the mean in
+    seconds of exponential holding times.
 
     fairness_index is None when no path carried any load."""
     capacities = [int(c) for c in capacities]
@@ -133,11 +133,10 @@ def simulate(capacities, arrival_rate, holding, duration, replications=1, seed=0
 
     if isinstance(holding, TrafficMix):
         kind, p0, p1, p2, p3 = holding.kernel_params()
+    elif 0 < holding < math.inf:
+        kind, p0, p1, p2, p3 = HOLD_EXP, float(holding), 0.0, 0.0, 0.0
     else:
-        name, value = holding
-        if name != "exp":
-            raise BalanceError("unknown holding distribution %r" % (name,))
-        kind, p0, p1, p2, p3 = HOLD_EXP, float(value), 0.0, 0.0, 0.0
+        raise BalanceError("mean holding time must be finite and positive")
 
     n = len(capacities)
     warmup = duration * WARMUP_FRACTION
@@ -159,7 +158,6 @@ def simulate(capacities, arrival_rate, holding, duration, replications=1, seed=0
         u=u,
         u_ci=[_ci_half_width([rep[i] for rep in u_reps]) for i in range(n)],
         loss_probability=lp,
-        loss_ci=_ci_half_width(lp_reps),
         fairness_index=jain_index(u) if any(u) else None,
         u_reps=u_reps,
         lp_reps=lp_reps,

@@ -195,7 +195,7 @@ def cmd_balance(args, outdir):
                                       replications=args.replications, seed=args.seed)
         else:
             lam = balance.arrival_rate_for_load(rho, capacities, 1.0)
-            rep = balance.simulate(capacities, lam, ("exp", 1.0), args.duration,
+            rep = balance.simulate(capacities, lam, 1.0, args.duration,
                                    args.replications, args.seed)
         fi = "" if rep.fairness_index is None else rep.fairness_index
         for i, u in enumerate(rep.u):
@@ -236,7 +236,7 @@ def build_parser():
                    choices=["arp-path", "flow-path", "bridge-path",
                             "arp_path", "flow_path", "bridge_path"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--duration", type=float, default=None)
+    p.add_argument("--duration", type=_positive_float, default=None)
     p.add_argument("--flows", type=_nonnegative_int, default=4)
     p.add_argument("--scenario", default=None, help="scenario JSON file")
     p.add_argument("--out", default=None)

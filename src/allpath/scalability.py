@@ -31,14 +31,6 @@ class ScalabilityParams:
         if self.B_E > self.H:
             raise ParamError("B_E cannot exceed H: every active edge bridge has a host")
 
-    @property
-    def F_B(self):
-        return self.H * (self.H - 1) / 2
-
-    @property
-    def F_U(self):
-        return 2 * self.F_B
-
 
 def eval_paths(p: ScalabilityParams):
     """(P_FP, P_AP, P_BP): bidirectional paths creatable on average."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -56,34 +57,38 @@ class FlowSpec:
             raise ScenarioError("flow from host %r to itself" % (self.src_host,))
 
 
-class PortQueue:
-    """Per-output-port transmission state."""
-
-    __slots__ = ("busy_until",)
-
-    def __init__(self, busy_until=0.0):
-        self.busy_until = busy_until
-
-    def transmit(self, now, size_bits, bandwidth_bps):
-        start = max(now, self.busy_until)
-        self.busy_until = start + size_bits / bandwidth_bps
-        return self.busy_until
-
-
 class FluidLink:
     """A link as the fluid plane sees it: one per link and engine, built once.
 
-    Holds the link key, its bandwidth, its "a-b" name in report.csv and the
-    sort key of that name, so that no recompute rebuilds any of them.
+    Holds the link's bandwidth, its "a-b" name in report.csv and the sort
+    key of that name, so that no recompute rebuilds any of them.
     """
 
-    __slots__ = ("key", "bandwidth_bps", "name", "order")
+    __slots__ = ("bandwidth_bps", "name", "order")
 
     def __init__(self, link):
-        self.key = link.key
         self.bandwidth_bps = link.bandwidth_bps
-        self.order = tuple(sorted(map(str, self.key)))
+        self.order = tuple(sorted(map(str, (link.a, link.b))))
         self.name = "-".join(self.order)
+
+
+class Hop:
+    """One direction of a link, built once per engine.
+
+    busy_until is when the output port at the near end finishes sending
+    what is queued on it; to_host says whether the far end is a host.  Both
+    directions of a link share one FluidLink, so the fluid plane sees the
+    link undirected.
+    """
+
+    __slots__ = ("bandwidth_bps", "prop_delay_s", "busy_until", "to_host", "fluid")
+
+    def __init__(self, link, to_host, fluid):
+        self.bandwidth_bps = link.bandwidth_bps
+        self.prop_delay_s = link.prop_delay_s
+        self.busy_until = 0.0
+        self.to_host = to_host
+        self.fluid = fluid
 
 
 def max_min_rates(flow_links):
@@ -185,7 +190,6 @@ class Engine:
     def __init__(self, topology: Topology, protocol: str, seed: int = 0):
         if protocol not in PROTOCOLS:
             raise ScenarioError("unknown protocol %r" % (protocol,))
-        self.t = topology
         self.protocol = protocol
         self.seed = seed
         self.rng = random.Random(seed)
@@ -203,13 +207,16 @@ class Engine:
 
         self.hosts = {h: _Host(h, b) for h, b in topology.hosts.items()}
 
-        self.queues = {}  # (node, port) -> PortQueue, made on first use
+        self.hops = {}  # (node, port) -> Hop, two per link
+        for ln in topology.links.values():
+            fluid = FluidLink(ln)
+            self.hops[(ln.a, ln.b)] = Hop(ln, ln.b in self.hosts, fluid)
+            self.hops[(ln.b, ln.a)] = Hop(ln, ln.a in self.hosts, fluid)
 
         self._race_seq = 0
         self._races = {}  # race_id -> record
         self._pending = {}  # (src_host, dst_ip) -> list of flows awaiting resolution
         self._active_flows = {}
-        self._fluid_links = {}  # link key -> FluidLink
         self._flow_gen = 0
         self._fluid_t = 0.0
         self.report = SimReport(protocol=protocol, seed=seed, counters={
@@ -225,6 +232,8 @@ class Engine:
         heapq.heappush(self._heap, (time, self.rng.random(), self._seq, fn, args))
 
     def run(self, until=None):
+        if until is not None and not 0 < until < math.inf:
+            raise ScenarioError("duration must be finite and positive, not %r" % (until,))
         while self._heap:
             time, _tie, _seq, fn, args = heapq.heappop(self._heap)
             if until is not None and time > until:
@@ -244,22 +253,15 @@ class Engine:
             bs.tick(now)
             self._entries_total += len(bs.entries) - before
 
-    # -- queues and frame transport --------------------------------------
-
-    def queue(self, node, port):
-        q = self.queues.get((node, port))
-        if q is None:
-            q = self.queues[(node, port)] = PortQueue()
-        return q
+    # -- frame transport --------------------------------------------------
 
     def _send(self, node, port, frame, now):
-        """Queue frame on node's link to port; it arrives at host or bridge port."""
-        link = self.t.link_between(node, port)
-        q = self.queue(node, port)
-        depart = q.transmit(now, frame.size_bits, link.bandwidth_bps)
-        arrive = depart + link.prop_delay_s
+        """Queue frame on the hop from node to port; it arrives at host or bridge port."""
+        hop = self.hops[(node, port)]
+        hop.busy_until = max(now, hop.busy_until) + frame.size_bits / hop.bandwidth_bps
+        arrive = hop.busy_until + hop.prop_delay_s
         self.report.counters["frames_created"] += 1
-        if port in self.hosts:
+        if hop.to_host:
             self.schedule(arrive, self._frame_at_host, port, frame)
         else:
             self.schedule(arrive, self._frame_at_bridge, port, node, frame)
@@ -405,16 +407,13 @@ class Engine:
     # -- fluid data plane -------------------------------------------------
 
     def _flow_links(self, rec):
-        links = [self.t.host_links[rec["src"]], self.t.host_links[rec["dst"]]]
+        """Fluid records of flow rec's links: its two host links, then its path.
+
+        max_min_rates breaks ties by first appearance, so the order is fixed.
+        """
         path = rec["path"]
-        links += [self.t.link_between(a, b) for a, b in zip(path, path[1:])]
-        records = []
-        for ln in links:
-            fl = self._fluid_links.get(ln.key)
-            if fl is None:
-                fl = self._fluid_links[ln.key] = FluidLink(ln)
-            records.append(fl)
-        return tuple(records)
+        hops = [(rec["src"], path[0]), (path[-1], rec["dst"])] + list(zip(path, path[1:]))
+        return tuple(self.hops[h].fluid for h in hops)
 
     def _fluid_register(self, idx, rec, now):
         self._active_flows[idx] = {

@@ -102,9 +102,6 @@ class Topology:
     def bridge_neighbors(self, bridge):
         return sorted(self.adj[bridge])
 
-    def link_between(self, a, b):
-        return self.links.get(frozenset((a, b)))
-
     def _check_connected(self):
         if not self.bridges:
             raise TopologyError("topology has no bridges")
@@ -144,11 +141,6 @@ class Topology:
             ],
             "meta": self.meta,
         }
-
-    def dump_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     @classmethod
     def from_json_dict(cls, doc):
@@ -332,10 +324,3 @@ def available_path_count(t: Topology, criterion=SHORTEST_ONLY) -> int:
     if criterion == SHORTEST_ONLY:
         return count_shortest_paths(t, src, dst)
     return len(enumerate_paths(t, src, dst, criterion))
-
-
-def validate_path(t: Topology, path) -> bool:
-    """A path is valid if simple and every consecutive pair is linked."""
-    if len(set(path)) != len(path):
-        return False
-    return all(t.link_between(a, b) is not None for a, b in zip(path, path[1:]))

@@ -171,7 +171,7 @@ def test_criterion_08_analytic_vs_simulation():
     points = []
     for lam in (8, 16, 24, 32, 40, 48):
         _, u_analytic, _, _, _ = qbd.solve_model(20, 20, lam, 1.0)
-        rep = balance.simulate([20, 20], lam, ("exp", 1.0), 150.0,
+        rep = balance.simulate([20, 20], lam, 1.0, 150.0,
                                replications=24, seed=2026)
         for i in (0, 1):
             assert rep.u_ci[i] is not None
@@ -208,7 +208,7 @@ def test_criterion_11_erlang_b():
     servers = 5
     for rho in (0.4, 0.8, 1.2, 2.0):
         offered = rho * servers
-        rep = balance.simulate([servers], offered, ("exp", 1.0), 400.0,
+        rep = balance.simulate([servers], offered, 1.0, 400.0,
                                replications=12, seed=11)
         want = erlang_b(servers, offered)
         n = len(rep.lp_reps)

@@ -128,31 +128,32 @@ class TestTrafficMix:
 class TestSimulate:
     def test_input_validation(self):
         with pytest.raises(BalanceError):
-            simulate([0], 1.0, ("exp", 1.0), 1.0)
+            simulate([0], 1.0, 1.0, 1.0)
         with pytest.raises(BalanceError):
-            simulate([5], 1.0, ("exp", 1.0), 0.0)
+            simulate([5], 1.0, 1.0, 0.0)
         with pytest.raises(BalanceError):
-            simulate([5], -1.0, ("exp", 1.0), 1.0)
+            simulate([5], -1.0, 1.0, 1.0)
+        for mean in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(BalanceError, match="holding"):
+                simulate([5], 1.0, mean, 1.0)
         with pytest.raises(BalanceError):
-            simulate([5], 1.0, ("pareto", 1.0), 1.0)
-        with pytest.raises(BalanceError):
-            simulate([5], 1.0, ("exp", 1.0), 1.0, replications=0)
+            simulate([5], 1.0, 1.0, 1.0, replications=0)
         for lam, duration in BAD_RATES:
             with pytest.raises(BalanceError):
-                simulate([5], lam, ("exp", 1.0), duration)
+                simulate([5], lam, 1.0, duration)
         # the expected arrival count of a replication is bounded
         with pytest.raises(BalanceError, match="expected arrivals"):
-            simulate([5], 1e300, ("exp", 1.0), 1.0)
+            simulate([5], 1e300, 1.0, 1.0)
         with pytest.raises(BalanceError, match="expected arrivals"):
-            simulate([5], 1e150, ("exp", 1.0), 1e200)
+            simulate([5], 1e150, 1.0, 1e200)
         with pytest.raises(BalanceError, match="expected arrivals"):
-            simulate([5], 2.0, ("exp", 1.0), MAX_ARRIVALS_PER_REPLICATION)
+            simulate([5], 2.0, 1.0, MAX_ARRIVALS_PER_REPLICATION)
 
     def test_confidence_interval_without_scipy_stats(self):
         # the t quantile comes from scipy.special; scipy.stats takes ~1 s to import
         code = ("import sys\n"
                 "from allpath.balance import simulate\n"
-                "rep = simulate([5, 5], 4.0, ('exp', 1.0), 2.0, replications=2, seed=1)\n"
+                "rep = simulate([5, 5], 4.0, 1.0, 2.0, replications=2, seed=1)\n"
                 "assert rep.u_ci[0] is not None\n"
                 "assert 'scipy.stats' not in sys.modules\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -163,22 +164,22 @@ class TestSimulate:
 
     def test_confidence_interval_quantile(self):
         # two replications: the 97.5% t quantile with one degree of freedom
-        rep = simulate([5, 5], 4.0, ("exp", 1.0), 2.0, replications=2, seed=1)
+        rep = simulate([5, 5], 4.0, 1.0, 2.0, replications=2, seed=1)
         xs = [u[0] for u in rep.u_reps]
         sd = abs(xs[0] - xs[1]) / math.sqrt(2)
         assert rep.u_ci[0] == pytest.approx(12.706204736174694 * sd / math.sqrt(2), rel=1e-12)
 
     def test_deterministic_given_seed(self):
-        a = simulate([10, 10], 8.0, ("exp", 1.0), 50.0, replications=3, seed=5)
-        b = simulate([10, 10], 8.0, ("exp", 1.0), 50.0, replications=3, seed=5)
+        a = simulate([10, 10], 8.0, 1.0, 50.0, replications=3, seed=5)
+        b = simulate([10, 10], 8.0, 1.0, 50.0, replications=3, seed=5)
         assert a.u == b.u and a.lp_reps == b.lp_reps
 
     def test_single_replication_no_ci(self):
-        rep = simulate([10], 5.0, ("exp", 1.0), 20.0, replications=1, seed=1)
-        assert rep.u_ci == [None] and rep.loss_ci is None
+        rep = simulate([10], 5.0, 1.0, 20.0, replications=1, seed=1)
+        assert rep.u_ci == [None]
 
     def test_utilization_bounds(self):
-        rep = simulate([5, 5], 50.0, ("exp", 1.0), 20.0, replications=4, seed=2)
+        rep = simulate([5, 5], 50.0, 1.0, 20.0, replications=4, seed=2)
         for u in rep.u:
             assert 0.0 <= u <= 1.0
         assert 0.0 <= rep.loss_probability <= 1.0
@@ -200,7 +201,7 @@ class TestSimulate:
         servers = 5
         for rho in (0.4, 0.8, 1.2, 2.0):
             offered = rho * servers
-            rep = simulate([servers], offered, ("exp", 1.0), 400.0,
+            rep = simulate([servers], offered, 1.0, 400.0,
                            replications=12, seed=11)
             want = erlang_b(servers, offered)
             n = len(rep.lp_reps)

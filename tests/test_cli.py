@@ -66,6 +66,18 @@ class TestSimulate:
         assert "to itself" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("duration", [0, -5, float("nan"), float("inf")])
+    def test_bad_scenario_duration_runtime_error(self, tmp_path, capsys, duration):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "topology": "diamond", "duration": duration,
+            "flows": [{"src": "A", "dst": "B", "size_bits": 12000, "start_time": 0.0}],
+        }))
+        out = tmp_path / "run"
+        assert run(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+        assert "duration must be finite and positive" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_env_outdir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ALLPATH_OUTDIR", str(tmp_path / "envout"))
         assert run(["simulate", "--topology", "diamond", "--flows", "1"]) == 0
@@ -184,6 +196,10 @@ class TestQbd:
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--flows", "-1"],
+    ["simulate", "--duration", "nan"],
+    ["simulate", "--duration", "inf"],
+    ["simulate", "--duration", "0"],
+    ["simulate", "--duration", "-5"],
     ["qbd", "--c1", "1", "--c2", "0"],
     ["qbd", "--c1", "1", "--c2", "1", "--mu", "0"],
     ["qbd", "--c1", "1", "--c2", "1", "--mu", "nan"],

@@ -18,10 +18,6 @@ from allpath.topology import make_crossed_grid, make_simple_grid
 
 
 class TestParams:
-    def test_flow_counts(self):
-        p = ScalabilityParams(H=4, B_E=4)
-        assert p.F_B == 6 and p.F_U == 12  # unidirectional = 2x bidirectional
-
     def test_rejects_more_edges_than_hosts(self):
         with pytest.raises(ParamError):
             ScalabilityParams(H=2, B_E=4)

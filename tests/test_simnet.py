@@ -1,5 +1,6 @@
 """Discrete-event engine: latency model, races, census, determinism."""
 
+import heapq
 import json
 import random
 
@@ -14,7 +15,6 @@ from allpath.simnet import (
     Engine,
     FlowSpec,
     FluidLink,
-    PortQueue,
     ScenarioError,
     max_min_rates,
     measure_empirical_tables,
@@ -30,14 +30,23 @@ from allpath.topology import (
 )
 
 
-def _arrival_of_one_hop(size_bits, busy_until=0.0):
-    """Arrival time _send schedules for a frame sent at t=0 over a 1 Gbps,
-    1 us link from bridge 1 to bridge 2 whose queue is busy until busy_until."""
+def _one_link_engine():
+    """Bridges 1 and 2 on a 1 Gbps, 1 us link, host A on 1 and host B on 2."""
     topo = Topology([1, 2], [Link(1, 2, bandwidth_bps=1e9, prop_delay_s=1e-6)],
                     {"A": 1, "B": 2})
-    eng = Engine(topo, "arp_path")
-    eng.queue(1, 2).busy_until = busy_until
-    eng._send(1, 2, Frame(kind=DATA, src_mac="A", dst_mac="B", size_bits=size_bits), 0.0)
+    return Engine(topo, "arp_path")
+
+
+def _probe(size_bits):
+    return Frame(kind=DATA, src_mac="A", dst_mac="B", size_bits=size_bits)
+
+
+def _arrival_of_one_hop(size_bits, busy_until=0.0):
+    """Arrival time _send schedules for a frame sent at t=0 over a 1 Gbps,
+    1 us link from bridge 1 to bridge 2 whose output port is busy until busy_until."""
+    eng = _one_link_engine()
+    eng.hops[(1, 2)].busy_until = busy_until
+    eng._send(1, 2, _probe(size_bits), 0.0)
     [(arrive, _tie, _seq, handler, args)] = eng._heap
     assert handler == eng._frame_at_bridge and args[:2] == (2, 1)
     return arrive
@@ -55,10 +64,31 @@ class TestLatency:
         assert _arrival_of_one_hop(0) == pytest.approx(1e-6)
 
     def test_busy_until_nondecreasing(self):
-        q = PortQueue()
-        a = q.transmit(0.0, 12000, 1e9)
-        b = q.transmit(0.0, 12000, 1e9)
-        assert b > a
+        # two frames sent back to back on one hop: the second waits for the
+        # first, and the opposite direction stays idle
+        eng = _one_link_engine()
+        eng._send(1, 2, _probe(12000), 0.0)
+        eng._send(1, 2, _probe(12000), 0.0)
+        first, second = sorted(arrive for arrive, *_ in eng._heap)
+        assert first == pytest.approx(13e-6)
+        assert second - first == pytest.approx(12e-6)
+        assert eng.hops[(2, 1)].busy_until == 0.0
+
+    def test_host_hops_deliver_by_far_end(self):
+        # a 100 Mbps, 5 us host link: host -> bridge ends at the bridge's
+        # port, bridge -> host at the host, with the same arithmetic
+        topo = Topology([1, 2], [Link(1, 2), Link("A", 1, bandwidth_bps=1e8, prop_delay_s=5e-6)],
+                        {"A": 1, "B": 2})
+        eng = Engine(topo, "arp_path")
+        frame = _probe(12000)
+        eng._send("A", 1, frame, 0.0)
+        eng._send(1, "A", frame, 1e-3)
+        up_at, _tie, _seq, up, up_args = heapq.heappop(eng._heap)
+        down_at, _tie, _seq, down, down_args = heapq.heappop(eng._heap)
+        assert up == eng._frame_at_bridge and up_args == (1, "A", frame)
+        assert up_at == pytest.approx(125e-6)
+        assert down == eng._frame_at_host and down_args == ("A", frame)
+        assert down_at == pytest.approx(1e-3 + 125e-6)
 
 
 class TestScenarios:
@@ -121,9 +151,9 @@ class TestScenarios:
                 assert tr is not None and len(set(tr)) == len(tr)
 
     def test_congested_branch_avoided(self):
-        # preload the 1->2 output queue: the request copy over 1->4 wins
+        # preload the 1->2 output port: the request copy over 1->4 wins
         eng = Engine(make_diamond(), "arp_path", seed=0)
-        eng.queue(1, 2).busy_until = 1e-3
+        eng.hops[(1, 2)].busy_until = 1e-3
         eng.add_flow(FlowSpec("A", "B", 12000, 0.0))
         rep = eng.run(until=1.0)
         assert rep.races[0]["winning_trace"] == [1, 4, 3]
@@ -188,32 +218,32 @@ class TestScenarios:
 def reference_max_min_rates(flow_links):
     """Progressive filling over flow sets, as the engine computed it before
     keeping live counts: rescan every link and intersect its flow set with
-    the unfrozen flows in every round."""
+    the unfrozen flows in every round.  One record stands for one link."""
     residual = {}
     members = {}
     for i, links in flow_links.items():
         for ln in links:
-            residual.setdefault(ln.key, ln.bandwidth_bps)
-            members.setdefault(ln.key, set()).add(i)
+            residual.setdefault(ln, ln.bandwidth_bps)
+            members.setdefault(ln, set()).add(i)
     rates = {}
     unfrozen = set(flow_links)
     while unfrozen:
-        best_key, best_share = None, None
-        for key, flows in members.items():
+        best, best_share = None, None
+        for ln, flows in members.items():
             live = flows & unfrozen
             if not live:
                 continue
-            share = residual[key] / len(live)
+            share = residual[ln] / len(live)
             if best_share is None or share < best_share:
-                best_key, best_share = key, share
-        if best_key is None:
+                best, best_share = ln, share
+        if best is None:
             break
-        for i in members[best_key] & unfrozen:
+        for i in members[best] & unfrozen:
             rates[i] = best_share
             unfrozen.discard(i)
             for ln in flow_links[i]:
-                residual[ln.key] -= best_share
-        residual[best_key] = 0.0
+                residual[ln] -= best_share
+        residual[best] = 0.0
     return rates
 
 
@@ -272,13 +302,22 @@ class TestMaxMin:
         assert all(f["status"] == "done" for f in rep.flows)
 
     def test_link_records_are_built_once(self):
+        # every link, host links included, has one hop per direction, and
+        # the two hops share one fluid record
         t = make_simple_grid(3, hosts_per_corner=2)
         eng = Engine(t, "flow_path", seed=2)
+        assert len(eng.hops) == 2 * len(t.links)
+        for ln in t.links.values():
+            there, back = eng.hops[(ln.a, ln.b)], eng.hops[(ln.b, ln.a)]
+            assert there is not back and there.fluid is back.fluid
+            assert (there.to_host, back.to_host) == (ln.b in t.hosts, ln.a in t.hosts)
+        fluid = {hop.fluid for hop in eng.hops.values()}
+        assert len(fluid) == len(t.links)
         eng.add_flow(FlowSpec("h1_0", "h9_0", 4e7, 0.0))
         eng.add_flow(FlowSpec("h1_1", "h9_1", 4e7, 0.0))
         eng.run()
         a, b = (eng._flow_links(rec) for rec in eng.report.flows)
-        assert all(x is eng._fluid_links[x.key] for x in a + b)
+        assert all(x in fluid for x in a + b)
         assert [x.name for x in a[:2]] == ["1-h1_0", "9-h9_0"]
 
 
