@@ -17,7 +17,9 @@ import random
 import sys
 import time
 
-from . import __version__, balance, qbd, scalability, simnet, topology
+from . import __version__, balance, scalability, simnet, topology
+
+# qbd, and numpy with it, is imported only by the subcommand that uses it
 
 MANIFEST_NAME = "manifest.json"
 
@@ -111,21 +113,49 @@ _host_list = _as_given(_parse_int_list, lambda v: all(h > 0 and h % 4 == 0 for h
                        "a comma list of positive multiples of 4")
 
 
+# The JSON type of each scenario field and its name in errors.  JSON true and
+# false are no numbers, although Python's bool is an int.
+_SCENARIO_TYPES = {
+    "scenario": (dict, "an object"),
+    "topology": ((str, dict), "a name or an object"),
+    "protocol": (str, "a string"),
+    "seed": (int, "an integer"),
+    "duration": ((int, float, type(None)), "a number"),
+    "flows": (list, "a list"),
+    "flow": (dict, "an object"),
+    "src": (str, "a string"),
+    "dst": (str, "a string"),
+    "size_bits": ((int, float), "a number"),
+    "start_time": ((int, float), "a number"),
+}
+
+
+def _typed(field, value):
+    """value, if it has the JSON type of the scenario field (else exit 1)."""
+    kinds, what = _SCENARIO_TYPES[field]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError("scenario %s must be %s, not %s" % (field, what, json.dumps(value)))
+    return value
+
+
 # -- subcommands ----------------------------------------------------------
 
 
 def cmd_simulate(args, outdir):
     if args.scenario:
         with open(args.scenario) as fh:
-            doc = json.load(fh)
-        topo_spec = doc.get("topology", args.topology)
+            doc = _typed("scenario", json.load(fh))
+        topo_spec = _typed("topology", doc.get("topology", args.topology))
         t = topology.Topology.from_json_dict(topo_spec) if isinstance(topo_spec, dict) \
             else _parse_topology(topo_spec)
-        protocol = doc.get("protocol", args.protocol).replace("-", "_")
-        seed = doc.get("seed", args.seed)
-        duration = doc.get("duration", args.duration)
-        workload = [simnet.FlowSpec(f["src"], f["dst"], f["size_bits"], f["start_time"])
-                    for f in doc["flows"]]
+        protocol = _typed("protocol", doc.get("protocol", args.protocol)).replace("-", "_")
+        seed = _typed("seed", doc.get("seed", args.seed))
+        duration = _typed("duration", doc.get("duration", args.duration))
+        workload = []
+        for f in _typed("flows", doc["flows"]):
+            _typed("flow", f)
+            workload.append(simnet.FlowSpec(*(_typed(k, f[k]) for k in
+                                              ("src", "dst", "size_bits", "start_time"))))
     else:
         t = _parse_topology(args.topology)
         protocol = args.protocol.replace("-", "_")
@@ -172,6 +202,8 @@ def cmd_scalability(args, outdir):
 
 
 def cmd_qbd(args, outdir):
+    from . import qbd
+
     summary = []
     gaps = []
     for rho in _parse_float_list(args.rho):
@@ -261,7 +293,7 @@ def build_parser():
                    default="block_tridiagonal",
                    help="both solve Q^T pinned at one modal state: block_tridiagonal "
                         "as a banded LU (default), dense as a full LU, a small-model "
-                        "oracle refused above %d states (exit 2)" % qbd.DENSE_MAX_STATES)
+                        "oracle refused when (C1+1)(C2+1) is too large (exit 2)")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_qbd)
 
@@ -291,6 +323,8 @@ def main(argv=None):
     """
     args = build_parser().parse_args(argv)
     if args.cmd == "qbd" and args.method == "dense":
+        from . import qbd
+
         states = (args.c1 + 1) * (args.c2 + 1)
         if states > qbd.DENSE_MAX_STATES:
             print("allpath: error: --method dense is limited to %d states, and C1 = %d, "

@@ -18,13 +18,23 @@ replaced, deleted or re-timed since.  A tick therefore costs O(log n) per
 due item instead of a scan of the whole table.  A stale item leaves the
 heap when it comes due, so after a tick a heap holds only the items pushed
 in the last LEARNT_TIMER seconds.
+
+A frame's trace, the bridges that forwarded it from first to last, is kept
+as a *trail*: a parent-linked tuple (bridge, parent_trail), None before the
+first bridge.  forwarded(bridge) links one tuple onto the parent's trail,
+so a hop costs O(1) whatever the path length and all copies of a flood share
+one trail; the `trace` property builds a list only where a trace is
+reported.  The one other copy, with_outer(outer), swaps the outer header of
+Bridge-Path's MAC-in-MAC encapsulation (None decapsulates) and keeps the
+constructor's check that the outer destination is broadcast exactly when
+the inner one is.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 BROADCAST = "ff:ff:ff:ff:ff:ff"
 
@@ -39,29 +49,66 @@ LOCK_TIMER = 0.1  # seconds an exploration's entry stays locked
 LEARNT_TIMER = 30.0  # seconds a learnt entry lives without a refresh
 
 
-@dataclass
 class Frame:
-    kind: str
-    src_mac: str
-    dst_mac: str
-    src_ip: str | None = None
-    dst_ip: str | None = None
-    outer: tuple | None = None  # (outer_src, outer_dst) edge-bridge ids
-    size_bits: int = 512
-    race_id: object = None  # identifies one exploration flood
-    trace: list = field(default_factory=list)
+    """One frame in flight.  Nothing mutates a frame: forwarded() and
+    with_outer() return copies, so copies can share their trail."""
 
-    def __post_init__(self):
-        if self.kind == ARP_REQUEST and self.dst_mac != BROADCAST:
+    __slots__ = ("kind", "src_mac", "dst_mac", "src_ip", "dst_ip", "outer",
+                 "size_bits", "race_id", "trail")
+
+    def __init__(self, kind, src_mac, dst_mac, src_ip=None, dst_ip=None,
+                 outer=None, size_bits=512, race_id=None):
+        if kind == ARP_REQUEST and dst_mac != BROADCAST:
             raise ValueError("ArpRequest must be broadcast")
-        if self.outer is not None:
-            outer_bcast = self.outer[1] == BROADCAST
-            if outer_bcast != (self.dst_mac == BROADCAST):
-                raise ValueError("outer_dst is broadcast iff dst_mac is broadcast")
+        _check_outer(outer, dst_mac)
+        self.kind = kind
+        self.src_mac = src_mac
+        self.dst_mac = dst_mac
+        self.src_ip = src_ip
+        self.dst_ip = dst_ip
+        self.outer = outer  # (outer_src, outer_dst) edge-bridge ids
+        self.size_bits = size_bits
+        self.race_id = race_id  # identifies one exploration flood
+        self.trail = None  # (last bridge, parent trail) links, None when unforwarded
+
+    @property
+    def trace(self):
+        """Bridges that forwarded this frame, first to last, as a new list."""
+        trace = []
+        trail = self.trail
+        while trail is not None:
+            bridge, trail = trail
+            trace.append(bridge)
+        trace.reverse()
+        return trace
 
     def forwarded(self, via_bridge):
-        """Copy of this frame with the forwarding bridge appended to the trace."""
-        return replace(self, trace=self.trace + [via_bridge])
+        """Copy of this frame with via_bridge linked onto the shared trail."""
+        return self._copy(self.outer, (via_bridge, self.trail))
+
+    def with_outer(self, outer):
+        """Copy of this frame with another outer header (None decapsulates)."""
+        _check_outer(outer, self.dst_mac)
+        return self._copy(outer, self.trail)
+
+    def _copy(self, outer, trail):
+        # every other field is the checked one of self, so nothing to validate
+        f = object.__new__(Frame)
+        f.kind = self.kind
+        f.src_mac = self.src_mac
+        f.dst_mac = self.dst_mac
+        f.src_ip = self.src_ip
+        f.dst_ip = self.dst_ip
+        f.outer = outer
+        f.size_bits = self.size_bits
+        f.race_id = self.race_id
+        f.trail = trail
+        return f
+
+
+def _check_outer(outer, dst_mac):
+    if outer is not None and (outer[1] == BROADCAST) != (dst_mac == BROADCAST):
+        raise ValueError("outer_dst is broadcast iff dst_mac is broadcast")
 
 
 @dataclass
@@ -114,7 +161,8 @@ class BridgeState:
 
         A locked entry that is due becomes learnt and is pushed again with
         its learnt expiry, so lock -> learnt -> expired can happen in one
-        tick.
+        tick.  handle() calls it on every frame; a call with nothing due
+        only reads the heap head.
         """
         heap = self._expiry
         while heap and heap[0][0] <= now:
@@ -286,7 +334,8 @@ class BridgePathBridge(BridgeState):
         self._dir_expiry = []  # heap of (expires_at, seq, mac), stale items included
 
     def tick(self, now):
-        super().tick(now)
+        if self._expiry and self._expiry[0][0] <= now:  # skip the call when nothing is due
+            super().tick(now)
         heap = self._dir_expiry
         while heap and heap[0][0] <= now:
             expires, _seq, mac = heapq.heappop(heap)
@@ -305,7 +354,7 @@ class BridgePathBridge(BridgeState):
         if from_host:
             self._dir_learn(frame.src_mac, self.bridge_id, now)
             if frame.dst_mac == BROADCAST:
-                return self._flood(ingress, replace(frame, outer=(self.bridge_id, BROADCAST)), now)
+                return self._flood(ingress, frame.with_outer((self.bridge_id, BROADCAST)), now)
         elif frame.outer is not None and frame.outer[1] == BROADCAST:
             return self._flood(ingress, frame, now)
         decision, e = self.route(ingress, frame)
@@ -329,7 +378,7 @@ class BridgePathBridge(BridgeState):
         if self.host_ports:
             if outer_src != self.bridge_id:
                 self._dir_learn(frame.src_mac, outer_src, now)
-            local = replace(out, outer=None)
+            local = out.with_outer(None)
             outputs += [(p, local) for p in self.host_port_list if p != ingress]
         return ForwardingDecision(outputs)
 
@@ -344,13 +393,13 @@ class BridgePathBridge(BridgeState):
             rec = self.directory.get(frame.dst_mac)
             if rec is None:
                 return ForwardingDecision([], UNRESOLVED), None
-            frame = replace(frame, outer=(self.bridge_id, rec[0]))
+            frame = frame.with_outer((self.bridge_id, rec[0]))
         elif frame.outer is None:
             return ForwardingDecision([], MISS), None
         elif frame.outer[1] == self.bridge_id:
             if frame.dst_mac not in self.host_ports:
                 return ForwardingDecision([], UNRESOLVED), None
-            return ForwardingDecision([(frame.dst_mac, replace(frame, outer=None))]), None
+            return ForwardingDecision([(frame.dst_mac, frame.with_outer(None))]), None
         return super().route(ingress, frame)
 
     def _unicast_key(self, frame):

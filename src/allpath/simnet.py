@@ -51,8 +51,10 @@ class FlowSpec:
     start_time: float
 
     def __post_init__(self):
-        if self.size_bits <= 0:
-            raise ScenarioError("flow size must be positive")
+        if not 0 < self.size_bits < math.inf:
+            raise ScenarioError("flow size must be finite and positive, not %r" % (self.size_bits,))
+        if not math.isfinite(self.start_time):
+            raise ScenarioError("flow start time must be finite, not %r" % (self.start_time,))
         if self.src_host == self.dst_host:
             raise ScenarioError("flow from host %r to itself" % (self.src_host,))
 
@@ -294,7 +296,7 @@ class Engine:
             if frame.dst_ip == host.ip:
                 race = self._races.get(frame.race_id)
                 if race is not None:
-                    race["winning_trace"] = list(frame.trace)
+                    race["winning_trace"] = frame.trace
                 reply = Frame(kind=ARP_REPLY, src_mac=host.mac, dst_mac=frame.src_mac,
                               src_ip=host.ip, dst_ip=frame.src_ip,
                               size_bits=ARP_SIZE_BITS, race_id=frame.race_id)
@@ -306,7 +308,7 @@ class Engine:
                 host.arp_cache[frame.src_ip] = frame.src_mac
                 race = self._races.get(frame.race_id)
                 if race is not None:
-                    race["reply_trace"] = list(frame.trace)
+                    race["reply_trace"] = frame.trace
                 self._resolve_pending(host, frame.src_ip, now)
             else:
                 self.report.counters["absorbed"] += 1
@@ -315,7 +317,7 @@ class Engine:
                 self.report.counters["delivered"] += 1
                 flow = frame.race_id  # data probes carry their flow index here
                 if isinstance(flow, tuple) and flow and flow[0] == "probe":
-                    self.report.flows[flow[1]]["probe_trace"] = list(frame.trace)
+                    self.report.flows[flow[1]]["probe_trace"] = frame.trace
             else:
                 self.report.counters["absorbed"] += 1
 

@@ -78,6 +78,42 @@ class TestSimulate:
         assert "duration must be finite and positive" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("field, value", [("duration", "5"), ("size_bits", "12000")])
+    def test_scenario_field_of_wrong_type_runtime_error(self, tmp_path, capsys, field, value):
+        flow = {"src": "A", "dst": "B", "size_bits": 12000, "start_time": 0.0}
+        doc = {"topology": "diamond", "flows": [flow]}
+        (flow if field in flow else doc)[field] = value
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert run(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == 'allpath: error: scenario %s must be a number, not "%s"\n' % (field, value)
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("field, value", [("size_bits", float("inf")), ("size_bits", 0),
+                                              ("start_time", float("nan"))])
+    def test_flow_field_out_of_range_runtime_error(self, tmp_path, capsys, field, value):
+        flow = {"src": "A", "dst": "B", "size_bits": 12000, "start_time": 0.0, field: value}
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"topology": "diamond",
+                                        "flows": [flow, {**flow, "src": "B", "dst": "A"}]}))
+        out = tmp_path / "run"
+        assert run(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("allpath: error: flow ") and "must be finite" in line
+        assert not (out / "report.json").exists()
+
+    def test_simulate_does_not_import_numpy(self, tmp_path):
+        # only qbd needs numpy, and importing it is most of a cold start
+        src_dir = os.path.dirname(os.path.dirname(allpath.__file__))
+        code = ("import sys; from allpath.cli import main; "
+                "code = main(['simulate', '--topology', 'grid:3', '--out', sys.argv[1]]); "
+                "sys.exit(code or 'numpy' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env)
+        assert done.returncode == 0
+
     def test_env_outdir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ALLPATH_OUTDIR", str(tmp_path / "envout"))
         assert run(["simulate", "--topology", "diamond", "--flows", "1"]) == 0

@@ -55,6 +55,42 @@ class TestFrameValidation:
         g = f.forwarded(7)
         assert f.trace == [] and g.trace == [7]
 
+    def test_frame_is_slotted(self):
+        f = Frame(kind=DATA, src_mac="A", dst_mac="B")
+        assert not hasattr(f, "__dict__")
+        with pytest.raises(AttributeError):
+            f.colour = "red"
+
+    def test_forwarded_copy_shares_its_parents_trail(self):
+        f = req("A", "ip-B", race=1).forwarded(1).forwarded(2)
+        copies = [f.forwarded(b) for b in (3, 4)]
+        for g, b in zip(copies, (3, 4)):
+            assert g.trail == (b, f.trail) and g.trail[1] is f.trail  # linked, not copied
+            assert g.trace == [1, 2, b]
+            assert (g.kind, g.src_mac, g.dst_mac, g.race_id) == (f.kind, f.src_mac, f.dst_mac, 1)
+        assert f.trace == [1, 2]
+
+    def test_trace_is_a_fresh_list(self):
+        f = data("A", "B").forwarded(1).forwarded(2)
+        t = f.trace
+        assert t == [1, 2] and f.trace is not t
+        t.append(3)
+        t[0] = 9
+        assert f.trace == [1, 2]
+
+    def test_with_outer_keeps_the_trail(self):
+        f = req("A", "ip-B", race=1).forwarded(1)
+        enc = f.with_outer((1, BROADCAST))
+        assert enc.outer == (1, BROADCAST) and f.outer is None
+        assert enc.trail is f.trail
+        assert enc.with_outer(None).outer is None
+
+    def test_with_outer_checks_the_outer_pair(self):
+        with pytest.raises(ValueError):
+            data("A", "B").with_outer((1, BROADCAST))
+        with pytest.raises(ValueError):
+            req("A", "ip-B", race=1).with_outer((1, 3))
+
 
 class TestArpPath:
     def test_flood_locks_and_fans_out(self):
@@ -253,7 +289,7 @@ class TestRoute:
         bs.handle("A", req("A", "ip-B", race=1), now=0.0)
         answer = reply("B", "A", race=1)
         if cls is BridgePathBridge:
-            answer = Frame(**{**vars(answer), "outer": (5, 1)})
+            answer = answer.with_outer((5, 1))
         bs.handle(2, answer, now=0.001)
         before = _table_state(bs)
         frame = data("A", "B")
