@@ -130,6 +130,9 @@ _SCENARIO_TYPES = {
 }
 
 
+_FLOW_FIELDS = ("src", "dst", "size_bits", "start_time")  # FlowSpec's, in order
+
+
 def _typed(field, value):
     """value, if it has the JSON type of the scenario field (else exit 1)."""
     kinds, what = _SCENARIO_TYPES[field]
@@ -151,11 +154,15 @@ def cmd_simulate(args, outdir):
         protocol = _typed("protocol", doc.get("protocol", args.protocol)).replace("-", "_")
         seed = _typed("seed", doc.get("seed", args.seed))
         duration = _typed("duration", doc.get("duration", args.duration))
+        if "flows" not in doc:
+            raise ValueError("scenario has no flows")
         workload = []
-        for f in _typed("flows", doc["flows"]):
+        for i, f in enumerate(_typed("flows", doc["flows"])):
             _typed("flow", f)
-            workload.append(simnet.FlowSpec(*(_typed(k, f[k]) for k in
-                                              ("src", "dst", "size_bits", "start_time"))))
+            for k in _FLOW_FIELDS:
+                if k not in f:
+                    raise ValueError("scenario flow %d has no %s" % (i, k))
+            workload.append(simnet.FlowSpec(*(_typed(k, f[k]) for k in _FLOW_FIELDS)))
     else:
         t = _parse_topology(args.topology)
         protocol = args.protocol.replace("-", "_")

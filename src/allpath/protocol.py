@@ -84,25 +84,25 @@ class Frame:
 
     def forwarded(self, via_bridge):
         """Copy of this frame with via_bridge linked onto the shared trail."""
-        return self._copy(self.outer, (via_bridge, self.trail))
-
-    def with_outer(self, outer):
-        """Copy of this frame with another outer header (None decapsulates)."""
-        _check_outer(outer, self.dst_mac)
-        return self._copy(outer, self.trail)
-
-    def _copy(self, outer, trail):
-        # every other field is the checked one of self, so nothing to validate
+        # every field is the checked one of self, so nothing to validate
         f = object.__new__(Frame)
         f.kind = self.kind
         f.src_mac = self.src_mac
         f.dst_mac = self.dst_mac
         f.src_ip = self.src_ip
         f.dst_ip = self.dst_ip
-        f.outer = outer
+        f.outer = self.outer
         f.size_bits = self.size_bits
         f.race_id = self.race_id
-        f.trail = trail
+        f.trail = (via_bridge, self.trail)
+        return f
+
+    def with_outer(self, outer):
+        """Copy of this frame with another outer header (None decapsulates)."""
+        _check_outer(outer, self.dst_mac)
+        f = self.forwarded(None)  # a copy, whose outer and trail are set here
+        f.outer = outer
+        f.trail = self.trail
         return f
 
 
@@ -111,7 +111,7 @@ def _check_outer(outer, dst_mac):
         raise ValueError("outer_dst is broadcast iff dst_mac is broadcast")
 
 
-@dataclass
+@dataclass(slots=True)
 class ForwardingEntry:
     key: object
     port: object
@@ -127,10 +127,15 @@ MISS = "miss"  # no table entry for the frame's forwarding key
 UNRESOLVED = "unresolved"  # Bridge-Path: no edge bridge known for the destination host
 
 
-@dataclass
+@dataclass(slots=True)
 class ForwardingDecision:
     outputs: list  # list of (port, Frame); empty means drop/absorb
     drop: str | None = None  # DUPLICATE, MISS or UNRESOLVED when dropped
+
+
+# The one decision of every DUPLICATE drop, nearly half the frames of a grid
+# flood: nothing may mutate it, and _forward only mutates decisions with outputs.
+DROP_DUPLICATE = ForwardingDecision([], DUPLICATE)
 
 
 class BridgeState:
@@ -148,8 +153,8 @@ class BridgeState:
         self.bridge_id = bridge_id
         self.ports = list(ports)  # all ports, hosts included
         self.host_ports = set(host_ports)  # membership tests only: set order follows hashes
-        self.bridge_ports = [p for p in self.ports if p not in self.host_ports]
-        self.host_port_list = [p for p in self.ports if p in self.host_ports]
+        # ingress port -> the ports a flood copy from it goes out on
+        self.flood_ports = {i: [p for p in self.ports if p != i] for i in self.ports}
         self.entries = {}
         self._expiry = []  # heap of (expires_at, seq, entry), stale items included
         self._seq = itertools.count()
@@ -161,8 +166,7 @@ class BridgeState:
 
         A locked entry that is due becomes learnt and is pushed again with
         its learnt expiry, so lock -> learnt -> expired can happen in one
-        tick.  handle() calls it on every frame; a call with nothing due
-        only reads the heap head.
+        tick.  handle() calls it only when the heap head is due.
         """
         heap = self._expiry
         while heap and heap[0][0] <= now:
@@ -181,8 +185,9 @@ class BridgeState:
         heapq.heappush(self._expiry, (entry.expires_at, next(self._seq), entry))
 
     def _lock(self, key, port, now, race_id):
-        e = self.entries[key] = ForwardingEntry(key, port, LOCKED, now + LOCK_TIMER, race_id)
-        self._schedule(e)
+        expires_at = now + LOCK_TIMER
+        e = self.entries[key] = ForwardingEntry(key, port, LOCKED, expires_at, race_id)
+        heapq.heappush(self._expiry, (expires_at, next(self._seq), e))
 
     def _learn(self, key, port, now):
         e = self.entries[key] = ForwardingEntry(key, port, LEARNT, now + LEARNT_TIMER)
@@ -210,9 +215,6 @@ class BridgeState:
             self._lock(key, ingress, now, race_id)
             return True
         return False  # locked by another in-flight race: immutable
-
-    def _flood_ports(self, ingress):
-        return [p for p in self.ports if p != ingress]
 
     def _learn_source(self, key, ingress, frame, now):
         """A reply creates a learnt entry for its source; data refreshes the
@@ -256,12 +258,14 @@ class ArpPathBridge(BridgeState):
     protocol = "arp_path"
 
     def handle(self, ingress, frame, now):
-        self.tick(now)
+        expiry = self._expiry
+        if expiry and expiry[0][0] <= now:
+            self.tick(now)
         if frame.kind == ARP_REQUEST:
             if not self._race_admit(frame.src_mac, ingress, now, frame.race_id):
-                return ForwardingDecision([], DUPLICATE)
+                return DROP_DUPLICATE
             out = frame.forwarded(self.bridge_id)
-            return ForwardingDecision([(p, out) for p in self._flood_ports(ingress)])
+            return ForwardingDecision([(p, out) for p in self.flood_ports[ingress]])
         self._learn_source(frame.src_mac, ingress, frame, now)
         return self._forward(*self.route(ingress, frame), now)
 
@@ -281,14 +285,16 @@ class FlowPathBridge(BridgeState):
     protocol = "flow_path"
 
     def handle(self, ingress, frame, now):
-        self.tick(now)
+        expiry = self._expiry
+        if expiry and expiry[0][0] <= now:
+            self.tick(now)
         if frame.kind == ARP_REQUEST:
             # provisional "A?" entry: destination MAC unknown, IPs disambiguate
             key = _prov_key(frame.src_mac, frame.src_ip, frame.dst_ip)
             if not self._race_admit(key, ingress, now, frame.race_id):
-                return ForwardingDecision([], DUPLICATE)
+                return DROP_DUPLICATE
             out = frame.forwarded(self.bridge_id)
-            return ForwardingDecision([(p, out) for p in self._flood_ports(ingress)])
+            return ForwardingDecision([(p, out) for p in self.flood_ports[ingress]])
 
         if frame.kind == ARP_REPLY:
             # reply from B to A confirms A? -> AB and creates BA
@@ -332,6 +338,10 @@ class BridgePathBridge(BridgeState):
         super().__init__(bridge_id, ports, host_ports)
         self.directory = {}  # host mac -> (edge id, expires_at)
         self._dir_expiry = []  # heap of (expires_at, seq, mac), stale items included
+        # flood_ports split: the core gets the encapsulated copy, hosts the other
+        self.flood_split = {i: ([p for p in out if p not in self.host_ports],
+                                [p for p in out if p in self.host_ports])
+                            for i, out in self.flood_ports.items()}
 
     def tick(self, now):
         if self._expiry and self._expiry[0][0] <= now:  # skip the call when nothing is due
@@ -349,7 +359,10 @@ class BridgePathBridge(BridgeState):
         heapq.heappush(self._dir_expiry, (expires, next(self._seq), mac))
 
     def handle(self, ingress, frame, now):
-        self.tick(now)
+        # the forwarding heap or the directory heap may be due
+        expiry, dir_expiry = self._expiry, self._dir_expiry
+        if (expiry and expiry[0][0] <= now) or (dir_expiry and dir_expiry[0][0] <= now):
+            self.tick(now)
         from_host = ingress in self.host_ports
         if from_host:
             self._dir_learn(frame.src_mac, self.bridge_id, now)
@@ -372,14 +385,15 @@ class BridgePathBridge(BridgeState):
     def _flood(self, ingress, frame, now):
         outer_src = frame.outer[0]
         if not self._race_admit(outer_src, ingress, now, frame.race_id):
-            return ForwardingDecision([], DUPLICATE)
+            return DROP_DUPLICATE
         out = frame.forwarded(self.bridge_id)
-        outputs = [(p, out) for p in self.bridge_ports if p != ingress]
+        bridge_ports, host_ports = self.flood_split[ingress]
+        outputs = [(p, out) for p in bridge_ports]
         if self.host_ports:
             if outer_src != self.bridge_id:
                 self._dir_learn(frame.src_mac, outer_src, now)
             local = out.with_outer(None)
-            outputs += [(p, local) for p in self.host_port_list if p != ingress]
+            outputs += [(p, local) for p in host_ports]
         return ForwardingDecision(outputs)
 
     def route(self, ingress, frame):

@@ -26,8 +26,10 @@ from .protocol import (
     BRIDGE_CLASSES,
     BROADCAST,
     DATA,
+    DUPLICATE,
     LEARNT_TIMER,
     LOCK_TIMER,
+    MISS,
     Frame,
     count_table_entries,
 )
@@ -199,6 +201,12 @@ class Engine:
         self._heap = []
         self._seq = 0
         self._entries_total = 0  # sum of len(bs.entries) over all bridges
+        # per-frame counts, written into report.counters by _finalize
+        self.frames_created = 0
+        self.frames_consumed = 0
+        self.dropped_duplicate = 0
+        self.dropped_miss = 0
+        self.dropped_unresolved = 0
 
         cls = BRIDGE_CLASSES[protocol]
         self.bridges = {}
@@ -222,9 +230,7 @@ class Engine:
         self._flow_gen = 0
         self._fluid_t = 0.0
         self.report = SimReport(protocol=protocol, seed=seed, counters={
-            "frames_created": 0, "frames_consumed": 0, "delivered": 0,
-            "dropped_duplicate": 0, "dropped_miss": 0, "dropped_unresolved": 0,
-            "absorbed": 0, "flows_completed": 0, "flows_unresolved": 0,
+            "delivered": 0, "absorbed": 0, "flows_completed": 0, "flows_unresolved": 0,
         })
 
     # -- scheduling -------------------------------------------------------
@@ -236,13 +242,15 @@ class Engine:
     def run(self, until=None):
         if until is not None and not 0 < until < math.inf:
             raise ScenarioError("duration must be finite and positive, not %r" % (until,))
-        while self._heap:
-            time, _tie, _seq, fn, args = heapq.heappop(self._heap)
-            if until is not None and time > until:
-                self._heap = []
+        limit = math.inf if until is None else until
+        heap, heappop = self._heap, heapq.heappop
+        while heap:
+            time, _tie, _seq, fn, args = heappop(heap)
+            if time > limit:
+                heap.clear()
                 break
             self.now = time
-            fn(self.now, *args)
+            fn(time, *args)
         if until is not None:
             self.now = until
         self.tick_all(self.now)
@@ -258,38 +266,54 @@ class Engine:
     # -- frame transport --------------------------------------------------
 
     def _send(self, node, port, frame, now):
-        """Queue frame on the hop from node to port; it arrives at host or bridge port."""
+        """Queue frame on the hop from node to port; it arrives at host or bridge port.
+
+        Pushes the event that schedule() would push, with its one tie draw.
+        """
         hop = self.hops[(node, port)]
-        hop.busy_until = max(now, hop.busy_until) + frame.size_bits / hop.bandwidth_bps
-        arrive = hop.busy_until + hop.prop_delay_s
-        self.report.counters["frames_created"] += 1
+        busy = hop.busy_until
+        if now > busy:
+            busy = now
+        busy += frame.size_bits / hop.bandwidth_bps
+        hop.busy_until = busy
+        self.frames_created += 1
+        self._seq += 1
         if hop.to_host:
-            self.schedule(arrive, self._frame_at_host, port, frame)
+            fn, args = self._frame_at_host, (port, frame)
         else:
-            self.schedule(arrive, self._frame_at_bridge, port, node, frame)
+            fn, args = self._frame_at_bridge, (port, node, frame)
+        heapq.heappush(self._heap, (busy + hop.prop_delay_s, self.rng.random(), self._seq,
+                                    fn, args))
 
     # -- event handlers ---------------------------------------------------
 
     def _frame_at_bridge(self, now, bridge_id, ingress, frame):
-        self.report.counters["frames_consumed"] += 1
+        self.frames_consumed += 1
         bs = self.bridges[bridge_id]
-        before = len(bs.entries)
+        entries = bs.entries
+        before = len(entries)
         decision = bs.handle(ingress, frame, now)
-        # only the handling bridge's table can change, so the total is kept
-        # up to date from its size change instead of recounting every table
-        self._entries_total += len(bs.entries) - before
         for port, fr in decision.outputs:
             if port == ingress:
                 raise AssertionError("forwarding back out the ingress port")
             self._send(bridge_id, port, fr, now)
-        if decision.drop:
-            self.report.counters["dropped_" + decision.drop] += 1
-        series = self.report.table_series
-        if not series or series[-1][1] != self._entries_total:
-            series.append((now, self._entries_total))
+        drop = decision.drop
+        if drop is not None:
+            if drop == DUPLICATE:
+                self.dropped_duplicate += 1
+            elif drop == MISS:
+                self.dropped_miss += 1
+            else:
+                self.dropped_unresolved += 1
+        # only the handling bridge's table can change, so the total moves by
+        # its size change, and a table_series row is due exactly then
+        changed = len(entries) - before
+        if changed or not self.report.table_series:
+            self._entries_total += changed
+            self.report.table_series.append((now, self._entries_total))
 
     def _frame_at_host(self, now, host_id, frame):
-        self.report.counters["frames_consumed"] += 1
+        self.frames_consumed += 1
         host = self.hosts[host_id]
         if frame.kind == ARP_REQUEST:
             host.arp_cache[frame.src_ip] = frame.src_mac
@@ -476,8 +500,11 @@ class Engine:
     def _finalize(self):
         self.report.races = [self._races[k] for k in sorted(self._races, key=str)]
         self.report.final_tables = count_table_entries(self.bridges.values())
-        self.report.counters["in_flight"] = (
-            self.report.counters["frames_created"] - self.report.counters["frames_consumed"])
+        self.report.counters.update(
+            frames_created=self.frames_created, frames_consumed=self.frames_consumed,
+            in_flight=self.frames_created - self.frames_consumed,
+            dropped_duplicate=self.dropped_duplicate, dropped_miss=self.dropped_miss,
+            dropped_unresolved=self.dropped_unresolved)
 
 
 def run_scenario(topology, protocol, workload, seed=0, duration=None) -> SimReport:

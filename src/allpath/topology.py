@@ -9,6 +9,7 @@ of an n x n grid is (1, n**2).
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,10 +38,12 @@ class Link:
     def __post_init__(self):
         if self.a == self.b:
             raise TopologyError("self-loop link %r" % (self.a,))
-        if self.bandwidth_bps <= 0:
-            raise TopologyError("bandwidth must be positive")
-        if self.prop_delay_s < 0:
-            raise TopologyError("propagation delay must be nonnegative")
+        if not 0 < self.bandwidth_bps < math.inf:
+            raise TopologyError("bandwidth must be finite and positive, not %r"
+                                % (self.bandwidth_bps,))
+        if not 0 <= self.prop_delay_s < math.inf:
+            raise TopologyError("propagation delay must be finite and nonnegative, not %r"
+                                % (self.prop_delay_s,))
 
     @cached_property
     def key(self):
@@ -144,24 +147,70 @@ class Topology:
 
     @classmethod
     def from_json_dict(cls, doc):
-        bridges = [b["id"] for b in doc["bridges"]]
-        hosts = {h["id"]: h["bridge"] for h in doc["hosts"]}
-        links = [
-            Link(l["a"], l["b"], l.get("bandwidth_bps", DEFAULT_BANDWIDTH_BPS),
-                 l.get("prop_delay_s", DEFAULT_PROP_DELAY_S))
-            for l in doc["links"]
-        ]
-        links += [
-            Link(h["id"], h["bridge"], h.get("bandwidth_bps", DEFAULT_BANDWIDTH_BPS),
-                 h.get("prop_delay_s", DEFAULT_PROP_DELAY_S))
-            for h in doc["hosts"]
-        ]
-        return cls(bridges, links, hosts, meta=doc.get("meta"))
+        """The topology of a to_json_dict document.  A field that is missing
+        or of the wrong JSON type raises TopologyError naming the field."""
+        _json_typed("topology", doc, _OBJECT)
+        meta = _json_field("topology", doc, "meta", _OPTIONAL_OBJECT, default=None)
+        bridges = [_json_field(where, b, "id", _INT)
+                   for where, b in _json_objects("topology", doc, "bridges")]
+        hosts = {}
+        links = []
+        for where, l in _json_objects("topology", doc, "links"):
+            links.append(Link(_json_field(where, l, "a", _NODE), _json_field(where, l, "b", _NODE),
+                              *_json_link_params(where, l)))
+        for where, h in _json_objects("topology", doc, "hosts"):
+            host, bridge = _json_field(where, h, "id", _STR), _json_field(where, h, "bridge", _INT)
+            if host in hosts:  # else the later entry would re-home the host
+                raise TopologyError("%s.id repeats host %s" % (where, json.dumps(host)))
+            hosts[host] = bridge
+            links.append(Link(host, bridge, *_json_link_params(where, h)))
+        return cls(bridges, links, hosts, meta=meta)
 
     @classmethod
     def load_json(cls, path):
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+# JSON types of topology document fields: (Python types, name in errors).
+# JSON true and false are no numbers, although Python's bool is an int.
+_OBJECT = (dict, "an object")
+_OPTIONAL_OBJECT = ((dict, type(None)), "an object")
+_LIST = (list, "a list")
+_INT = (int, "an integer")
+_STR = (str, "a string")
+_NODE = ((int, str), "an integer or a string")
+_NUMBER = ((int, float), "a number")
+_REQUIRED = object()
+
+
+def _json_typed(where, value, kind):
+    types, what = kind
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TopologyError("%s must be %s, not %s" % (where, what, json.dumps(value)))
+    return value
+
+
+def _json_field(where, obj, key, kind, default=_REQUIRED):
+    """obj[key] of the JSON type kind; where names obj in errors."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise TopologyError("%s has no %s" % (where, key))
+        return default
+    return _json_typed("%s.%s" % (where, key), obj[key], kind)
+
+
+def _json_objects(where, obj, key):
+    """(name in errors, object) of each item of the list obj[key]."""
+    items = _json_field(where, obj, key, _LIST)
+    for i, item in enumerate(items):
+        name = "%s.%s[%d]" % (where, key, i)
+        yield name, _json_typed(name, item, _OBJECT)
+
+
+def _json_link_params(where, obj):
+    return (_json_field(where, obj, "bandwidth_bps", _NUMBER, DEFAULT_BANDWIDTH_BPS),
+            _json_field(where, obj, "prop_delay_s", _NUMBER, DEFAULT_PROP_DELAY_S))
 
 
 # -- generators -----------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, manifests, error codes, replay."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -13,6 +14,9 @@ import pytest
 import allpath
 from allpath.cli import main
 from allpath.topology import make_line, make_simple_grid
+
+
+MISSING = object()  # a field left out of the scenario
 
 
 def run(argv):
@@ -78,17 +82,44 @@ class TestSimulate:
         assert "duration must be finite and positive" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
-    @pytest.mark.parametrize("field, value", [("duration", "5"), ("size_bits", "12000")])
+    @pytest.mark.parametrize("field, value", [
+        ("duration", "5"), ("size_bits", "12000"),
+        pytest.param("size_bits", MISSING, id="size_bits-missing"),
+        pytest.param("start_time", MISSING, id="start_time-missing"),
+    ])
     def test_scenario_field_of_wrong_type_runtime_error(self, tmp_path, capsys, field, value):
         flow = {"src": "A", "dst": "B", "size_bits": 12000, "start_time": 0.0}
-        doc = {"topology": "diamond", "flows": [flow]}
-        (flow if field in flow else doc)[field] = value
+        doc = {"topology": "diamond", "flows": [flow, {**flow, "src": "B", "dst": "A"}]}
+        if value is MISSING:  # from the second flow, which the message names
+            del doc["flows"][1][field]
+            expected = "scenario flow 1 has no %s" % field
+        else:
+            (flow if field in flow else doc)[field] = value
+            expected = 'scenario %s must be a number, not "%s"' % (field, value)
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(doc))
         out = tmp_path / "run"
         assert run(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err == 'allpath: error: scenario %s must be a number, not "%s"\n' % (field, value)
+        assert err == "allpath: error: %s\n" % expected
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("topo, expected", [
+        pytest.param({"bridges": 5, "links": [], "hosts": {}},
+                     "topology.bridges must be a list, not 5", id="bridges-not-a-list"),
+        pytest.param({"bridges": [{"id": 1}, {"id": 2}], "links": [{"a": 1}], "hosts": []},
+                     "topology.links[0] has no b", id="link-without-b"),
+        pytest.param({"bridges": [{"id": 1}, {"id": 2}], "links": [{"a": 1, "b": 2}],
+                      "hosts": [{"id": "A", "bridge": 1}, {"id": "A", "bridge": 2}]},
+                     'topology.hosts[1].id repeats host "A"', id="repeated-host"),
+    ])
+    def test_topology_object_of_wrong_shape_runtime_error(self, tmp_path, capsys, topo,
+                                                          expected):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"topology": topo, "flows": []}))
+        out = tmp_path / "run"
+        assert run(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "allpath: error: %s\n" % expected
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("field, value", [("size_bits", float("inf")), ("size_bits", 0),
@@ -118,6 +149,42 @@ class TestSimulate:
         monkeypatch.setenv("ALLPATH_OUTDIR", str(tmp_path / "envout"))
         assert run(["simulate", "--topology", "diamond", "--flows", "1"]) == 0
         assert (tmp_path / "envout" / "report.json").exists()
+
+
+class TestPinnedOutputs:
+    """sha256 of the simulate outputs of one fixed run under each protocol.
+
+    Every frame-path change so far kept these bytes, and a speed-up must
+    keep them.  A change that alters simulation output on purpose (a model
+    or table-timer correction) updates the digests here and says which
+    outputs changed and why in CHANGES.md.
+    """
+
+    DIGESTS = {
+        "arp-path": {
+            "report.json": "acdddd44fc42fcf798e6bac73d346b9d26817f40d96df7c582b9c754d878da26",
+            "report.csv": "1c221af899f9e59f8a148aced2bb02d70306b7feb94975e3fee71e81ffefa656",
+            "tables.csv": "69174470f521eaeaacaad07fe2ef7a7988eff597819d8f65c3ce92c0188fbc78",
+        },
+        "flow-path": {
+            "report.json": "24665184632675ddbb3f04b0b4766ff2904db471f5cb0d1c60366b5cc8429a83",
+            "report.csv": "c765019cf8ecd123fd8215d3db4c8f0f6e671bf6f11e13c601b4c7f417a7e759",
+            "tables.csv": "97c628c7fb0d865f17b1450dde05339262592d47c98143ac183e1ac938b03f42",
+        },
+        "bridge-path": {
+            "report.json": "4b779bb600b215e40077881f9637e1b7dcdf92cfe4ce4d8c99765a992e6a5920",
+            "report.csv": "1c221af899f9e59f8a148aced2bb02d70306b7feb94975e3fee71e81ffefa656",
+            "tables.csv": "50eb1fe5c923388985aaa767ee3fc567a25a70e9f19aa6d607e85e86e76a2c2e",
+        },
+    }
+
+    @pytest.mark.parametrize("protocol", sorted(DIGESTS))
+    def test_simulate_outputs_are_pinned(self, tmp_path, protocol):
+        assert run(["simulate", "--topology", "grid:3", "--seed", "7", "--flows", "12",
+                    "--protocol", protocol, "--out", str(tmp_path)]) == 0
+        digests = {name: hashlib.sha256(read(tmp_path / name)).hexdigest()
+                   for name in self.DIGESTS[protocol]}
+        assert digests == self.DIGESTS[protocol]
 
 
 class TestHashSeedIndependence:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from allpath import simnet
 from allpath.cli import main as cli_main
-from allpath.protocol import DATA, Frame
+from allpath.protocol import BRIDGE_CLASSES, DATA, DUPLICATE, MISS, UNRESOLVED, Frame
 from allpath.simnet import (
     Engine,
     FlowSpec,
@@ -341,6 +341,45 @@ class TestTableSeries:
                          if i == 0 or row[1] != recount[i - 1][1]]
         assert len(recount) > len(series) > 1
         assert series == change_points
+
+
+class TestCounters:
+    @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
+    @pytest.mark.parametrize("duration", [None, 0.3 + 4e-6], ids=["to-the-end", "cut-mid-flood"])
+    def test_frame_counters_match_a_recount(self, protocol, duration, monkeypatch):
+        calls = {"_send": 0, "_frame_at_bridge": 0, "_frame_at_host": 0}
+        drops = []
+        for name in calls:
+            def counted(eng, *args, _name=name, _original=getattr(Engine, name)):
+                calls[_name] += 1
+                return _original(eng, *args)
+            monkeypatch.setattr(Engine, name, counted)
+        for cls in BRIDGE_CLASSES.values():
+            def recorded(bs, *args, _original=cls.handle):
+                decision = _original(bs, *args)
+                drops.append(decision.drop)
+                return decision
+            monkeypatch.setattr(cls, "handle", recorded)
+
+        eng = Engine(make_simple_grid(3, hosts_per_corner=2), protocol, seed=7)
+        for spec in [FlowSpec("h1_0", "h9_1", 12000, 0.0), FlowSpec("h3_0", "h7_1", 12000, 0.0),
+                     FlowSpec("h9_0", "h1_1", 12000, 0.3), FlowSpec("h1_0", "h9_1", 12000, 0.6)]:
+            eng.add_flow(spec)
+        # stray data frames to a silent host: into an edge bridge from its
+        # host (Bridge-Path: unresolved) and from a neighbour bridge (a miss)
+        stray = Frame(kind=DATA, src_mac="h1_0", dst_mac="h7_0")
+        eng.schedule(0.2, lambda now: (eng._send("h1_0", 1, stray, now),
+                                       eng._send(2, 1, stray, now)))
+        c = eng.run(until=duration).counters
+        consumed = calls["_frame_at_bridge"] + calls["_frame_at_host"]
+        assert (c["frames_created"], c["frames_consumed"]) == (calls["_send"], consumed)
+        assert c["in_flight"] == calls["_send"] - consumed
+        assert (c["in_flight"] > 0) == (duration is not None)
+        assert len(drops) == calls["_frame_at_bridge"]
+        for reason in (DUPLICATE, MISS, UNRESOLVED):
+            assert c["dropped_" + reason] == drops.count(reason), reason
+        assert c["dropped_duplicate"] > 0 and c["dropped_miss"] > 0
+        assert (c["dropped_unresolved"] > 0) == (protocol == "bridge_path")
 
 
 class TestCensus:

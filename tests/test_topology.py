@@ -99,6 +99,14 @@ class TestLinkValidation:
         with pytest.raises(TopologyError):
             Link(1, 2, prop_delay_s=-1e-6)
 
+    @pytest.mark.parametrize("params", [{"bandwidth_bps": math.inf},
+                                        {"bandwidth_bps": math.nan},
+                                        {"prop_delay_s": math.inf},
+                                        {"prop_delay_s": math.nan}])
+    def test_non_finite_link_parameters_rejected(self, params):
+        with pytest.raises(TopologyError, match="must be finite"):
+            Link(1, 2, **params)
+
     def test_disconnected_rejected(self):
         with pytest.raises(TopologyError):
             Topology([1, 2, 3], [Link(1, 2)], {})
