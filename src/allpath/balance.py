@@ -83,9 +83,6 @@ def jain_index(u):
 
 @dataclass
 class BalanceReport:
-    capacities: list
-    arrival_rate: float
-    replications: int
     u: list  # mean utilization per path
     u_ci: list  # 95% half-width per path (None with a single replication)
     loss_probability: float
@@ -152,9 +149,6 @@ def simulate(capacities, arrival_rate, holding, duration, replications=1, seed=0
     u = [sum(rep[i] for rep in u_reps) / replications for i in range(n)]
     lp = sum(lp_reps) / replications
     return BalanceReport(
-        capacities=capacities,
-        arrival_rate=arrival_rate,
-        replications=replications,
         u=u,
         u_ci=[_ci_half_width([rep[i] for rep in u_reps]) for i in range(n)],
         loss_probability=lp,

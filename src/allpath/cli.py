@@ -18,6 +18,9 @@ import sys
 import time
 
 from . import __version__, balance, scalability, simnet, topology
+from .protocol import dump_tables_csv
+from .topology import (INT, NAME_OR_OBJECT, NUMBER, OBJECT, OPTIONAL_NUMBER, STR, json_field,
+                       json_objects, json_typed)
 
 # qbd, and numpy with it, is imported only by the subcommand that uses it
 
@@ -113,56 +116,25 @@ _host_list = _as_given(_parse_int_list, lambda v: all(h > 0 and h % 4 == 0 for h
                        "a comma list of positive multiples of 4")
 
 
-# The JSON type of each scenario field and its name in errors.  JSON true and
-# false are no numbers, although Python's bool is an int.
-_SCENARIO_TYPES = {
-    "scenario": (dict, "an object"),
-    "topology": ((str, dict), "a name or an object"),
-    "protocol": (str, "a string"),
-    "seed": (int, "an integer"),
-    "duration": ((int, float, type(None)), "a number"),
-    "flows": (list, "a list"),
-    "flow": (dict, "an object"),
-    "src": (str, "a string"),
-    "dst": (str, "a string"),
-    "size_bits": ((int, float), "a number"),
-    "start_time": ((int, float), "a number"),
-}
-
-
-_FLOW_FIELDS = ("src", "dst", "size_bits", "start_time")  # FlowSpec's, in order
-
-
-def _typed(field, value):
-    """value, if it has the JSON type of the scenario field (else exit 1)."""
-    kinds, what = _SCENARIO_TYPES[field]
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ValueError("scenario %s must be %s, not %s" % (field, what, json.dumps(value)))
-    return value
-
-
 # -- subcommands ----------------------------------------------------------
 
 
 def cmd_simulate(args, outdir):
     if args.scenario:
         with open(args.scenario) as fh:
-            doc = _typed("scenario", json.load(fh))
-        topo_spec = _typed("topology", doc.get("topology", args.topology))
+            doc = json_typed("scenario", json.load(fh), OBJECT)
+        topo_spec = json_field("scenario", doc, "topology", NAME_OR_OBJECT, default=args.topology)
         t = topology.Topology.from_json_dict(topo_spec) if isinstance(topo_spec, dict) \
             else _parse_topology(topo_spec)
-        protocol = _typed("protocol", doc.get("protocol", args.protocol)).replace("-", "_")
-        seed = _typed("seed", doc.get("seed", args.seed))
-        duration = _typed("duration", doc.get("duration", args.duration))
-        if "flows" not in doc:
-            raise ValueError("scenario has no flows")
-        workload = []
-        for i, f in enumerate(_typed("flows", doc["flows"])):
-            _typed("flow", f)
-            for k in _FLOW_FIELDS:
-                if k not in f:
-                    raise ValueError("scenario flow %d has no %s" % (i, k))
-            workload.append(simnet.FlowSpec(*(_typed(k, f[k]) for k in _FLOW_FIELDS)))
+        protocol = json_field("scenario", doc, "protocol", STR, default=args.protocol)
+        protocol = protocol.replace("-", "_")
+        seed = json_field("scenario", doc, "seed", INT, default=args.seed)
+        duration = json_field("scenario", doc, "duration", OPTIONAL_NUMBER, default=args.duration)
+        workload = [simnet.FlowSpec(json_field(where, f, "src", STR),
+                                    json_field(where, f, "dst", STR),
+                                    json_field(where, f, "size_bits", NUMBER),
+                                    json_field(where, f, "start_time", NUMBER))
+                    for where, f in json_objects("scenario", doc, "flows")]
     else:
         t = _parse_topology(args.topology)
         protocol = args.protocol.replace("-", "_")
@@ -187,8 +159,6 @@ def cmd_simulate(args, outdir):
     with open(os.path.join(outdir, "report.csv"), "w") as fh:
         for line in report.utilization_csv_rows():
             fh.write(line + "\n")
-    from .protocol import dump_tables_csv
-
     with open(os.path.join(outdir, "tables.csv"), "w") as fh:
         dump_tables_csv(eng.bridges.values(), fh)
     return ["report.json", "report.csv", "tables.csv"]
@@ -214,9 +184,8 @@ def cmd_qbd(args, outdir):
     summary = []
     gaps = []
     for rho in _parse_float_list(args.rho):
-        lam = rho * args.mu  # offered load rho = lambda / mu
-        _, u1, u2, lp, gap = qbd.solve_model(args.c1, args.c2, lam, args.mu,
-                                             method=args.method)
+        # mu = 1: the time unit is the mean holding time, so lambda = rho
+        _, u1, u2, lp, gap = qbd.solve_model(args.c1, args.c2, rho, 1.0, method=args.method)
         summary.append([rho, u1, u2, lp])
         for psi in sorted(gap):
             gaps.append([rho, psi, gap[psi]])
@@ -249,11 +218,9 @@ def cmd_balance(args, outdir):
 
 def cmd_replay(args):
     with open(args.manifest) as fh:
-        doc = json.load(fh)
-    sub = doc["subcommand"]
-    params = doc["params"]
-    argv = [sub]
-    for key, val in params.items():
+        doc = json_typed("manifest", json.load(fh), OBJECT)
+    argv = [json_field("manifest", doc, "subcommand", STR)]
+    for key, val in json_field("manifest", doc, "params", OBJECT).items():
         if val is None:
             continue
         argv += ["--" + key.replace("_", "-"), str(val)]
@@ -295,7 +262,6 @@ def build_parser():
     p.add_argument("--c2", type=_positive_int, required=True)
     p.add_argument("--rho", type=_load_list, default="0.5,1,2",
                    help="offered load lambda/mu, comma list")
-    p.add_argument("--mu", type=_positive_float, default=1.0)
     p.add_argument("--method", choices=["dense", "block_tridiagonal"],
                    default="block_tridiagonal",
                    help="both solve Q^T pinned at one modal state: block_tridiagonal "

@@ -75,10 +75,9 @@ def grid_params(t: Topology, H) -> ScalabilityParams:
     pairs; L_e is the mean tree overhead: for each destination corner, the
     union of the incoming paths minus the mean incoming path size.
     """
-    if t.meta.get("kind") not in ("simple_grid", "crossed_grid"):
-        raise ParamError("grid_params needs a generated grid topology")
-    n = t.meta["n"]
-    corners = sorted({1, n, n * n - n + 1, n * n})
+    corners = t.edge_bridges()
+    if t.meta.get("kind") not in ("simple_grid", "crossed_grid") or not corners:
+        raise ParamError("grid_params needs a generated grid topology with hosts")
     if len(corners) == 1:  # degenerate n=1 lattice
         return ScalabilityParams(H=H, B_E=1, b=1.0, L_e=0.0)
     if H % len(corners) != 0:

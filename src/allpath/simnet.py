@@ -35,7 +35,7 @@ from .protocol import (
 )
 from .topology import Topology
 
-PROTOCOLS = ("arp_path", "flow_path", "bridge_path")
+PROTOCOLS = tuple(BRIDGE_CLASSES)
 
 ARP_SIZE_BITS = 64 * 8  # ARP requests and replies
 PROBE_SIZE_BITS = 1500 * 8  # the data probe of a flow, capped at the flow size

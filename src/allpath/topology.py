@@ -74,9 +74,14 @@ class Topology:
                 self.adj[ln.a][ln.b] = ln
                 self.adj[ln.b][ln.a] = ln
             elif n_bridges == 1:
-                host = ln.a if ln.b in bridge_set else ln.b
+                host, bridge = (ln.a, ln.b) if ln.b in bridge_set else (ln.b, ln.a)
                 if host not in self.hosts:
                     raise TopologyError("link to unknown host %r" % (host,))
+                # a host has one link, to its own bridge; a second link to
+                # that bridge repeats the pair and is a duplicate link above
+                if bridge != self.hosts[host]:
+                    raise TopologyError("host %r attaches to bridge %r, but a link joins it "
+                                        "to bridge %r" % (host, self.hosts[host], bridge))
                 self.links[ln.key] = ln
                 self.host_links[host] = ln
             else:
@@ -148,18 +153,18 @@ class Topology:
     @classmethod
     def from_json_dict(cls, doc):
         """The topology of a to_json_dict document.  A field that is missing
-        or of the wrong JSON type raises TopologyError naming the field."""
-        _json_typed("topology", doc, _OBJECT)
-        meta = _json_field("topology", doc, "meta", _OPTIONAL_OBJECT, default=None)
-        bridges = [_json_field(where, b, "id", _INT)
-                   for where, b in _json_objects("topology", doc, "bridges")]
+        or of the wrong JSON type raises ValueError naming the field."""
+        json_typed("topology", doc, OBJECT)
+        meta = json_field("topology", doc, "meta", OPTIONAL_OBJECT, default=None)
+        bridges = [json_field(where, b, "id", INT)
+                   for where, b in json_objects("topology", doc, "bridges")]
         hosts = {}
         links = []
-        for where, l in _json_objects("topology", doc, "links"):
-            links.append(Link(_json_field(where, l, "a", _NODE), _json_field(where, l, "b", _NODE),
+        for where, l in json_objects("topology", doc, "links"):
+            links.append(Link(json_field(where, l, "a", NODE), json_field(where, l, "b", NODE),
                               *_json_link_params(where, l)))
-        for where, h in _json_objects("topology", doc, "hosts"):
-            host, bridge = _json_field(where, h, "id", _STR), _json_field(where, h, "bridge", _INT)
+        for where, h in json_objects("topology", doc, "hosts"):
+            host, bridge = json_field(where, h, "id", STR), json_field(where, h, "bridge", INT)
             if host in hosts:  # else the later entry would re-home the host
                 raise TopologyError("%s.id repeats host %s" % (where, json.dumps(host)))
             hosts[host] = bridge
@@ -172,45 +177,53 @@ class Topology:
             return cls.from_json_dict(json.load(fh))
 
 
-# JSON types of topology document fields: (Python types, name in errors).
-# JSON true and false are no numbers, although Python's bool is an int.
-_OBJECT = (dict, "an object")
-_OPTIONAL_OBJECT = ((dict, type(None)), "an object")
-_LIST = (list, "a list")
-_INT = (int, "an integer")
-_STR = (str, "a string")
-_NODE = ((int, str), "an integer or a string")
-_NUMBER = ((int, float), "a number")
+# JSON field kinds: (Python types, name in errors).  JSON true and false are
+# no numbers, although Python's bool is an int.
+OBJECT = (dict, "an object")
+OPTIONAL_OBJECT = ((dict, type(None)), "an object")
+LIST = (list, "a list")
+INT = (int, "an integer")
+STR = (str, "a string")
+NODE = ((int, str), "an integer or a string")
+NUMBER = ((int, float), "a number")
+OPTIONAL_NUMBER = ((int, float, type(None)), "a number")
+NAME_OR_OBJECT = ((str, dict), "a name or an object")
 _REQUIRED = object()
 
 
-def _json_typed(where, value, kind):
+def json_typed(where, value, kind):
+    """The one checker of the JSON documents allpath reads (topology,
+    scenario, manifest).  json_typed returns value if it is of the kind;
+    json_field returns obj[key] of the kind, or default when the key is
+    missing and a default is given; json_objects yields (name, item) for
+    each object in the list obj[key].  where names the value, or obj, in
+    the ValueError raised for a missing field or a wrong JSON type:
+    "scenario.duration must be a number, not \"5\"", "manifest has no params".
+    """
     types, what = kind
     if isinstance(value, bool) or not isinstance(value, types):
-        raise TopologyError("%s must be %s, not %s" % (where, what, json.dumps(value)))
+        raise ValueError("%s must be %s, not %s" % (where, what, json.dumps(value)))
     return value
 
 
-def _json_field(where, obj, key, kind, default=_REQUIRED):
-    """obj[key] of the JSON type kind; where names obj in errors."""
+def json_field(where, obj, key, kind, default=_REQUIRED):
     if key not in obj:
         if default is _REQUIRED:
-            raise TopologyError("%s has no %s" % (where, key))
+            raise ValueError("%s has no %s" % (where, key))
         return default
-    return _json_typed("%s.%s" % (where, key), obj[key], kind)
+    return json_typed("%s.%s" % (where, key), obj[key], kind)
 
 
-def _json_objects(where, obj, key):
-    """(name in errors, object) of each item of the list obj[key]."""
-    items = _json_field(where, obj, key, _LIST)
+def json_objects(where, obj, key):
+    items = json_field(where, obj, key, LIST)
     for i, item in enumerate(items):
         name = "%s.%s[%d]" % (where, key, i)
-        yield name, _json_typed(name, item, _OBJECT)
+        yield name, json_typed(name, item, OBJECT)
 
 
 def _json_link_params(where, obj):
-    return (_json_field(where, obj, "bandwidth_bps", _NUMBER, DEFAULT_BANDWIDTH_BPS),
-            _json_field(where, obj, "prop_delay_s", _NUMBER, DEFAULT_PROP_DELAY_S))
+    return (json_field(where, obj, "bandwidth_bps", NUMBER, DEFAULT_BANDWIDTH_BPS),
+            json_field(where, obj, "prop_delay_s", NUMBER, DEFAULT_PROP_DELAY_S))
 
 
 # -- generators -----------------------------------------------------------

@@ -92,10 +92,13 @@ class TestSimulate:
         doc = {"topology": "diamond", "flows": [flow, {**flow, "src": "B", "dst": "A"}]}
         if value is MISSING:  # from the second flow, which the message names
             del doc["flows"][1][field]
-            expected = "scenario flow 1 has no %s" % field
+            expected = "scenario.flows[1] has no %s" % field
+        elif field in flow:  # the first flow
+            flow[field] = value
+            expected = 'scenario.flows[0].%s must be a number, not "%s"' % (field, value)
         else:
-            (flow if field in flow else doc)[field] = value
-            expected = 'scenario %s must be a number, not "%s"' % (field, value)
+            doc[field] = value
+            expected = 'scenario.%s must be a number, not "%s"' % (field, value)
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(doc))
         out = tmp_path / "run"
@@ -112,6 +115,11 @@ class TestSimulate:
         pytest.param({"bridges": [{"id": 1}, {"id": 2}], "links": [{"a": 1, "b": 2}],
                       "hosts": [{"id": "A", "bridge": 1}, {"id": "A", "bridge": 2}]},
                      'topology.hosts[1].id repeats host "A"', id="repeated-host"),
+        pytest.param({"bridges": [{"id": 1}, {"id": 2}],
+                      "links": [{"a": 1, "b": 2}, {"a": "A", "b": 2}],
+                      "hosts": [{"id": "A", "bridge": 1}]},
+                     "host 'A' attaches to bridge 1, but a link joins it to bridge 2",
+                     id="stray-host-link"),
     ])
     def test_topology_object_of_wrong_shape_runtime_error(self, tmp_path, capsys, topo,
                                                           expected):
@@ -304,8 +312,6 @@ class TestQbd:
     ["simulate", "--duration", "0"],
     ["simulate", "--duration", "-5"],
     ["qbd", "--c1", "1", "--c2", "0"],
-    ["qbd", "--c1", "1", "--c2", "1", "--mu", "0"],
-    ["qbd", "--c1", "1", "--c2", "1", "--mu", "nan"],
     ["balance", "--paths", "0"],
     ["balance", "--capacity", "-3"],
     ["balance", "--replications", "0"],
@@ -409,6 +415,22 @@ class TestReplay:
                     "--out", str(second)]) == 0
         for name in manifest["outputs"]:
             assert read(first / name) == read(second / name), name
+
+    @pytest.mark.parametrize("doc, expected", [
+        pytest.param({"subcommand": "qbd", "params": 5},
+                     "manifest.params must be an object, not 5", id="params-not-an-object"),
+        pytest.param([1, 2], "manifest must be an object, not [1, 2]", id="not-an-object"),
+        pytest.param({"subcommand": 7, "params": {}},
+                     "manifest.subcommand must be a string, not 7", id="subcommand-not-a-string"),
+        pytest.param({"params": {}}, "manifest has no subcommand", id="no-subcommand"),
+    ])
+    def test_malformed_manifest_runtime_error(self, tmp_path, capsys, doc, expected):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert run(["replay", str(manifest), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "allpath: error: %s\n" % expected
+        assert not out.exists()
 
     def test_manifest_records_run(self, tmp_path):
         assert run(["qbd", "--c1", "2", "--c2", "2", "--out", str(tmp_path)]) == 0
