@@ -44,7 +44,6 @@ def _write_manifest(outdir, subcommand, params, outputs, started):
     doc = {
         "subcommand": subcommand,
         "params": params,
-        "seed": params.get("seed"),
         "version": __version__,
         "outputs": sorted(outputs),
         "wall_clock_s": time.time() - started,
@@ -120,39 +119,32 @@ _host_list = _as_given(_parse_int_list, lambda v: all(h > 0 and h % 4 == 0 for h
 
 
 def cmd_simulate(args, outdir):
+    """Run the scenario file, or the flag scenario: --flows random 12,000-bit flows."""
+    doc = {}  # every field takes its option's value
     if args.scenario:
         with open(args.scenario) as fh:
             doc = json_typed("scenario", json.load(fh), OBJECT)
-        topo_spec = json_field("scenario", doc, "topology", NAME_OR_OBJECT, default=args.topology)
-        t = topology.Topology.from_json_dict(topo_spec) if isinstance(topo_spec, dict) \
-            else _parse_topology(topo_spec)
-        protocol = json_field("scenario", doc, "protocol", STR, default=args.protocol)
-        protocol = protocol.replace("-", "_")
-        seed = json_field("scenario", doc, "seed", INT, default=args.seed)
-        duration = json_field("scenario", doc, "duration", OPTIONAL_NUMBER, default=args.duration)
+    topo_spec = json_field("scenario", doc, "topology", NAME_OR_OBJECT, default=args.topology)
+    t = topology.Topology.from_json_dict(topo_spec) if isinstance(topo_spec, dict) \
+        else _parse_topology(topo_spec)
+    protocol = json_field("scenario", doc, "protocol", STR, default=args.protocol)
+    seed = json_field("scenario", doc, "seed", INT, default=args.seed)
+    duration = json_field("scenario", doc, "duration", OPTIONAL_NUMBER, default=args.duration)
+    if args.scenario:
         workload = [simnet.FlowSpec(json_field(where, f, "src", STR),
                                     json_field(where, f, "dst", STR),
                                     json_field(where, f, "size_bits", NUMBER),
                                     json_field(where, f, "start_time", NUMBER))
                     for where, f in json_objects("scenario", doc, "flows")]
     else:
-        t = _parse_topology(args.topology)
-        protocol = args.protocol.replace("-", "_")
-        seed = args.seed
-        duration = args.duration
         rng = random.Random(seed)
         hosts = sorted(t.hosts)
         if len(hosts) < 2:
             raise ValueError("topology has fewer than two hosts")
-        workload = []
-        for k in range(args.flows):
-            src, dst = rng.sample(hosts, 2)
-            workload.append(simnet.FlowSpec(src, dst, 12000, 0.3 * k))
-
-    eng = simnet.Engine(t, protocol, seed=seed)
-    for spec in workload:
-        eng.add_flow(spec)
-    report = eng.run(until=duration)
+        workload = [simnet.FlowSpec(*rng.sample(hosts, 2), 12000, 0.3 * k)
+                    for k in range(args.flows)]
+    report = simnet.run_scenario(t, protocol.replace("-", "_"), workload, seed=seed,
+                                 duration=duration)
 
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         fh.write(report.to_json())
@@ -160,7 +152,7 @@ def cmd_simulate(args, outdir):
         for line in report.utilization_csv_rows():
             fh.write(line + "\n")
     with open(os.path.join(outdir, "tables.csv"), "w") as fh:
-        dump_tables_csv(eng.bridges.values(), fh)
+        dump_tables_csv(report.bridges.values(), fh)
     return ["report.json", "report.csv", "tables.csv"]
 
 
@@ -226,14 +218,22 @@ def cmd_replay(args):
         argv += ["--" + key.replace("_", "-"), str(val)]
     if args.out:
         argv += ["--out", args.out]
+    build_parser(_ManifestParser).parse_args(argv)  # a bad value exits 1, before any output
     return main(argv)
 
 
 # -- parser ---------------------------------------------------------------
 
 
-def build_parser():
-    ap = argparse.ArgumentParser(prog="allpath", description=__doc__)
+class _ManifestParser(argparse.ArgumentParser):
+    """The parser for an argv rebuilt from a manifest: its errors are the manifest's."""
+
+    def error(self, message):
+        raise ValueError("manifest: " + message)
+
+
+def build_parser(parser_class=argparse.ArgumentParser):
+    ap = parser_class(prog="allpath", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("simulate", help="run a protocol traffic scenario")

@@ -141,10 +141,6 @@ def max_min_rates(flow_links):
     return rates
 
 
-def host_ip(host_id):
-    return "ip-" + host_id
-
-
 @dataclass
 class SimReport:
     protocol: str
@@ -158,6 +154,8 @@ class SimReport:
     # changed the network-wide total: change points, not one row per frame
     table_series: list = field(default_factory=list)
     final_tables: dict = field(default_factory=dict)
+    # bridge id -> bridge state at the end of the run; tables.csv is dumped from it
+    bridges: dict = field(default_factory=dict, repr=False)
 
     def to_json_dict(self):
         return {
@@ -184,7 +182,7 @@ class _Host:
         self.id = host_id
         self.bridge = bridge
         self.mac = host_id
-        self.ip = host_ip(host_id)
+        self.ip = "ip-" + host_id
         self.arp_cache = {}  # ip -> mac
 
 
@@ -201,7 +199,11 @@ class Engine:
         self._heap = []
         self._seq = 0
         self._entries_total = 0  # sum of len(bs.entries) over all bridges
-        # per-frame counts, written into report.counters by _finalize
+        # the report's counters, written into report.counters by _finalize
+        self.delivered = 0
+        self.absorbed = 0
+        self.flows_completed = 0
+        self.flows_unresolved = 0
         self.frames_created = 0
         self.frames_consumed = 0
         self.dropped_duplicate = 0
@@ -229,9 +231,7 @@ class Engine:
         self._active_flows = {}
         self._flow_gen = 0
         self._fluid_t = 0.0
-        self.report = SimReport(protocol=protocol, seed=seed, counters={
-            "delivered": 0, "absorbed": 0, "flows_completed": 0, "flows_unresolved": 0,
-        })
+        self.report = SimReport(protocol=protocol, seed=seed)
 
     # -- scheduling -------------------------------------------------------
 
@@ -253,15 +253,8 @@ class Engine:
             fn(time, *args)
         if until is not None:
             self.now = until
-        self.tick_all(self.now)
         self._finalize()
         return self.report
-
-    def tick_all(self, now):
-        for bs in self.bridges.values():
-            before = len(bs.entries)
-            bs.tick(now)
-            self._entries_total += len(bs.entries) - before
 
     # -- frame transport --------------------------------------------------
 
@@ -326,7 +319,7 @@ class Engine:
                               size_bits=ARP_SIZE_BITS, race_id=frame.race_id)
                 self._send(host.id, host.bridge, reply, now)
             else:
-                self.report.counters["absorbed"] += 1
+                self.absorbed += 1
         elif frame.kind == ARP_REPLY:
             if frame.dst_mac == host.mac:
                 host.arp_cache[frame.src_ip] = frame.src_mac
@@ -335,15 +328,13 @@ class Engine:
                     race["reply_trace"] = frame.trace
                 self._resolve_pending(host, frame.src_ip, now)
             else:
-                self.report.counters["absorbed"] += 1
+                self.absorbed += 1
+        elif frame.dst_mac == host.mac:
+            # the only data frames are probes, and a probe carries its flow index
+            self.delivered += 1
+            self.report.flows[frame.race_id]["probe_trace"] = frame.trace
         else:
-            if frame.dst_mac == host.mac:
-                self.report.counters["delivered"] += 1
-                flow = frame.race_id  # data probes carry their flow index here
-                if isinstance(flow, tuple) and flow and flow[0] == "probe":
-                    self.report.flows[flow[1]]["probe_trace"] = frame.trace
-            else:
-                self.report.counters["absorbed"] += 1
+            self.absorbed += 1
 
     # -- flows ------------------------------------------------------------
 
@@ -393,7 +384,7 @@ class Engine:
         rec = self.report.flows[idx]
         if path is None:
             rec["status"] = "miss"
-            self.report.counters["flows_unresolved"] += 1
+            self.flows_unresolved += 1
             return
         rec["path"] = path
         rec["data_start"] = now
@@ -403,9 +394,14 @@ class Engine:
         probe = Frame(kind=DATA, src_mac=src.mac, dst_mac=dst.mac,
                       src_ip=src.ip, dst_ip=dst.ip,
                       size_bits=min(PROBE_SIZE_BITS, int(rec["size_bits"])) or 1,
-                      race_id=("probe", idx))
+                      race_id=idx)
         self._send(src.id, src.bridge, probe, now)
-        self._fluid_register(idx, rec, now)
+        self._active_flows[idx] = {
+            "remaining": float(rec["size_bits"]),
+            "rate": 0.0,
+            "links": self._flow_links(rec),
+        }
+        self._fluid_recompute(now)
 
     # -- table walking (side-effect-free path lookup) ---------------------
 
@@ -441,23 +437,12 @@ class Engine:
         hops = [(rec["src"], path[0]), (path[-1], rec["dst"])] + list(zip(path, path[1:]))
         return tuple(self.hops[h].fluid for h in hops)
 
-    def _fluid_register(self, idx, rec, now):
-        self._active_flows[idx] = {
-            "remaining": float(rec["size_bits"]),
-            "rate": 0.0,
-            "links": self._flow_links(rec),
-        }
-        self._fluid_recompute(now)
-
-    def _fluid_advance(self, now):
+    def _fluid_recompute(self, now):
         dt = now - self._fluid_t
         if dt > 0:
             for f in self._active_flows.values():
                 f["remaining"] = max(0.0, f["remaining"] - f["rate"] * dt)
         self._fluid_t = now
-
-    def _fluid_recompute(self, now):
-        self._fluid_advance(now)
         # a flow is done once its remaining work is under a picosecond of service
         finished = [i for i, f in self._active_flows.items()
                     if f["remaining"] <= 1e-9 + 1e-12 * f["rate"]]
@@ -466,8 +451,8 @@ class Engine:
             rec = self.report.flows[i]
             rec["data_end"] = now
             rec["status"] = "done"
-            self.report.counters["flows_completed"] += 1
-        rates = self._max_min_rates()
+            self.flows_completed += 1
+        rates = max_min_rates({i: f["links"] for i, f in self._active_flows.items()})
         for i, f in self._active_flows.items():
             f["rate"] = rates[i]
         self._record_utilization(now)
@@ -482,9 +467,6 @@ class Engine:
             return
         self._fluid_recompute(now)
 
-    def _max_min_rates(self):
-        return max_min_rates({i: f["links"] for i, f in self._active_flows.items()})
-
     def _record_utilization(self, now):
         load = {}
         for f in self._active_flows.values():
@@ -498,13 +480,21 @@ class Engine:
     # -- reporting --------------------------------------------------------
 
     def _finalize(self):
-        self.report.races = [self._races[k] for k in sorted(self._races, key=str)]
-        self.report.final_tables = count_table_entries(self.bridges.values())
-        self.report.counters.update(
-            frames_created=self.frames_created, frames_consumed=self.frames_consumed,
-            in_flight=self.frames_created - self.frames_consumed,
-            dropped_duplicate=self.dropped_duplicate, dropped_miss=self.dropped_miss,
-            dropped_unresolved=self.dropped_unresolved)
+        """Apply the timers due by the end, then fill in the report."""
+        for bs in self.bridges.values():
+            bs.tick(self.now)
+        report = self.report
+        report.races = [self._races[k] for k in sorted(self._races, key=str)]
+        report.final_tables = count_table_entries(self.bridges.values())
+        report.bridges = self.bridges
+        report.counters = {
+            "delivered": self.delivered, "absorbed": self.absorbed,
+            "flows_completed": self.flows_completed, "flows_unresolved": self.flows_unresolved,
+            "frames_created": self.frames_created, "frames_consumed": self.frames_consumed,
+            "in_flight": self.frames_created - self.frames_consumed,
+            "dropped_duplicate": self.dropped_duplicate, "dropped_miss": self.dropped_miss,
+            "dropped_unresolved": self.dropped_unresolved,
+        }
 
 
 def run_scenario(topology, protocol, workload, seed=0, duration=None) -> SimReport:
@@ -539,28 +529,25 @@ def measure_empirical_tables(topology, protocol, seed=0):
     if window > LEARNT_TIMER / 2 - 1:
         raise ScenarioError("workload window too long for the learnt timer")
 
-    eng = Engine(topology, protocol, seed=seed)
+    workload = []
     t = 0.0
     for a, b in pairs:
-        eng.add_flow(FlowSpec(a, b, PROBE_SIZE_BITS, t))
+        workload.append(FlowSpec(a, b, PROBE_SIZE_BITS, t))
         t += gap
-    refresh_flows = {}
-    tt = window + LOCK_TIMER + LEARNT_TIMER / 2
-    for a, b in pairs:
-        refresh_flows[(a, b)] = eng.add_flow(FlowSpec(a, b, PROBE_SIZE_BITS, tt))
-        refresh_flows[(b, a)] = eng.add_flow(FlowSpec(b, a, PROBE_SIZE_BITS, tt + gap / 4))
-        tt += gap / 2
+    t = window + LOCK_TIMER + LEARNT_TIMER / 2
+    for a, b in pairs:  # the refresh flows, after the len(pairs) phase-1 flows
+        workload.append(FlowSpec(a, b, PROBE_SIZE_BITS, t))
+        workload.append(FlowSpec(b, a, PROBE_SIZE_BITS, t + gap / 4))
+        t += gap / 2
     measure_at = window + LOCK_TIMER + LEARNT_TIMER + 1.0
-    report = eng.run(until=measure_at)
+    report = run_scenario(topology, protocol, workload, seed=seed, duration=measure_at)
 
-    counts = count_table_entries(eng.bridges.values())
-    total = counts["total"]
+    total = report.final_tables["total"]
     traces = {}
-    for (a, b), idx in refresh_flows.items():
-        tr = report.flows[idx]["probe_trace"]
-        if tr is None:
-            raise ScenarioError("refresh probe %s->%s was not delivered" % (a, b))
-        traces[(a, b)] = tr
+    for rec in report.flows[len(pairs):]:
+        if rec["probe_trace"] is None:
+            raise ScenarioError("refresh probe %s->%s was not delivered" % (rec["src"], rec["dst"]))
+        traces[(rec["src"], rec["dst"])] = rec["probe_trace"]
 
     H = len(hosts)
     edge_set = sorted({topology.hosts[h] for h in hosts})

@@ -194,6 +194,42 @@ class TestPinnedOutputs:
                    for name in self.DIGESTS[protocol]}
         assert digests == self.DIGESTS[protocol]
 
+    # a scenario file on a 4x4 grid with two hosts per corner: 20 flows, every
+    # other one 400 Mbit so that bulk flows overlap, cut at 4 s
+    SCENARIO_DIGESTS = {
+        "arp-path": {
+            "report.json": "277a74316a166efbbb5f8dfae5a4cbe230fde3e3ffa6332c3a9051cca6ce0985",
+            "report.csv": "9ddfa610084ba80ff2acc8bd01e5f6ad382392eac910ab9e460bea911867cc80",
+            "tables.csv": "31b2e5f495cda7bd7f4f40420f328839f7b6dbf3d07e2160d6ffeeaa983ff938",
+        },
+        "flow-path": {
+            "report.json": "6cbadc2dc9bdd66b599af4b4e818d76e1690874915b62d0173985d781b747626",
+            "report.csv": "7fe8a5e157184e6a2e4d633263eb7e2b5ef3523c0cde4496973f420613a76e78",
+            "tables.csv": "a0a2880f1df5e607db6d321c6533fed0b1cd6a4de8c52b4de89135db3fbc8865",
+        },
+        "bridge-path": {
+            "report.json": "bb70f79048f0cf09af05cedacf3766986fba654426d2cd6fe9c6c2a4fd13bfe3",
+            "report.csv": "1eb1e4c0d83c51326b3b8fe15ad4456c3b7739434d0614ee236adfbc5204431b",
+            "tables.csv": "5cd2cf2282ea7aaf955e5eab48522333659b86ace837ef6ef84281001db69bb1",
+        },
+    }
+
+    @pytest.mark.parametrize("protocol", sorted(SCENARIO_DIGESTS))
+    def test_scenario_outputs_are_pinned(self, tmp_path, protocol):
+        topo = make_simple_grid(4, hosts_per_corner=2)
+        pairs = list(itertools.permutations(sorted(topo.hosts), 2))
+        random.Random(2017).shuffle(pairs)
+        flows = [{"src": a, "dst": b, "size_bits": 4e8 if k % 2 else 12000,
+                  "start_time": 0.1 * k} for k, (a, b) in enumerate(pairs[:20])]
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"topology": topo.to_json_dict(), "protocol": protocol,
+                                        "seed": 11, "duration": 4.0, "flows": flows}))
+        out = tmp_path / "run"
+        assert run(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256(read(out / name)).hexdigest()
+                   for name in self.SCENARIO_DIGESTS[protocol]}
+        assert digests == self.SCENARIO_DIGESTS[protocol]
+
 
 class TestHashSeedIndependence:
     def test_bridge_path_bytes_do_not_depend_on_pythonhashseed(self, tmp_path):
@@ -423,6 +459,17 @@ class TestReplay:
         pytest.param({"subcommand": 7, "params": {}},
                      "manifest.subcommand must be a string, not 7", id="subcommand-not-a-string"),
         pytest.param({"params": {}}, "manifest has no subcommand", id="no-subcommand"),
+        # well-typed values that the parser refuses: one line, not usage text
+        pytest.param({"subcommand": "bogus", "params": {}},
+                     "manifest: argument cmd: invalid choice: 'bogus' (choose from 'simulate', "
+                     "'scalability', 'qbd', 'balance', 'replay')", id="unknown-subcommand"),
+        pytest.param({"subcommand": "qbd", "params": {"c1": 2, "c2": 2, "rho": [1, 2]}},
+                     "manifest: argument --rho: [1, 2] is not a comma list of finite "
+                     "numbers > 0", id="rho-a-list"),
+        pytest.param({"subcommand": "qbd", "params": {"c2": 2}},
+                     "manifest: the following arguments are required: --c1", id="no-c1"),
+        pytest.param({"subcommand": "simulate", "params": {"seed": 2.5}},
+                     "manifest: argument --seed: invalid int value: '2.5'", id="seed-a-float"),
     ])
     def test_malformed_manifest_runtime_error(self, tmp_path, capsys, doc, expected):
         manifest = tmp_path / "manifest.json"
@@ -431,6 +478,25 @@ class TestReplay:
         assert run(["replay", str(manifest), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "allpath: error: %s\n" % expected
         assert not out.exists()
+
+    def test_dense_refusal_on_replay_is_usage_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"subcommand": "qbd", "params": {
+            "c1": 64, "c2": 64, "method": "dense"}}))
+        out = tmp_path / "run"
+        assert run(["replay", str(manifest), "--out", str(out)]) == 2
+        assert "limited to 4096 states" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scenario_manifest_fields(self, tmp_path):
+        # the seed that ran is the scenario's; the manifest does not repeat one
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"topology": "diamond", "seed": 3, "flows": [
+            {"src": "A", "dst": "B", "size_bits": 12000, "start_time": 0.0}]}))
+        assert run(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        assert sorted(doc) == ["outputs", "params", "subcommand", "version", "wall_clock_s"]
+        assert doc["params"]["scenario"] == str(scenario)
 
     def test_manifest_records_run(self, tmp_path):
         assert run(["qbd", "--c1", "2", "--c2", "2", "--out", str(tmp_path)]) == 0

@@ -2,7 +2,9 @@
 
 import heapq
 import json
+import os
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -409,3 +411,41 @@ class TestCensus:
     def test_rejects_single_host(self):
         with pytest.raises(ScenarioError):
             measure_empirical_tables(make_line(3, hosts={"A": 1}), "arp_path")
+
+    # exact 5-tuples on simple grids with two hosts per corner at seed 3
+    PINNED = {
+        ("arp_path", 2): (32, 2.142857142857143, 1.8571428571428572, 4, 8),
+        ("arp_path", 3): (66, 3.2857142857142856, 4.964285714285714, 4, 8),
+        ("arp_path", 4): (103, 4.428571428571429, 8.446428571428571, 4, 8),
+        ("flow_path", 2): (120, 2.142857142857143, 0.0, 4, 8),
+        ("flow_path", 3): (184, 3.2857142857142856, 0.0, 4, 8),
+        ("flow_path", 4): (248, 4.428571428571429, 0.0, 4, 8),
+        ("bridge_path", 2): (16, 2.3333333333333335, 1.6666666666666665, 4, 8),
+        ("bridge_path", 3): (32, 3.6666666666666665, 4.333333333333334, 4, 8),
+        ("bridge_path", 4): (46, 5.0, 6.5, 4, 8),
+    }
+
+    @pytest.mark.parametrize("protocol, n", list(PINNED))
+    def test_census_tuples_are_pinned(self, protocol, n):
+        t = make_simple_grid(n, hosts_per_corner=2)
+        assert measure_empirical_tables(t, protocol, seed=3) == self.PINNED[(protocol, n)]
+
+
+class TestBenchmarkTracer:
+    def test_tracer_fits_the_package(self, monkeypatch):
+        # the benchmark's tracer patches simnet and protocol names from
+        # outside; one renamed away fails here, not in a benchmark run
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        import tracing
+
+        from allpath import balance, cli, protocol, qbd, scalability, topology
+
+        api = SimpleNamespace(balance=balance, cli=cli, protocol=protocol, qbd=qbd,
+                              scalability=scalability, simnet=simnet, topology=topology)
+        tracer = tracing.Tracer()
+        tracing.install(tracer, api)
+        try:
+            run_scenario(make_diamond(), "arp_path", [FlowSpec("A", "B", 12000, 0.0)], seed=1)
+        finally:
+            tracer.unpatch()
+        assert tracing.layer_metrics(tracer.spans)["simnet.frames"] > 0
