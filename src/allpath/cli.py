@@ -226,7 +226,14 @@ def cmd_replay(args):
 
 
 class _ManifestParser(argparse.ArgumentParser):
-    """The parser for an argv rebuilt from a manifest: its errors are the manifest's."""
+    """The parser for an argv rebuilt from a manifest: its errors are the manifest's.
+
+    A manifest names each option in full and has no --help, so a key that is
+    not exactly an option of its subcommand is refused, not run.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, add_help=False, **kwargs)
 
     def error(self, message):
         raise ValueError("manifest: " + message)

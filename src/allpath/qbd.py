@@ -12,9 +12,11 @@ once, and lists the chain's five transitions once.  Both solvers solve the
 same linear system A x = e_k: A is Q^T with row k replaced by e_k, where k
 is a state on the modal occupancy level, so that x = pi / pi_k stays in
 range; pi is x / sum(x).  Ordered by levels i = 0..C1, A is banded with
-half-bandwidth C2 + 1.  `block_tridiagonal` (the default) stores that band
-and runs LAPACK's banded LU; `dense` fills the whole matrix and is kept as
-a small-model oracle, refused above DENSE_MAX_STATES states.
+half-bandwidth C2 + 1.  Each solver builds one matrix and LAPACK factors it
+in place: `block_tridiagonal` (the default) stores the band, with the rows
+for fill-in, and runs `dgbsv`; `dense` fills the whole matrix, runs
+`dgetrf`, and is kept as a small-model oracle, refused above
+DENSE_MAX_STATES states.
 
 Swap invariant: for C1 == C2 the generator is unchanged by relabelling the
 paths, (i, j) -> (j, i) (a tie gives lambda/2 to each path, departures run
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 SOLVER_TOL = 1e-10
-DENSE_MAX_STATES = 4096  # a 128 MiB matrix; C1 = C2 = 60 has 3,721 states
+DENSE_MAX_STATES = 4096  # a 128 MiB matrix, the dense solve's whole footprint; C = 60 has 3,721
 
 
 class QbdError(ValueError):
@@ -140,28 +142,45 @@ def build_generator(model: QbdModel) -> Generator:
     return Generator(model)
 
 
+def _check_info(info):
+    """The LAPACK wrappers report failure in info and do not raise: info > 0
+    is a zero pivot of the LU, info < 0 an illegal argument."""
+    if info:
+        raise np.linalg.LinAlgError("singular matrix" if info > 0 else
+                                    "illegal value in LAPACK argument %d" % -info)
+
+
 def _solve_dense(g: Generator, k: int) -> np.ndarray:
     if g.n_states > DENSE_MAX_STATES:
         raise QbdError("dense solve refused: %d states, above the limit of %d"
                        % (g.n_states, DENSE_MAX_STATES))
-    A = g.dense().T.copy()  # Q is freed here, before LAPACK copies A
+    from scipy.linalg.lapack import dgetrf, dgetrs  # a cold import costs about 0.3 s
+
+    A = g.dense().T  # Q is C-ordered, so Q^T is a Fortran-ordered view: no copy
     A[k] = 0.0
     A[k, k] = 1.0
-    return np.linalg.solve(A, np.eye(1, g.n_states, k)[0])
+    lu, piv, info = dgetrf(A, overwrite_a=True)
+    _check_info(info)
+    x, info = dgetrs(lu, piv, np.eye(1, g.n_states, k)[0], overwrite_b=True)
+    _check_info(info)
+    return x
 
 
 def _solve_banded(g: Generator, k: int) -> np.ndarray:
-    """The same system in LAPACK band storage, ab[w + r - c, c] = A[r, c]."""
-    from scipy.linalg import solve_banded  # a cold import costs about 0.3 s
+    """The same system in LAPACK band storage, ab[2w + r - c, c] = A[r, c]; the
+    top w rows are the room gbsv needs for the fill-in of row interchanges."""
+    from scipy.linalg.lapack import dgbsv  # a cold import costs about 0.3 s
 
     w, n = g.block_size, g.n_states  # level order: (i +- 1, j) is w states away
-    ab = np.zeros((2 * w + 1, n))
+    ab = np.zeros((3 * w + 1, n), order="F")
     for rate, src, tgt in g.transitions:
-        ab[w + tgt - src, src] = rate  # A[tgt, src] = Q[src, tgt]
+        ab[2 * w + tgt - src, src] = rate  # A[tgt, src] = Q[src, tgt]
     c = np.arange(max(0, k - w), min(n, k + w + 1))
-    ab[w + k - c, c] = 0.0
-    ab[w, k] = 1.0
-    return solve_banded((w, w), ab, np.eye(1, n, k)[0])
+    ab[2 * w + k - c, c] = 0.0
+    ab[2 * w, k] = 1.0
+    _, _, x, info = dgbsv(w, w, ab, np.eye(1, n, k)[0], overwrite_ab=True, overwrite_b=True)
+    _check_info(info)
+    return x
 
 
 def solve_stationary(g: Generator, method="block_tridiagonal") -> StationaryDistribution:

@@ -470,13 +470,22 @@ class TestReplay:
                      "manifest: the following arguments are required: --c1", id="no-c1"),
         pytest.param({"subcommand": "simulate", "params": {"seed": 2.5}},
                      "manifest: argument --seed: invalid int value: '2.5'", id="seed-a-float"),
+        # a key is an option named in full: no help action, no abbreviation
+        pytest.param({"subcommand": "qbd", "params": {"c1": 2, "c2": 2, "help": True}},
+                     "manifest: unrecognized arguments: --help True", id="help"),
+        pytest.param({"subcommand": "qbd", "params": {"c1": 2, "c2": 2, "he": 1}},
+                     "manifest: unrecognized arguments: --he 1", id="he"),
+        pytest.param({"subcommand": "qbd", "params": {"c1": 2, "c2": 2, "meth": "dense"}},
+                     "manifest: unrecognized arguments: --meth dense", id="meth"),
     ])
     def test_malformed_manifest_runtime_error(self, tmp_path, capsys, doc, expected):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps(doc))
         out = tmp_path / "run"
         assert run(["replay", str(manifest), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "allpath: error: %s\n" % expected
+        captured = capsys.readouterr()
+        assert captured.err == "allpath: error: %s\n" % expected
+        assert captured.out == ""
         assert not out.exists()
 
     def test_dense_refusal_on_replay_is_usage_error(self, tmp_path, capsys):

@@ -1,7 +1,10 @@
 """Two-path CTMC: generator structure, stationary solves, derived metrics."""
 
 import math
+import os
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -169,6 +172,29 @@ class TestSolvers:
         with pytest.raises(QbdError, match="refused"):
             solve_stationary(g, "dense")
 
+    @pytest.mark.parametrize("method", ["dense", "block_tridiagonal"])
+    def test_singular_system_is_an_error(self, method):
+        # with no transitions A is e_k in row k and zero elsewhere; LAPACK
+        # reports the zero pivot in info, which must not pass as a solution
+        g = build_generator(QbdModel(3, 2, 1.0, 1.0))
+        g.transitions = []
+        with pytest.raises(QbdError, match="%s solve failed" % method):
+            solve_stationary(g, method)
+
+    @pytest.mark.parametrize("method, C", [("dense", 40), ("block_tridiagonal", 100)])
+    def test_solve_factors_only_the_matrix_it_builds(self, method, C):
+        solve_model(2, 2, 1.0, 1.0, method=method)  # warm the imports
+        g = build_generator(QbdModel(C, C, float(C), 1.0))
+        n, w = g.n_states, g.block_size
+        matrix = 8 * n * n if method == "dense" else 8 * n * (3 * w + 1)
+        tracemalloc.start()
+        try:
+            solve_stationary(g, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * matrix, "peak %.2f x the matrix" % (peak / matrix)
+
     @pytest.mark.parametrize("C1,C2", [(1, 1), (5, 3), (7, 15), (30, 20), (100, 100)])
     def test_pinned_state_is_on_the_modal_level(self, C1, C2):
         c = C1 + C2
@@ -323,3 +349,27 @@ class TestMetrics:
         assert gap[-2] == pytest.approx(float(d.pi[0, 2]))
         assert gap[1] == pytest.approx(float(d.pi[1, 0]) + float(d.pi[2, 1])
                                        + float(d.pi[3, 2]))
+
+
+class TestBenchmarkTracer:
+    def test_tracer_fits_the_qbd_spans(self, monkeypatch):
+        # the benchmark's tracer patches qbd names from outside; a dense solve
+        # that stops calling Generator.dense, or a renamed one, fails here
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+        import tracing
+
+        from allpath import balance, cli, protocol, scalability, simnet, topology
+
+        api = SimpleNamespace(balance=balance, cli=cli, protocol=protocol, qbd=qbd,
+                              scalability=scalability, simnet=simnet, topology=topology)
+        tracer = tracing.Tracer()
+        tracing.install(tracer, api)
+        try:
+            for method in ("dense", "block_tridiagonal"):
+                solve_model(5, 5, 2.0, 1.0, method=method)
+        finally:
+            tracer.unpatch()
+        metrics = tracing.layer_metrics(tracer.spans)
+        assert metrics["qbd.dense_matrix_bytes"] == 8 * 36 ** 2
+        assert metrics["qbd.solve_dense_s"] > 0
+        assert metrics["qbd.solve_block_s"] > 0
