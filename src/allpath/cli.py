@@ -149,8 +149,7 @@ def cmd_simulate(args, outdir):
     with open(os.path.join(outdir, "report.json"), "w") as fh:
         fh.write(report.to_json())
     with open(os.path.join(outdir, "report.csv"), "w") as fh:
-        for line in report.utilization_csv_rows():
-            fh.write(line + "\n")
+        report.write_utilization_csv(fh)
     with open(os.path.join(outdir, "tables.csv"), "w") as fh:
         dump_tables_csv(report.bridges.values(), fh)
     return ["report.json", "report.csv", "tables.csv"]

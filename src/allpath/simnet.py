@@ -5,6 +5,9 @@ packet-level: they ride the current output-queue occupancies, which is what
 decides the latency race.  Bulk flow payloads are carried as a flow-level
 fluid model (max-min capacity shares, recomputed at flow start/end), since
 packet-level simulation of multi-megabyte flows is pointless at this scale.
+The max-min fill runs on the compiled kernel (allpath._fluid_core) when it
+was built, otherwise on its pure-python twin, fill_py; KERNEL names the one
+in use, "c" or "python".  The twins return identical results.
 
 Events fire in (fire_time, tie, seq) order.  The tie component is a seeded
 random draw made when the event is scheduled, so simultaneous frame
@@ -18,7 +21,6 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from .protocol import (
     ARP_REPLY,
@@ -39,6 +41,7 @@ PROTOCOLS = tuple(BRIDGE_CLASSES)
 
 ARP_SIZE_BITS = 64 * 8  # ARP requests and replies
 PROBE_SIZE_BITS = 1500 * 8  # the data probe of a flow, capped at the flow size
+CSV_BATCH_ROWS = 16384  # report.csv lines formatted and written per writelines call
 
 
 class ScenarioError(ValueError):
@@ -61,66 +64,82 @@ class FlowSpec:
             raise ScenarioError("flow from host %r to itself" % (self.src_host,))
 
 
-class FluidLink:
-    """A link as the fluid plane sees it: one per link and engine, built once.
-
-    Holds the link's bandwidth, its "a-b" name in report.csv and the sort
-    key of that name, so that no recompute rebuilds any of them.
-    """
-
-    __slots__ = ("bandwidth_bps", "name", "order")
-
-    def __init__(self, link):
-        self.bandwidth_bps = link.bandwidth_bps
-        self.order = tuple(sorted(map(str, (link.a, link.b))))
-        self.name = "-".join(self.order)
-
-
 class Hop:
     """One direction of a link, built once per engine.
 
     busy_until is when the output port at the near end finishes sending
     what is queued on it; to_host says whether the far end is a host.  Both
-    directions of a link share one FluidLink, so the fluid plane sees the
-    link undirected.
+    directions of a link share one fluid-plane index, link, so the fluid
+    plane sees the link undirected.
     """
 
-    __slots__ = ("bandwidth_bps", "prop_delay_s", "busy_until", "to_host", "fluid")
+    __slots__ = ("bandwidth_bps", "prop_delay_s", "busy_until", "to_host", "link")
 
-    def __init__(self, link, to_host, fluid):
+    def __init__(self, link, to_host, index):
         self.bandwidth_bps = link.bandwidth_bps
         self.prop_delay_s = link.prop_delay_s
         self.busy_until = 0.0
         self.to_host = to_host
-        self.fluid = fluid
+        self.link = index
 
 
-def max_min_rates(flow_links):
-    """Max-min fair rate of every flow, by progressive filling.
+class ActiveFlow:
+    """A flow on the fluid plane: bits left to send, its current rate and
+    the tuple of fluid-plane indices of the links it crosses."""
 
-    flow_links maps each flow to the FluidLink records of the links it
-    crosses (each link once per flow, one shared record per link).  Each
-    round picks the link whose residual capacity, split evenly over its
-    unfrozen flows, is smallest (the first such link in order of first
-    appearance), freezes those flows at that share and takes it off every
-    link they cross (Bertsekas & Gallager, Data Networks, 2nd ed., 6.5.2).
-    Each link keeps a live count of its unfrozen flows.  Every flow frozen
-    in a round subtracts the same share, so the residuals do not depend on
-    the order in which the flows freeze.
+    __slots__ = ("remaining", "rate", "links")
+
+    def __init__(self, remaining, links):
+        self.remaining = remaining
+        self.rate = 0.0
+        self.links = links
+
+
+def fill_py(flows, bandwidth):
+    """Max-min fair rates and link utilizations, by progressive filling.
+
+    flows holds one tuple of link indices per flow (each link once per
+    flow); bandwidth[k] is the capacity of link k.  Returns (rates,
+    utilization): rates aligned with flows, and (k, load / bandwidth[k])
+    for every link k that a flow crosses, in ascending k.
+
+    Each round picks the link whose residual capacity, split evenly over
+    its unfrozen flows, is smallest: the first such link in order of first
+    appearance, over the flows in order and over each flow's links in tuple
+    order.  It freezes those flows at that share and takes the share once
+    off every link each of them crosses (Bertsekas & Gallager, Data
+    Networks, 2nd ed., 6.5.2).  Each link keeps a live count of its
+    unfrozen flows.  A link's load is the left-to-right sum of the rates of
+    its flows, in flow order.
+
+    This is the specification of the compiled allpath._fluid_core.fill,
+    which does the same floating-point operations in the same order.
     """
+    n_links = len(bandwidth)
     residual = {}
-    count = {}  # links with unfrozen flows -> how many
+    count = {}  # links with unfrozen flows -> how many, in order of first appearance
     crossing = {}
-    for i, links in flow_links.items():
+    for i, links in enumerate(flows):
+        if not isinstance(links, tuple):
+            raise TypeError("each flow must be a tuple of link indices")
+        if not links:
+            raise ValueError("flow %d crosses no link" % i)
         for ln in links:
+            if not isinstance(ln, int):
+                raise TypeError("link indices must be ints, not %r" % (ln,))
             if ln in count:
                 count[ln] += 1
                 crossing[ln].append(i)
-            else:
-                count[ln] = 1
-                crossing[ln] = [i]
-                residual[ln] = ln.bandwidth_bps
-    rates = {}
+                continue
+            if not 0 <= ln < n_links:
+                raise IndexError("link index %r out of range" % (ln,))
+            bw = bandwidth[ln]
+            if not bw > 0:
+                raise ValueError("bandwidth must be positive, not %r" % (bw,))
+            count[ln] = 1
+            crossing[ln] = [i]
+            residual[ln] = bw
+    rates = [None] * len(flows)
     while count:
         best, best_share = None, None
         for ln, n in count.items():
@@ -128,17 +147,30 @@ def max_min_rates(flow_links):
             if best_share is None or share < best_share:
                 best, best_share = ln, share
         for i in crossing[best]:
-            if i in rates:
+            if rates[i] is not None:
                 continue
             rates[i] = best_share
-            for ln in flow_links[i]:
+            for ln in flows[i]:
                 residual[ln] -= best_share
                 n = count[ln] - 1
                 if n:
                     count[ln] = n
                 else:
                     del count[ln]
-    return rates
+    # an explicit loop: sum() of floats compensates from Python 3.12 on
+    load = {}
+    for links, rate in zip(flows, rates):
+        for ln in links:
+            load[ln] = load.get(ln, 0.0) + rate
+    return rates, [(ln, load[ln] / bandwidth[ln]) for ln in sorted(load)]
+
+
+try:  # pragma: no cover - depends on the build
+    from ._fluid_core import fill
+    KERNEL = "c"
+except ImportError:  # pragma: no cover
+    fill = fill_py
+    KERNEL = "python"
 
 
 @dataclass
@@ -171,10 +203,13 @@ class SimReport:
     def to_json(self):
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
-    def utilization_csv_rows(self):
-        yield "time,link,utilization"
-        for t, link, u in self.link_utilization:
-            yield "%.12g,%s,%.12g" % (t, link, u)
+    def write_utilization_csv(self, fh):
+        """report.csv: a header, then one "time,link,utilization" line per
+        link_utilization row, formatted and written in batches."""
+        fh.write("time,link,utilization\n")
+        rows = self.link_utilization
+        for k in range(0, len(rows), CSV_BATCH_ROWS):
+            fh.writelines(["%.12g,%s,%.12g\n" % row for row in rows[k:k + CSV_BATCH_ROWS]])
 
 
 class _Host:
@@ -219,16 +254,22 @@ class Engine:
 
         self.hosts = {h: _Host(h, b) for h, b in topology.hosts.items()}
 
+        # the fluid plane numbers the links once, ranked by the sorted ends
+        # that their "a-b" names join, so ascending index is the order of
+        # report.csv's rows within one recompute
+        ends = {ln: sorted(map(str, (ln.a, ln.b))) for ln in topology.links.values()}
+        ranked = sorted(ends, key=ends.get)
+        self._link_names = tuple("-".join(ends[ln]) for ln in ranked)
+        self._bandwidth = tuple(float(ln.bandwidth_bps) for ln in ranked)
         self.hops = {}  # (node, port) -> Hop, two per link
-        for ln in topology.links.values():
-            fluid = FluidLink(ln)
-            self.hops[(ln.a, ln.b)] = Hop(ln, ln.b in self.hosts, fluid)
-            self.hops[(ln.b, ln.a)] = Hop(ln, ln.a in self.hosts, fluid)
+        for k, ln in enumerate(ranked):
+            self.hops[(ln.a, ln.b)] = Hop(ln, ln.b in self.hosts, k)
+            self.hops[(ln.b, ln.a)] = Hop(ln, ln.a in self.hosts, k)
 
         self._race_seq = 0
         self._races = {}  # race_id -> record
         self._pending = {}  # (src_host, dst_ip) -> list of flows awaiting resolution
-        self._active_flows = {}
+        self._active_flows = {}  # flow index -> ActiveFlow
         self._flow_gen = 0
         self._fluid_t = 0.0
         self.report = SimReport(protocol=protocol, seed=seed)
@@ -396,11 +437,7 @@ class Engine:
                       size_bits=min(PROBE_SIZE_BITS, int(rec["size_bits"])) or 1,
                       race_id=idx)
         self._send(src.id, src.bridge, probe, now)
-        self._active_flows[idx] = {
-            "remaining": float(rec["size_bits"]),
-            "rate": 0.0,
-            "links": self._flow_links(rec),
-        }
+        self._active_flows[idx] = ActiveFlow(float(rec["size_bits"]), self._flow_links(rec))
         self._fluid_recompute(now)
 
     # -- table walking (side-effect-free path lookup) ---------------------
@@ -429,36 +466,37 @@ class Engine:
     # -- fluid data plane -------------------------------------------------
 
     def _flow_links(self, rec):
-        """Fluid records of flow rec's links: its two host links, then its path.
+        """Fluid-plane indices of flow rec's links: its two host links, then its path.
 
-        max_min_rates breaks ties by first appearance, so the order is fixed.
+        fill breaks ties by first appearance, so the order is fixed.
         """
         path = rec["path"]
         hops = [(rec["src"], path[0]), (path[-1], rec["dst"])] + list(zip(path, path[1:]))
-        return tuple(self.hops[h].fluid for h in hops)
+        return tuple(self.hops[h].link for h in hops)
 
     def _fluid_recompute(self, now):
+        active = self._active_flows
         dt = now - self._fluid_t
         if dt > 0:
-            for f in self._active_flows.values():
-                f["remaining"] = max(0.0, f["remaining"] - f["rate"] * dt)
+            for f in active.values():
+                f.remaining = max(0.0, f.remaining - f.rate * dt)
         self._fluid_t = now
         # a flow is done once its remaining work is under a picosecond of service
-        finished = [i for i, f in self._active_flows.items()
-                    if f["remaining"] <= 1e-9 + 1e-12 * f["rate"]]
+        finished = [i for i, f in active.items() if f.remaining <= 1e-9 + 1e-12 * f.rate]
         for i in finished:
-            del self._active_flows[i]
+            del active[i]
             rec = self.report.flows[i]
             rec["data_end"] = now
             rec["status"] = "done"
             self.flows_completed += 1
-        rates = max_min_rates({i: f["links"] for i, f in self._active_flows.items()})
-        for i, f in self._active_flows.items():
-            f["rate"] = rates[i]
-        self._record_utilization(now)
-        if self._active_flows:
-            eta = min(now + f["remaining"] / f["rate"]
-                      for f in self._active_flows.values() if f["rate"] > 0)
+        flows = list(active.values())
+        rates, utilization = fill([f.links for f in flows], self._bandwidth)
+        for f, rate in zip(flows, rates):
+            f.rate = rate
+        names = self._link_names
+        self.report.link_utilization.extend([(now, names[k], u) for k, u in utilization])
+        if flows:
+            eta = min(now + f.remaining / f.rate for f in flows if f.rate > 0)
             self._flow_gen += 1
             self.schedule(eta, self._fluid_check, self._flow_gen)
 
@@ -466,16 +504,6 @@ class Engine:
         if gen != self._flow_gen:
             return
         self._fluid_recompute(now)
-
-    def _record_utilization(self, now):
-        load = {}
-        for f in self._active_flows.values():
-            rate = f["rate"]
-            for ln in f["links"]:
-                load[ln] = load.get(ln, 0.0) + rate
-        rows = self.report.link_utilization
-        for ln in sorted(load, key=attrgetter("order")):
-            rows.append((now, ln.name, load[ln] / ln.bandwidth_bps))
 
     # -- reporting --------------------------------------------------------
 

@@ -1,8 +1,58 @@
 """Shared fixtures."""
 
+import importlib
+import importlib.machinery
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
 import pytest
 
 from allpath.simnet import Engine, measure_empirical_tables
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """compiled_kernel(name) -> the compiled module allpath.<name>.
+
+    The in-place build when the checkout has one; otherwise every extension
+    of setup.py is built once into a temp dir and the module loaded from
+    there.  Skips only when there is no C compiler.
+    """
+    build = {}
+
+    def load(name):
+        try:
+            return importlib.import_module("allpath." + name)
+        except ImportError:
+            pass
+        if "lib" not in build:
+            cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+            if shutil.which(cc.split()[0]) is None:
+                pytest.skip("no C compiler to build the kernels with")
+            lib = tmp_path_factory.mktemp("build")
+            build["lib"] = lib
+            build["proc"] = subprocess.run(
+                [sys.executable, "setup.py", "build_ext", "--build-lib", str(lib),
+                 "--build-temp", str(lib)],
+                cwd=ROOT, capture_output=True, text=True)
+        proc = build["proc"]
+        # the extensions are optional, so a failed compile shows only as a missing file
+        built = [path for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                 for path in (build["lib"] / "allpath").glob(name + suffix)]
+        assert proc.returncode == 0 and built, proc.stdout + proc.stderr
+        spec = importlib.util.spec_from_file_location("allpath." + name, built[0])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    return load
 
 
 @pytest.fixture

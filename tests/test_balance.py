@@ -1,14 +1,10 @@
 """Flow-level balance simulator: scheduler, fairness, kernels, Erlang-B."""
 
-import importlib.machinery
-import importlib.util
 import math
 import os
 import random
-import shutil
 import subprocess
 import sys
-import sysconfig
 from pathlib import Path
 
 import pytest
@@ -211,34 +207,9 @@ class TestSimulate:
             assert abs(mean - want) <= 3 * max(se, 1e-4), (rho, mean, want, se)
 
 
-@pytest.fixture(scope="module")
-def compiled_kernel(tmp_path_factory):
-    """allpath._balance_core; when the checkout has no build, one built in a temp dir."""
-    try:
-        from allpath import _balance_core
-        return _balance_core
-    except ImportError:
-        pass
-    cc = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    if shutil.which(cc.split()[0]) is None:
-        pytest.skip("no C compiler to build the kernel with")
-    tmp_path = tmp_path_factory.mktemp("build")
-    # the extension is optional, so a failed compile shows only as a missing file
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--build-lib", str(tmp_path),
-         "--build-temp", str(tmp_path)],
-        cwd=ROOT, capture_output=True, text=True)
-    built = [path for suffix in importlib.machinery.EXTENSION_SUFFIXES
-             for path in (tmp_path / "allpath").glob("_balance_core" + suffix)]
-    assert proc.returncode == 0 and built, proc.stdout + proc.stderr
-    spec = importlib.util.spec_from_file_location("allpath._balance_core", built[0])
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestKernels:
     def test_kernel_twins_match_exactly(self, compiled_kernel):
+        core = compiled_kernel("_balance_core")
         # the C kernel and the pure-python twin share one RNG stream and
         # perform the same floating-point operations in the same order
         cases = [
@@ -252,19 +223,20 @@ class TestKernels:
             for seed in (1, 99, 2**63 + 17):
                 a = _balance_py.run_replication(caps, lam, duration, duration / 10,
                                                 seed, kind, *params)
-                b = compiled_kernel.run_replication(caps, lam, duration, duration / 10,
-                                                    seed, kind, *params)
+                b = core.run_replication(caps, lam, duration, duration / 10,
+                                         seed, kind, *params)
                 assert a == b
 
     def test_compiled_kernel_rejects_bad_capacities(self, compiled_kernel):
+        core = compiled_kernel("_balance_core")
         for caps, error in (([2.5], TypeError), ([], ValueError), (5, TypeError)):
             with pytest.raises(error):
-                compiled_kernel.run_replication(caps, 1.0, 2.0, 0.2, 1,
-                                                _balance_py.HOLD_EXP, 1.0, 0, 0, 0)
+                core.run_replication(caps, 1.0, 2.0, 0.2, 1,
+                                     _balance_py.HOLD_EXP, 1.0, 0, 0, 0)
         for lam, duration in BAD_RATES:
             with pytest.raises(ValueError):
-                compiled_kernel.run_replication([2], lam, duration, 0.2, 1,
-                                                _balance_py.HOLD_EXP, 1.0, 0, 0, 0)
+                core.run_replication([2], lam, duration, 0.2, 1,
+                                     _balance_py.HOLD_EXP, 1.0, 0, 0, 0)
 
     def test_python_kernel_rejects_bad_rates(self):
         for lam, duration in BAD_RATES:

@@ -12,6 +12,7 @@ import warnings
 import pytest
 
 import allpath
+from allpath import simnet
 from allpath.cli import main
 from allpath.topology import make_line, make_simple_grid
 
@@ -165,7 +166,9 @@ class TestPinnedOutputs:
     Every frame-path change so far kept these bytes, and a speed-up must
     keep them.  A change that alters simulation output on purpose (a model
     or table-timer correction) updates the digests here and says which
-    outputs changed and why in CHANGES.md.
+    outputs changed and why in CHANGES.md.  Both fill kernels of the fluid
+    plane must give these bytes, so each run is also checked on the
+    pure-python twin, simnet.fill_py.
     """
 
     DIGESTS = {
@@ -188,6 +191,15 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("protocol", sorted(DIGESTS))
     def test_simulate_outputs_are_pinned(self, tmp_path, protocol):
+        self.check_simulate_outputs(tmp_path, protocol)
+
+    @pytest.mark.parametrize("protocol", sorted(DIGESTS))
+    def test_simulate_outputs_are_pinned_on_the_python_fill(self, tmp_path, protocol,
+                                                             monkeypatch):
+        monkeypatch.setattr(simnet, "fill", simnet.fill_py)
+        self.check_simulate_outputs(tmp_path, protocol)
+
+    def check_simulate_outputs(self, tmp_path, protocol):
         assert run(["simulate", "--topology", "grid:3", "--seed", "7", "--flows", "12",
                     "--protocol", protocol, "--out", str(tmp_path)]) == 0
         digests = {name: hashlib.sha256(read(tmp_path / name)).hexdigest()
@@ -216,6 +228,15 @@ class TestPinnedOutputs:
 
     @pytest.mark.parametrize("protocol", sorted(SCENARIO_DIGESTS))
     def test_scenario_outputs_are_pinned(self, tmp_path, protocol):
+        self.check_scenario_outputs(tmp_path, protocol)
+
+    @pytest.mark.parametrize("protocol", sorted(SCENARIO_DIGESTS))
+    def test_scenario_outputs_are_pinned_on_the_python_fill(self, tmp_path, protocol,
+                                                             monkeypatch):
+        monkeypatch.setattr(simnet, "fill", simnet.fill_py)
+        self.check_scenario_outputs(tmp_path, protocol)
+
+    def check_scenario_outputs(self, tmp_path, protocol):
         topo = make_simple_grid(4, hosts_per_corner=2)
         pairs = list(itertools.permutations(sorted(topo.hosts), 2))
         random.Random(2017).shuffle(pairs)

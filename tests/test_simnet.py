@@ -1,7 +1,9 @@
 """Discrete-event engine: latency model, races, census, determinism."""
 
 import heapq
+import io
 import json
+import math
 import os
 import random
 from types import SimpleNamespace
@@ -16,9 +18,8 @@ from allpath.protocol import BRIDGE_CLASSES, DATA, DUPLICATE, MISS, UNRESOLVED, 
 from allpath.simnet import (
     Engine,
     FlowSpec,
-    FluidLink,
     ScenarioError,
-    max_min_rates,
+    fill_py,
     measure_empirical_tables,
     run_scenario,
 )
@@ -214,25 +215,29 @@ class TestScenarios:
             assert 0.0 <= u <= 1.0 + 1e-12
         # the rows are written once, to report.csv
         assert "link_utilization" not in json.loads(rep.to_json())
-        assert len(list(rep.utilization_csv_rows())) == len(rep.link_utilization) + 1
+        fh = io.StringIO()
+        rep.write_utilization_csv(fh)
+        lines = fh.getvalue().splitlines()
+        assert lines[0] == "time,link,utilization"
+        assert lines[1:] == ["%.12g,%s,%.12g" % row for row in rep.link_utilization]
 
 
-def reference_max_min_rates(flow_links):
+def reference_max_min_rates(flows, bandwidth):
     """Progressive filling over flow sets, as the engine computed it before
     keeping live counts: rescan every link and intersect its flow set with
-    the unfrozen flows in every round.  One record stands for one link."""
+    the unfrozen flows in every round.  Flow i crosses links flows[i]."""
     residual = {}
     members = {}
-    for i, links in flow_links.items():
+    for i, links in enumerate(flows):
         for ln in links:
-            residual.setdefault(ln, ln.bandwidth_bps)
+            residual.setdefault(ln, bandwidth[ln])
             members.setdefault(ln, set()).add(i)
     rates = {}
-    unfrozen = set(flow_links)
+    unfrozen = set(range(len(flows)))
     while unfrozen:
         best, best_share = None, None
-        for ln, flows in members.items():
-            live = flows & unfrozen
+        for ln, on_link in members.items():
+            live = on_link & unfrozen
             if not live:
                 continue
             share = residual[ln] / len(live)
@@ -243,58 +248,79 @@ def reference_max_min_rates(flow_links):
         for i in members[best] & unfrozen:
             rates[i] = best_share
             unfrozen.discard(i)
-            for ln in flow_links[i]:
+            for ln in flows[i]:
                 residual[ln] -= best_share
         residual[best] = 0.0
-    return rates
+    return [rates[i] for i in range(len(flows))]
 
 
 def _bits(rates):
-    return {i: r.hex() for i, r in rates.items()}
+    return [r.hex() for r in rates]
+
+
+def _fill_bits(result):
+    rates, utilization = result
+    return _bits(rates), [(k, u.hex()) for k, u in utilization]
 
 
 @st.composite
 def fluid_flows(draw):
-    # mostly equal bandwidths, so that exact share ties are common
-    bandwidths = draw(st.lists(st.sampled_from([1e9] * 4 + [2.5e8, 4e9 / 3]),
-                               min_size=1, max_size=12))
-    links = [FluidLink(Link("a%d" % k, "b%d" % k, bandwidth_bps=bw))
-             for k, bw in enumerate(bandwidths)]
-    routes = draw(st.lists(
-        st.lists(st.sampled_from(range(len(links))), min_size=1, unique=True),
-        min_size=1, max_size=20))
-    flows = draw(st.permutations(range(len(routes))))
-    return {i: tuple(links[k] for k in route) for i, route in zip(flows, routes)}
+    """(flows, bandwidth) for fill.  Mostly equal bandwidths and links 0
+    and 1 drawn often, so that shared links and exact share ties are
+    common; some bandwidths are ints, as a JSON topology can carry."""
+    bandwidth = tuple(draw(st.lists(st.sampled_from([1e9] * 4 + [10**9, 2.5e8, 4e9 / 3, 3]),
+                                    min_size=1, max_size=12)))
+    hot = list(range(len(bandwidth))) + [0, 0, 0] + [1, 1] * (len(bandwidth) > 1)
+    flows = draw(st.lists(st.lists(st.sampled_from(hot), min_size=1, unique=True).map(tuple),
+                          max_size=20))
+    return flows, bandwidth
+
+
+def _loads(flows, rates):
+    """Link -> the rates of its flows, in flow order."""
+    load = {}
+    for links, rate in zip(flows, rates):
+        for ln in links:
+            load.setdefault(ln, []).append(rate)
+    return load
 
 
 class TestMaxMin:
     @settings(max_examples=300, deadline=None)
-    @given(flow_links=fluid_flows())
-    def test_matches_set_based_filling_bitwise(self, flow_links):
-        rates = max_min_rates(flow_links)
-        assert _bits(rates) == _bits(reference_max_min_rates(flow_links))
-        load = {}
-        for i, links in flow_links.items():
-            for ln in links:
-                load.setdefault(ln, []).append(rates[i])
+    @given(case=fluid_flows())
+    def test_matches_set_based_filling_bitwise(self, case):
+        flows, bandwidth = case
+        rates, utilization = fill_py(flows, bandwidth)
+        assert _bits(rates) == _bits(reference_max_min_rates(flows, bandwidth))
+        load = _loads(flows, rates)
         for ln, on_link in load.items():
-            assert sum(on_link) <= ln.bandwidth_bps * (1 + 1e-12)
+            assert sum(on_link) <= bandwidth[ln] * (1 + 1e-12)
         # max-min: every flow crosses a saturated link on which no flow is
         # faster; the shares of two tied rounds may come out an ulp apart
-        for i, links in flow_links.items():
-            assert any(ln.bandwidth_bps - sum(load[ln]) <= 1e-9 * ln.bandwidth_bps
+        for i, links in enumerate(flows):
+            assert any(bandwidth[ln] - sum(load[ln]) <= 1e-9 * bandwidth[ln]
                        and max(load[ln]) <= rates[i] * (1 + 1e-12) for ln in links), i
+        # utilization: every crossed link once, in ascending index, its
+        # load summed left to right in flow order
+        want = []
+        for ln in sorted(load):
+            total = 0.0
+            for rate in load[ln]:
+                total += rate
+            want.append((ln, total / bandwidth[ln]))
+        assert _fill_bits((rates, utilization)) == _fill_bits((rates, want))
 
     def test_engine_rates_match_set_based_filling(self, monkeypatch):
         calls = []
+        kernel = simnet.fill
 
-        def checked(flow_links):
-            rates = max_min_rates(flow_links)
-            assert _bits(rates) == _bits(reference_max_min_rates(flow_links))
-            calls.append(len(flow_links))
-            return rates
+        def checked(flows, bandwidth):
+            rates, utilization = kernel(flows, bandwidth)
+            assert _bits(rates) == _bits(reference_max_min_rates(flows, bandwidth))
+            calls.append(len(flows))
+            return rates, utilization
 
-        monkeypatch.setattr(simnet, "max_min_rates", checked)
+        monkeypatch.setattr(simnet, "fill", checked)
         t = make_simple_grid(3, hosts_per_corner=2)
         hosts = sorted(t.hosts)
         wl = [FlowSpec(a, b, 4e7, 0.001 * k) for k, (a, b) in
@@ -305,22 +331,106 @@ class TestMaxMin:
 
     def test_link_records_are_built_once(self):
         # every link, host links included, has one hop per direction, and
-        # the two hops share one fluid record
+        # the two hops share one fluid-plane index; the indices rank the
+        # links by name, in report.csv's row order
         t = make_simple_grid(3, hosts_per_corner=2)
         eng = Engine(t, "flow_path", seed=2)
         assert len(eng.hops) == 2 * len(t.links)
         for ln in t.links.values():
             there, back = eng.hops[(ln.a, ln.b)], eng.hops[(ln.b, ln.a)]
-            assert there is not back and there.fluid is back.fluid
+            assert there is not back and there.link == back.link
             assert (there.to_host, back.to_host) == (ln.b in t.hosts, ln.a in t.hosts)
-        fluid = {hop.fluid for hop in eng.hops.values()}
-        assert len(fluid) == len(t.links)
+            assert eng._link_names[there.link] == "-".join(sorted(map(str, (ln.a, ln.b))))
+            assert eng._bandwidth[there.link] == ln.bandwidth_bps
+        indices = [hop.link for hop in eng.hops.values()]
+        assert sorted(indices) == sorted(list(range(len(t.links))) * 2)
+        assert list(eng._link_names) == sorted(eng._link_names)
         eng.add_flow(FlowSpec("h1_0", "h9_0", 4e7, 0.0))
         eng.add_flow(FlowSpec("h1_1", "h9_1", 4e7, 0.0))
         eng.run()
         a, b = (eng._flow_links(rec) for rec in eng.report.flows)
-        assert all(x in fluid for x in a + b)
-        assert [x.name for x in a[:2]] == ["1-h1_0", "9-h9_0"]
+        assert [eng._link_names[k] for k in a[:2]] == ["1-h1_0", "9-h9_0"]
+        assert [eng._link_names[k] for k in b[:2]] == ["1-h1_1", "9-h9_1"]
+
+    def test_integer_bandwidths_give_the_same_rows(self):
+        # a JSON topology can carry integer bandwidths: the fluid plane's
+        # arithmetic on them is that on the equal floats
+        doc = make_simple_grid(3, hosts_per_corner=2).to_json_dict()
+        for k, entry in enumerate(doc["links"] + doc["hosts"]):
+            entry["bandwidth_bps"] = (3 * 10**8, 10**9, 10**8)[k % 3]
+        as_int = Topology.from_json_dict(doc)
+        assert all(type(ln.bandwidth_bps) is int for ln in as_int.links.values())
+        for entry in doc["links"] + doc["hosts"]:
+            entry["bandwidth_bps"] = float(entry["bandwidth_bps"])
+        as_float = Topology.from_json_dict(doc)
+        hosts = sorted(as_int.hosts)
+        wl = [FlowSpec(a, b, 4e7, 0.002 * k) for k, (a, b) in
+              enumerate((a, b) for a in hosts for b in hosts if a != b)]
+        reports = [run_scenario(t, "arp_path", wl, seed=4) for t in (as_int, as_float)]
+        assert len(reports[0].link_utilization) > 100
+        assert reports[0].link_utilization == reports[1].link_utilization
+        assert reports[0].to_json() == reports[1].to_json()
+
+
+class TestFluidKernels:
+    """The compiled fill and its pure-python twin, fill_py."""
+
+    @pytest.fixture(params=["python", "c"])
+    def twin(self, request, compiled_kernel):
+        return fill_py if request.param == "python" else compiled_kernel("_fluid_core").fill
+
+    def test_kernel_is_exported(self):
+        assert simnet.KERNEL in ("c", "python")
+        assert (simnet.fill is fill_py) == (simnet.KERNEL == "python")
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=fluid_flows())
+    def test_twins_match_bitwise(self, compiled_kernel, case):
+        flows, bandwidth = case
+        core = compiled_kernel("_fluid_core")
+        assert _fill_bits(core.fill(flows, bandwidth)) == _fill_bits(fill_py(flows, bandwidth))
+
+    def test_integer_bandwidths_fill_like_floats(self, compiled_kernel):
+        # four equal links, so every share ties in every round and the first
+        # link in order of first appearance is the bottleneck each time;
+        # ints, as a JSON topology can carry, give the bits of equal floats
+        core = compiled_kernel("_fluid_core")
+        flows = [(3, 1), (1, 2), (2, 0), (0, 3), (1,), (3, 2, 0)]
+        for bandwidth in ((1e9,) * 4, (10**9,) * 4, (1e9, 10**9, 1e9, 10**9)):
+            a, b = core.fill(flows, bandwidth), fill_py(flows, bandwidth)
+            assert _fill_bits(a) == _fill_bits(b)
+            assert _fill_bits(a) == _fill_bits(fill_py(flows, (1e9,) * 4))
+
+    def test_empty(self, twin):
+        assert twin([], (1e9,)) == ([], [])
+        assert twin([], ()) == ([], [])
+
+    def test_only_crossed_links_are_listed(self, twin):
+        rates, utilization = twin([(4, 1), (1,)], (1e9, 2e9, 3e9, 4e9, 1e8))
+        assert rates == [1e8, 2e9 - 1e8]
+        assert utilization == [(1, 1.0), (4, 1.0)]
+
+    @pytest.mark.parametrize("flows, bandwidth, error", [
+        ([(0, 3)], (1e9, 1e9, 1e9), IndexError),
+        ([(0, -1)], (1e9, 1e9, 1e9), IndexError),
+        ([(2**70,)], (1e9,), IndexError),
+        ([[0, 1]], (1e9, 1e9), TypeError),
+        ([(0, 1.0)], (1e9, 1e9), TypeError),
+        ([(0, "1")], (1e9, 1e9), TypeError),
+        ([(0,), None], (1e9,), TypeError),
+        (5, (1e9,), TypeError),
+        ([(0,)], 1e9, TypeError),
+        ([(0,)], ("1e9",), TypeError),
+        ([(0,), ()], (1e9,), ValueError),
+        ([(0,)], (0.0,), ValueError),
+        ([(0,)], (-1e9,), ValueError),
+        ([(0,)], (math.nan,), ValueError),
+    ], ids=["past-the-end", "negative", "huge", "list-flow", "float-index", "str-index",
+            "none-flow", "flows-not-a-sequence", "bandwidth-not-a-sequence", "str-bandwidth",
+            "empty-flow", "zero-bandwidth", "negative-bandwidth", "nan-bandwidth"])
+    def test_bad_input_raises(self, twin, flows, bandwidth, error):
+        with pytest.raises(error):
+            twin(flows, bandwidth)
 
 
 class TestTableSeries:
