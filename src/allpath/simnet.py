@@ -180,7 +180,11 @@ class SimReport:
     counters: dict = field(default_factory=dict)
     races: list = field(default_factory=list)
     flows: list = field(default_factory=list)
-    # (time, "a-b", util) at every fluid recompute; written to report.csv only
+    # (time, "a-b", util) change points, written to report.csv only: at a
+    # fluid recompute, one row per link whose utilization changed and a 0 row
+    # per link that went idle, in ascending link index.  A link's utilization
+    # at time t is that of its last row at or before t (the later row when
+    # several share t), and 0 before its first row.
     link_utilization: list = field(default_factory=list)
     # (time, total entries) at the first frame and at every frame that
     # changed the network-wide total: change points, not one row per frame
@@ -201,7 +205,8 @@ class SimReport:
         }
 
     def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        # compact: with no indent, dumps runs on the C encoder
+        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
     def write_utilization_csv(self, fh):
         """report.csv: a header, then one "time,link,utilization" line per
@@ -272,6 +277,7 @@ class Engine:
         self._active_flows = {}  # flow index -> ActiveFlow
         self._flow_gen = 0
         self._fluid_t = 0.0
+        self._link_u = {}  # busy link index -> utilization last written to report.csv
         self.report = SimReport(protocol=protocol, seed=seed)
 
     # -- scheduling -------------------------------------------------------
@@ -493,8 +499,15 @@ class Engine:
         rates, utilization = fill([f.links for f in flows], self._bandwidth)
         for f, rate in zip(flows, rates):
             f.rate = rate
+        # change points: a row for a link whose utilization moved, and a 0
+        # row for a busy link that no flow crosses any more
+        last, current = self._link_u, dict(utilization)
+        rows = [(k, u) for k, u in utilization if last.get(k) != u]
+        rows += [(k, 0.0) for k in last if k not in current]
+        rows.sort()  # two ascending runs
+        self._link_u = current
         names = self._link_names
-        self.report.link_utilization.extend([(now, names[k], u) for k, u in utilization])
+        self.report.link_utilization.extend([(now, names[k], u) for k, u in rows])
         if flows:
             eta = min(now + f.remaining / f.rate for f in flows if f.rate > 0)
             self._flow_gen += 1

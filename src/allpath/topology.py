@@ -64,6 +64,13 @@ class Topology:
         self.meta = dict(meta or {})
 
         bridge_set = set(self.bridges)
+        # link names and table ports are stringified ids, so a host id must
+        # not read as a bridge id
+        bridge_names = {str(b): b for b in self.bridges}
+        for host in self.hosts:
+            if host in bridge_names:
+                raise TopologyError("host %r has the name of bridge %r"
+                                    % (host, bridge_names[host]))
         for ln in links:
             if ln.key in self.links:
                 raise TopologyError("duplicate link %r" % (sorted(ln.key, key=str),))

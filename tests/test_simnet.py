@@ -2,6 +2,7 @@
 
 import heapq
 import io
+import itertools
 import json
 import math
 import os
@@ -211,8 +212,14 @@ class TestScenarios:
         wl = [FlowSpec("h1_0", "h4_0", 5e7, 0.0), FlowSpec("h1_1", "h4_1", 5e7, 0.0)]
         rep = run_scenario(t, "arp_path", wl, seed=3, duration=2.0)
         assert rep.link_utilization
-        for _t, _link, u in rep.link_utilization:
+        last = {}
+        for _t, link, u in rep.link_utilization:
             assert 0.0 <= u <= 1.0 + 1e-12
+            last[link] = u
+        # both flows are done long before 2 s, so every link they crossed
+        # ends on an explicit 0 row
+        assert rep.flows[0]["status"] == rep.flows[1]["status"] == "done"
+        assert len(last) > 4 and set(last.values()) == {0.0}
         # the rows are written once, to report.csv
         assert "link_utilization" not in json.loads(rep.to_json())
         fh = io.StringIO()
@@ -372,12 +379,14 @@ class TestMaxMin:
         assert reports[0].to_json() == reports[1].to_json()
 
 
+@pytest.fixture(params=["python", "c"])
+def twin(request, compiled_kernel):
+    """Each fill kernel: the pure-python twin and the compiled one."""
+    return fill_py if request.param == "python" else compiled_kernel("_fluid_core").fill
+
+
 class TestFluidKernels:
     """The compiled fill and its pure-python twin, fill_py."""
-
-    @pytest.fixture(params=["python", "c"])
-    def twin(self, request, compiled_kernel):
-        return fill_py if request.param == "python" else compiled_kernel("_fluid_core").fill
 
     def test_kernel_is_exported(self):
         assert simnet.KERNEL in ("c", "python")
@@ -431,6 +440,81 @@ class TestFluidKernels:
     def test_bad_input_raises(self, twin, flows, bandwidth, error):
         with pytest.raises(error):
             twin(flows, bandwidth)
+
+
+def _pinned_scenario():
+    """The 4x4 scenario whose outputs test_cli pins: two hosts per corner,
+    20 flows, every other one 400 Mbit, seed 11, cut at 4 s."""
+    topo = make_simple_grid(4, hosts_per_corner=2)
+    pairs = list(itertools.permutations(sorted(topo.hosts), 2))
+    random.Random(2017).shuffle(pairs)
+    flows = [FlowSpec(a, b, 4e8 if k % 2 else 12000, 0.1 * k)
+             for k, (a, b) in enumerate(pairs[:20])]
+    return topo, flows, 11, 4.0
+
+
+def _overlapping_bulk():
+    """Every ordered host pair of a 3x3 grid sends 40 Mbit, 1 ms apart, to the end."""
+    topo = make_simple_grid(3, hosts_per_corner=2)
+    flows = [FlowSpec(a, b, 4e7, 0.001 * k)
+             for k, (a, b) in enumerate(itertools.permutations(sorted(topo.hosts), 2))]
+    return topo, flows, 5, None
+
+
+class TestUtilizationChangePoints:
+    """report.csv holds change points: reading each link's last row at or
+    before t (0 before its first) gives the utilization of the last fill at t."""
+
+    @pytest.mark.parametrize("scenario", [_pinned_scenario, _overlapping_bulk],
+                             ids=["pinned-4x4", "overlapping-bulk"])
+    @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
+    def test_rows_rebuild_every_fill(self, protocol, scenario, twin, monkeypatch):
+        recomputes = []  # (now, start of its rows, its fill's utilization)
+        fill_result = []
+        fluid_recompute = Engine._fluid_recompute
+
+        def recorded_fill(flows, bandwidth):
+            fill_result.append(twin(flows, bandwidth))
+            return fill_result[-1]
+
+        def recorded(eng, now):
+            start = len(eng.report.link_utilization)
+            fluid_recompute(eng, now)
+            [(_rates, utilization)] = fill_result
+            fill_result.clear()
+            recomputes.append((now, start, utilization))
+
+        monkeypatch.setattr(simnet, "fill", recorded_fill)
+        monkeypatch.setattr(Engine, "_fluid_recompute", recorded)
+        topo, flows, seed, duration = scenario()
+        eng = Engine(topo, protocol, seed=seed)
+        for spec in flows:
+            eng.add_flow(spec)
+        rows = eng.run(until=duration).link_utilization
+        names = eng._link_names
+        rank = {name: k for k, name in enumerate(names)}
+        assert len(recomputes) > 20 and any(not u for _now, _start, u in recomputes)
+
+        # the recomputes' rows tile the report in time order, so applying
+        # them recompute by recompute is reading the rows up to each instant
+        assert recomputes[0][1] == 0
+        read = {}
+        for i, (now, start, utilization) in enumerate(recomputes):
+            later = recomputes[i + 1] if i + 1 < len(recomputes) else (None, len(rows))
+            mine = rows[start:later[1]]
+            # at its instant, in ascending link index, each row a change
+            assert [t for t, _name, _u in mine] == [now] * len(mine)
+            order = [rank[name] for _t, name, _u in mine]
+            assert order == sorted(set(order))
+            for _t, name, u in mine:
+                assert read.get(name, 0.0) != u
+                read[name] = u
+            if later[0] == now:
+                continue  # a later recompute at this instant wins
+            want = dict.fromkeys(names, 0.0)
+            want.update((names[k], u) for k, u in utilization)
+            assert {name: read.get(name, 0.0).hex() for name in names} == \
+                {name: u.hex() for name, u in want.items()}
 
 
 class TestTableSeries:

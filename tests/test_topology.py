@@ -115,6 +115,15 @@ class TestLinkValidation:
         with pytest.raises(TopologyError):
             Topology([1, 2], [Link(1, 2), Link(2, 1)], {})
 
+    def test_host_named_like_a_bridge_rejected(self):
+        # host "2"'s link to bridge 1 and the bridge link 1-2 would share
+        # the name 1-2, and table ports "2" would be ambiguous
+        with pytest.raises(TopologyError, match="host '2' has the name of bridge 2"):
+            Topology([1, 2], [Link(1, 2)], {"2": 1, "B": 2})
+        with pytest.raises(TopologyError, match="host '7' has the name of bridge 7"):
+            make_line(7, hosts={"A": 1, "7": 3})
+        assert sorted(Topology([1, 2], [Link(1, 2)], {"3": 1, "B": 2}).hosts) == ["3", "B"]
+
 
 class TestPathEnumeration:
     @pytest.mark.parametrize("n,count", [(2, 2), (3, 6), (4, 20), (5, 70)])
