@@ -175,8 +175,7 @@ def cmd_qbd(args, outdir):
     summary = []
     gaps = []
     for rho in _parse_float_list(args.rho):
-        # mu = 1: the time unit is the mean holding time, so lambda = rho
-        _, u1, u2, lp, gap = qbd.solve_model(args.c1, args.c2, rho, 1.0, method=args.method)
+        _, u1, u2, lp, gap = qbd.solve_model(args.c1, args.c2, rho, method=args.method)
         summary.append([rho, u1, u2, lp])
         for psi in sorted(gap):
             gaps.append([rho, psi, gap[psi]])
@@ -267,7 +266,7 @@ def build_parser(parser_class=argparse.ArgumentParser):
     p.add_argument("--c1", type=_positive_int, required=True)
     p.add_argument("--c2", type=_positive_int, required=True)
     p.add_argument("--rho", type=_load_list, default="0.5,1,2",
-                   help="offered load lambda/mu, comma list")
+                   help="offered load, arrivals per mean holding time, comma list")
     p.add_argument("--method", choices=["dense", "block_tridiagonal"],
                    default="block_tridiagonal",
                    help="both solve Q^T pinned at one modal state: block_tridiagonal "

@@ -17,7 +17,10 @@ pops only the items that are due, skipping those whose entry has been
 replaced, deleted or re-timed since.  A tick therefore costs O(log n) per
 due item instead of a scan of the whole table.  A stale item leaves the
 heap when it comes due, so after a tick a heap holds only the items pushed
-in the last LEARNT_TIMER seconds.
+in the last LEARNT_TIMER seconds.  The bridges do not read the clock: the
+engine ticks a bridge to `now` before it calls handle() or route() on it,
+and every bridge at the end of a run, so no table is read with a timer
+overdue.
 
 A frame's trace, the bridges that forwarded it from first to last, is kept
 as a *trail*: a parent-linked tuple (bridge, parent_trail), None before the
@@ -145,6 +148,7 @@ class BridgeState:
     It has no side effects and does not stamp the frame, so the engine can
     walk a flow's path through it; handle() applies its learning and
     refreshes around it and appends the bridge to the output's trace.
+    Neither applies timers: the caller runs tick(now) first.
     """
 
     protocol = None
@@ -166,7 +170,7 @@ class BridgeState:
 
         A locked entry that is due becomes learnt and is pushed again with
         its learnt expiry, so lock -> learnt -> expired can happen in one
-        tick.  handle() calls it only when the heap head is due.
+        tick.  The engine calls it before every handle() and route().
         """
         heap = self._expiry
         while heap and heap[0][0] <= now:
@@ -234,6 +238,7 @@ class BridgeState:
         """Where a unicast frame goes: (decision, matched entry or None).
 
         Side-effect free; the output frame is not stamped with this bridge.
+        The caller has already applied the timers due by now.
         """
         e = self.entries.get(self._unicast_key(frame))
         if e is None:
@@ -251,6 +256,8 @@ class BridgeState:
         return decision
 
     def handle(self, ingress, frame, now) -> ForwardingDecision:
+        """Learn from a frame that arrived on ingress at now and decide where
+        it goes.  The caller has already applied the timers due by now."""
         raise NotImplementedError
 
 
@@ -258,9 +265,6 @@ class ArpPathBridge(BridgeState):
     protocol = "arp_path"
 
     def handle(self, ingress, frame, now):
-        expiry = self._expiry
-        if expiry and expiry[0][0] <= now:
-            self.tick(now)
         if frame.kind == ARP_REQUEST:
             if not self._race_admit(frame.src_mac, ingress, now, frame.race_id):
                 return DROP_DUPLICATE
@@ -285,9 +289,6 @@ class FlowPathBridge(BridgeState):
     protocol = "flow_path"
 
     def handle(self, ingress, frame, now):
-        expiry = self._expiry
-        if expiry and expiry[0][0] <= now:
-            self.tick(now)
         if frame.kind == ARP_REQUEST:
             # provisional "A?" entry: destination MAC unknown, IPs disambiguate
             key = _prov_key(frame.src_mac, frame.src_ip, frame.dst_ip)
@@ -359,10 +360,6 @@ class BridgePathBridge(BridgeState):
         heapq.heappush(self._dir_expiry, (expires, next(self._seq), mac))
 
     def handle(self, ingress, frame, now):
-        # the forwarding heap or the directory heap may be due
-        expiry, dir_expiry = self._expiry, self._dir_expiry
-        if (expiry and expiry[0][0] <= now) or (dir_expiry and dir_expiry[0][0] <= now):
-            self.tick(now)
         from_host = ingress in self.host_ports
         if from_host:
             self._dir_learn(frame.src_mac, self.bridge_id, now)

@@ -4,7 +4,8 @@ utilizations, loss probability, and the available-capacity gap distribution.
 State (i, j) holds the *available* capacity of each path.  An arriving flow
 takes a unit from the path with more available capacity (rate lambda), or
 from either with rate lambda/2 on a tie; the C_k - s_k occupied units on
-path k each free up at rate mu.  An arrival in state (0, 0) finds no
+path k each free up at rate 1.  The time unit is the mean holding time, so
+lambda is the offered load.  An arrival in state (0, 0) finds no
 transition enabled and is lost.
 
 `Generator` holds the rates of this rule as arrays over the states, built
@@ -20,7 +21,7 @@ DENSE_MAX_STATES states.
 
 Swap invariant: for C1 == C2 the generator is unchanged by relabelling the
 paths, (i, j) -> (j, i) (a tie gives lambda/2 to each path, departures run
-at (C - s) mu on each), and the chain is irreducible, so the exact pi is
+at C - s on each), and the chain is irreducible, so the exact pi is
 symmetric.  `solve_stationary` returns pi with pi == pi.T elementwise and
 `utilization` returns u1 == u2 exactly, not just to rounding.
 """
@@ -44,14 +45,13 @@ class QbdError(ValueError):
 class QbdModel:
     C1: int
     C2: int
-    lam: float
-    mu: float
+    lam: float  # arrivals per mean holding time
 
     def __post_init__(self):
         if self.C1 < 1 or self.C2 < 1:
             raise QbdError("capacities must be >= 1")
-        if not (0 < self.lam < math.inf and 0 < self.mu < math.inf):
-            raise QbdError("lambda and mu must be finite and positive")
+        if not 0 < self.lam < math.inf:
+            raise QbdError("lambda must be finite and positive")
 
 
 def _take_rate(s, other, lam):
@@ -65,8 +65,8 @@ class Generator:
 
     take1: arrivals taking a unit from path 1, to state (i-1, j);
     take2: arrivals taking a unit from path 2, to state (i, j-1);
-    free1: departures on path 1, (C1 - i) mu, to state (i+1, j);
-    free2: departures on path 2, (C2 - j) mu, to state (i, j+1);
+    free1: departures on path 1, C1 - i, to state (i+1, j);
+    free2: departures on path 2, C2 - j, to state (i, j+1);
     diag: the diagonal of Q, minus the sum of the other four.
 
     `transitions` lists these five as (rate, source, target) triples of
@@ -76,14 +76,14 @@ class Generator:
 
     def __init__(self, model: QbdModel):
         self.model = model
-        C1, C2, lam, mu = model.C1, model.C2, model.lam, model.mu
+        C1, C2, lam = model.C1, model.C2, model.lam
         self.block_size = C2 + 1
         self.levels = C1 + 1
         i, j = np.indices((self.levels, self.block_size))
         self.take1 = _take_rate(i, j, lam)
         self.take2 = _take_rate(j, i, lam)
-        self.free1 = (C1 - i) * mu
-        self.free2 = (C2 - j) * mu
+        self.free1 = (C1 - i).astype(float)
+        self.free2 = (C2 - j).astype(float)
         # this order of summation fixes the last bit of every solve
         self.diag = -(((self.take2 + self.free2) + self.free1) + self.take1)
         s = self.state_index(i, j)
@@ -107,11 +107,11 @@ class Generator:
         """Flat index of a state on the modal occupancy level.
 
         Total occupancy is an M/M/c/c loss system with c = C1 + C2, whose
-        mode is floor(lam / mu) capped at c; join-max keeps the two paths'
+        mode is floor(lam) capped at c; join-max keeps the two paths'
         available capacities as even as the capacities allow.
         """
         m = self.model
-        total = m.C1 + m.C2 - int(min(m.lam / m.mu, m.C1 + m.C2))  # lam / mu may be inf
+        total = m.C1 + m.C2 - int(min(m.lam, m.C1 + m.C2))
         i = min(m.C1, max(total - m.C2, total // 2))
         return self.state_index(i, total - i)
 
@@ -217,8 +217,8 @@ def solve_stationary(g: Generator, method="block_tridiagonal") -> StationaryDist
     return StationaryDistribution(pi=pi, residual=residual)
 
 
-def utilization(d: StationaryDistribution, m: QbdModel):
-    """Mean occupied fraction per path.
+def utilization(d: StationaryDistribution):
+    """Mean occupied fraction per path; C1 and C2 are read from d.pi's shape.
 
     Both marginals are taken as row sums of a C-contiguous array: numpy sums
     a contiguous row with unrolled partial sums but runs down columns one
@@ -226,12 +226,13 @@ def utilization(d: StationaryDistribution, m: QbdModel):
     row sums of pi.T.  With the same reduction a symmetric pi (C1 == C2)
     gives u1 == u2 exactly.
     """
-    i = np.arange(m.C1 + 1)
-    j = np.arange(m.C2 + 1)
+    C1, C2 = d.pi.shape[0] - 1, d.pi.shape[1] - 1
+    i = np.arange(C1 + 1)
+    j = np.arange(C2 + 1)
     p1 = d.pi.sum(axis=1)
     p2 = np.ascontiguousarray(d.pi.T).sum(axis=1)
-    u1 = float(((m.C1 - i) * p1).sum() / m.C1)
-    u2 = float(((m.C2 - j) * p2).sum() / m.C2)
+    u1 = float(((C1 - i) * p1).sum() / C1)
+    u2 = float(((C2 - j) * p2).sum() / C2)
     return u1, u2
 
 
@@ -250,9 +251,8 @@ def loss_probability(d: StationaryDistribution) -> float:
     return float(d.pi[0, 0])
 
 
-def solve_model(C1, C2, lam, mu, method="block_tridiagonal"):
+def solve_model(C1, C2, lam, method="block_tridiagonal"):
     """Convenience: model -> (distribution, u1, u2, LP, gap)."""
-    m = QbdModel(C1, C2, lam, mu)
-    d = solve_stationary(build_generator(m), method=method)
-    u1, u2 = utilization(d, m)
+    d = solve_stationary(build_generator(QbdModel(C1, C2, lam)), method=method)
+    u1, u2 = utilization(d)
     return d, u1, u2, loss_probability(d), gap_distribution(d)

@@ -41,7 +41,6 @@ PROTOCOLS = tuple(BRIDGE_CLASSES)
 
 ARP_SIZE_BITS = 64 * 8  # ARP requests and replies
 PROBE_SIZE_BITS = 1500 * 8  # the data probe of a flow, capped at the flow size
-CSV_BATCH_ROWS = 16384  # report.csv lines formatted and written per writelines call
 
 
 class ScenarioError(ValueError):
@@ -186,8 +185,9 @@ class SimReport:
     # at time t is that of its last row at or before t (the later row when
     # several share t), and 0 before its first row.
     link_utilization: list = field(default_factory=list)
-    # (time, total entries) at the first frame and at every frame that
-    # changed the network-wide total: change points, not one row per frame
+    # (time, total entries) at the first frame, at every frame or path walk
+    # whose timers or learning changed the network-wide total, and at the
+    # end if the final tick changed it: change points, not one row per frame
     table_series: list = field(default_factory=list)
     final_tables: dict = field(default_factory=dict)
     # bridge id -> bridge state at the end of the run; tables.csv is dumped from it
@@ -210,11 +210,9 @@ class SimReport:
 
     def write_utilization_csv(self, fh):
         """report.csv: a header, then one "time,link,utilization" line per
-        link_utilization row, formatted and written in batches."""
+        link_utilization row."""
         fh.write("time,link,utilization\n")
-        rows = self.link_utilization
-        for k in range(0, len(rows), CSV_BATCH_ROWS):
-            fh.writelines(["%.12g,%s,%.12g\n" % row for row in rows[k:k + CSV_BATCH_ROWS]])
+        fh.writelines(["%.12g,%s,%.12g\n" % row for row in self.link_utilization])
 
 
 class _Host:
@@ -262,9 +260,8 @@ class Engine:
         # the fluid plane numbers the links once, ranked by the sorted ends
         # that their "a-b" names join, so ascending index is the order of
         # report.csv's rows within one recompute
-        ends = {ln: sorted(map(str, (ln.a, ln.b))) for ln in topology.links.values()}
-        ranked = sorted(ends, key=ends.get)
-        self._link_names = tuple("-".join(ends[ln]) for ln in ranked)
+        ranked = sorted(topology.links.values(), key=lambda ln: sorted(map(str, (ln.a, ln.b))))
+        self._link_names = tuple(ln.name for ln in ranked)
         self._bandwidth = tuple(float(ln.bandwidth_bps) for ln in ranked)
         self.hops = {}  # (node, port) -> Hop, two per link
         for k, ln in enumerate(ranked):
@@ -332,6 +329,7 @@ class Engine:
         bs = self.bridges[bridge_id]
         entries = bs.entries
         before = len(entries)
+        bs.tick(now)
         decision = bs.handle(ingress, frame, now)
         for port, fr in decision.outputs:
             if port == ingress:
@@ -345,8 +343,9 @@ class Engine:
                 self.dropped_miss += 1
             else:
                 self.dropped_unresolved += 1
-        # only the handling bridge's table can change, so the total moves by
-        # its size change, and a table_series row is due exactly then
+        # only the handling bridge's table can change, by its timers and by
+        # the frame, so the total moves by its size change, and a
+        # table_series row is due exactly then
         changed = len(entries) - before
         if changed or not self.report.table_series:
             self._entries_total += changed
@@ -450,7 +449,16 @@ class Engine:
 
     def walk_path(self, src_host, dst_host):
         """Bridges a data frame would cross through each bridge's route(),
-        or None if a table misses or the walk revisits more bridges than exist."""
+        or None if a table misses or the walk revisits more bridges than exist.
+
+        Each bridge is ticked to now before its route(); a walk that
+        changed the total appends one table_series row.
+        """
+        path = self._walk(src_host, dst_host)
+        self._book_total(self.now)
+        return path
+
+    def _walk(self, src_host, dst_host):
         src = self.hosts[src_host]
         dst = self.hosts[dst_host]
         frame = Frame(kind=DATA, src_mac=src.mac, dst_mac=dst.mac)
@@ -458,7 +466,9 @@ class Engine:
         path = []
         while len(path) <= len(self.bridges):
             path.append(cur)
-            decision, _entry = self.bridges[cur].route(ingress, frame)
+            bs = self.bridges[cur]
+            self._tick(bs, self.now)
+            decision, _entry = bs.route(ingress, frame)
             if not decision.outputs:
                 return None
             [(port, frame)] = decision.outputs
@@ -520,10 +530,23 @@ class Engine:
 
     # -- reporting --------------------------------------------------------
 
+    def _tick(self, bs, now):
+        """Apply the timers of bs due by now and book the change in the total."""
+        before = len(bs.entries)
+        bs.tick(now)
+        self._entries_total += len(bs.entries) - before
+
+    def _book_total(self, now):
+        """Append a table_series row at now if the total moved since the last row."""
+        series = self.report.table_series
+        if series and series[-1][1] != self._entries_total:
+            series.append((now, self._entries_total))
+
     def _finalize(self):
         """Apply the timers due by the end, then fill in the report."""
         for bs in self.bridges.values():
-            bs.tick(self.now)
+            self._tick(bs, self.now)
+        self._book_total(self.now)
         report = self.report
         report.races = [self._races[k] for k in sorted(self._races, key=str)]
         report.final_tables = count_table_entries(self.bridges.values())

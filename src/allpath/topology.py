@@ -51,6 +51,12 @@ class Link:
         # and hashing are untouched
         return frozenset((self.a, self.b))
 
+    @cached_property
+    def name(self):
+        """The link's report.csv name: its two ends' ids as strings, sorted and
+        joined by "-"."""
+        return "-".join(sorted(map(str, (self.a, self.b))))
+
 
 class Topology:
     """Immutable-after-construction bridge/host graph."""
@@ -101,6 +107,11 @@ class Topology:
                 ln = Link(host, bridge)
                 self.links[ln.key] = ln
                 self.host_links[host] = ln
+        names = set()
+        for ln in self.links.values():
+            if ln.name in names:
+                raise TopologyError("two links are named %r" % (ln.name,))
+            names.add(ln.name)
         self._check_connected()
 
     # -- basic queries ----------------------------------------------------

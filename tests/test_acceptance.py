@@ -155,7 +155,7 @@ def test_criterion_07_qbd_correctness():
 
     for C in (1, 5, 20):
         for rho in (0.2, 1.0, 2.0):
-            m = qbd.QbdModel(C, C, rho, 1.0)
+            m = qbd.QbdModel(C, C, rho)
             g = qbd.build_generator(m)
             dense = qbd.solve_stationary(g, "dense")
             block = qbd.solve_stationary(g, "block_tridiagonal")
@@ -170,7 +170,7 @@ def test_criterion_07_qbd_correctness():
 def test_criterion_08_analytic_vs_simulation():
     points = []
     for lam in (8, 16, 24, 32, 40, 48):
-        _, u_analytic, _, _, _ = qbd.solve_model(20, 20, lam, 1.0)
+        _, u_analytic, _, _, _ = qbd.solve_model(20, 20, lam)
         rep = balance.simulate([20, 20], lam, 1.0, 150.0,
                                replications=24, seed=2026)
         for i in (0, 1):
@@ -183,7 +183,7 @@ def test_criterion_08_analytic_vs_simulation():
 
 
 def test_criterion_09_gap_tail_negligible():
-    _, u1, _, _, gap = qbd.solve_model(20, 20, 20.0, 1.0)
+    _, u1, _, _, gap = qbd.solve_model(20, 20, 20.0)
     assert 0.4 < u1 < 0.6  # operating point near half load
     tail = sum(p for psi, p in gap.items() if abs(psi) > 10)
     assert tail < 1e-3, tail

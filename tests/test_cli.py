@@ -135,6 +135,10 @@ class TestSimulate:
         pytest.param({"bridges": [{"id": 1}, {"id": 2}], "links": [{"a": 1, "b": 2}],
                       "hosts": [{"id": "2", "bridge": 1}, {"id": "B", "bridge": 2}]},
                      "host '2' has the name of bridge 2", id="host-named-like-a-bridge"),
+        pytest.param({"bridges": [{"id": 1}, {"id": 2}, {"id": 3}],
+                      "links": [{"a": 1, "b": 2}, {"a": 2, "b": 3}],
+                      "hosts": [{"id": "2-3", "bridge": 1}, {"id": "1-2", "bridge": 3}]},
+                     "two links are named '1-2-3'", id="colliding-link-names"),
     ])
     def test_topology_object_of_wrong_shape_runtime_error(self, tmp_path, capsys, topo,
                                                           expected):

@@ -124,14 +124,16 @@ class TestArpPath:
         assert bs.entries["A"].state == LOCKED
 
     @pytest.mark.parametrize("cls", [ArpPathBridge, FlowPathBridge])
-    def test_handle_applies_a_due_lock_timer(self, cls):
-        # no tick between the races: handle itself turns the lock learnt
+    def test_a_ticked_lock_timer_admits_the_next_race(self, cls):
+        # handle reads no clock: the caller's tick turns the lock learnt
         bs = cls(2, ports=[1, 3])
         bs.handle(1, req("A", "ip-B", race=1), now=0.0)
-        d = bs.handle(3, req("A", "ip-B", race=2), now=2 * LOCK_TIMER)
+        assert bs.handle(3, req("A", "ip-B", race=2), now=2 * LOCK_TIMER).drop == DUPLICATE
+        bs.tick(2 * LOCK_TIMER)
+        d = bs.handle(3, req("A", "ip-B", race=3), now=2 * LOCK_TIMER)
         assert d.drop is None and [p for p, _ in d.outputs] == [1]
         [entry] = bs.entries.values()
-        assert entry.port == 3 and entry.state == LOCKED and entry.race_id == 2
+        assert entry.port == 3 and entry.state == LOCKED and entry.race_id == 3
 
     def test_reply_creates_learnt_directly(self):
         bs = ArpPathBridge(2, ports=[1, 3])
@@ -285,11 +287,11 @@ class TestBridgePath:
         bs.tick(LEARNT_TIMER + 1.0)
         assert "B" not in bs.directory
 
-
-    def test_handle_expires_the_directory_with_no_forwarding_timer_due(self):
+    def test_tick_expires_the_directory_with_no_forwarding_timer_due(self):
         bs = self.make_edge()
         bs._dir_learn("B", 3, now=0.0)
         bs._learn(3, 2, now=LEARNT_TIMER / 2)  # due long after the directory record
+        bs.tick(LEARNT_TIMER + 1.0)
         d = bs.handle("A", data("A", "B"), now=LEARNT_TIMER + 1.0)
         assert "B" not in bs.directory and d.drop == UNRESOLVED
         assert list(bs.entries) == [3]

@@ -23,7 +23,7 @@ from allpath.qbd import (
     utilization,
 )
 
-# Hand-solved 4-state chain: C1=C2=1, lambda=mu=1.  With p = pi(1,0) =
+# Hand-solved 4-state chain: C1=C2=1, lambda=1.  With p = pi(1,0) =
 # pi(0,1): balance at (1,1) gives pi(1,1) = 2p, at (0,0) gives pi(0,0) = p,
 # normalization 5p = 1.
 ORACLE_PI = {(1, 1): 0.4, (1, 0): 0.2, (0, 1): 0.2, (0, 0): 0.2}
@@ -33,17 +33,17 @@ ORACLE_LP = 0.2
 
 class TestGenerator:
     def test_rows_sum_to_zero(self):
-        g = build_generator(QbdModel(5, 3, 2.0, 1.0))
+        g = build_generator(QbdModel(5, 3, 2.0))
         assert np.abs(g.dense().sum(axis=1)).max() < 1e-12
 
     def test_offdiagonal_nonnegative(self):
-        Q = build_generator(QbdModel(4, 4, 1.5, 1.0)).dense()
+        Q = build_generator(QbdModel(4, 4, 1.5)).dense()
         off = Q - np.diag(np.diag(Q))
         assert off.min() >= 0
 
     def test_transition_rates(self):
-        lam, mu = 2.0, 1.0
-        g = build_generator(QbdModel(3, 3, lam, mu))
+        lam = 2.0
+        g = build_generator(QbdModel(3, 3, lam))
         Q = g.dense()
         s = g.state_index
         # i > j: arrival goes to path 1 at full rate
@@ -53,12 +53,12 @@ class TestGenerator:
         assert Q[s(2, 2), s(1, 2)] == lam / 2
         assert Q[s(2, 2), s(2, 1)] == lam / 2
         # departures proportional to occupied units
-        assert Q[s(1, 2), s(2, 2)] == (3 - 1) * mu
+        assert Q[s(1, 2), s(2, 2)] == 3 - 1
         # all idle: no departures
         assert Q[s(3, 3), s(3, 3)] == -lam  # only the tie arrivals leave
 
     def test_exhausted_capacity_blocks_arrivals(self):
-        g = build_generator(QbdModel(2, 2, 1.0, 1.0))
+        g = build_generator(QbdModel(2, 2, 1.0))
         Q = g.dense()
         s = g.state_index
         assert Q[s(0, 0), :].sum() == pytest.approx(Q[s(0, 0), s(0, 0)]
@@ -67,7 +67,7 @@ class TestGenerator:
 
     @pytest.mark.parametrize("C1,C2", [(1, 1), (4, 4), (5, 2), (2, 7)])
     def test_left_product_matches_dense(self, C1, C2):
-        g = build_generator(QbdModel(C1, C2, 1.7, 0.6))
+        g = build_generator(QbdModel(C1, C2, 2.8))
         # an arbitrary vector, so that every block contributes
         pi = np.random.default_rng(10 * C1 + C2).random((g.levels, g.block_size))
         want = pi.ravel() @ g.dense()
@@ -80,20 +80,18 @@ class TestGenerator:
 
     def test_model_validation(self):
         with pytest.raises(QbdError):
-            QbdModel(0, 1, 1.0, 1.0)
+            QbdModel(0, 1, 1.0)
         with pytest.raises(QbdError):
-            QbdModel(1, 1, -1.0, 1.0)
+            QbdModel(1, 1, -1.0)
         for bad in (math.nan, math.inf):
             with pytest.raises(QbdError):
-                QbdModel(1, 1, bad, 1.0)
-            with pytest.raises(QbdError):
-                QbdModel(1, 1, 1.0, bad)
+                QbdModel(1, 1, bad)
 
 
 class TestFourStateOracle:
     @pytest.mark.parametrize("method", ["dense", "block_tridiagonal"])
     def test_stationary_matches_hand_solution(self, method):
-        d, u1, u2, lp, gap = solve_model(1, 1, 1.0, 1.0, method=method)
+        d, u1, u2, lp, gap = solve_model(1, 1, 1.0, method=method)
         for (i, j), want in ORACLE_PI.items():
             assert d.pi[i, j] == pytest.approx(want, abs=1e-12)
         assert u1 == pytest.approx(ORACLE_U, abs=1e-12)
@@ -107,7 +105,7 @@ class TestSolvers:
                                        (7, 15), (60, 60)])
     @pytest.mark.parametrize("rho", [0.2, 1.0, 2.0])
     def test_dense_block_agree(self, C1, C2, rho):
-        m = QbdModel(C1, C2, rho, 1.0)
+        m = QbdModel(C1, C2, rho)
         g = build_generator(m)
         a = solve_stationary(g, "dense")
         b = solve_stationary(g, "block_tridiagonal")
@@ -117,11 +115,11 @@ class TestSolvers:
 
     def test_unknown_method(self):
         with pytest.raises(QbdError):
-            solve_stationary(build_generator(QbdModel(1, 1, 1, 1)), "qr")
+            solve_stationary(build_generator(QbdModel(1, 1, 1)), "qr")
 
     @pytest.mark.parametrize("C", [1, 5, 20])
     def test_swap_symmetry(self, C):
-        d, u1, u2, _, gap = solve_model(C, C, 1.3, 1.0)
+        d, u1, u2, _, gap = solve_model(C, C, 1.3)
         assert np.abs(d.pi - d.pi.T).max() < 1e-12
         assert u1 == u2
         for psi in range(1, C + 1):
@@ -133,7 +131,7 @@ class TestSolvers:
         ("dense", 7, 7.0), ("dense", 15, 1.3),
         ("block_tridiagonal", 10, 7.0), ("block_tridiagonal", 8, 30.0)])
     def test_swap_symmetry_exact(self, method, C, lam):
-        d, u1, u2, _, gap = solve_model(C, C, lam, 1.0, method=method)
+        d, u1, u2, _, gap = solve_model(C, C, lam, method=method)
         assert (d.pi == d.pi.T).all()
         assert u1 == u2
         assert all(gap[psi] == gap[-psi] for psi in range(1, C + 1))
@@ -142,17 +140,17 @@ class TestSolvers:
     def test_overflowing_load_saturates(self, method):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow on the way
-            _, u1, u2, lp, _ = solve_model(5, 5, 1e300, 1.0, method=method)
+            _, u1, u2, lp, _ = solve_model(5, 5, 1e300, method=method)
         assert (u1, u2, lp) == (1.0, 1.0, 1.0)
 
     def test_deep_tail_loss_underflows(self):
         # Erlang-B(200, 0.5) is about 1e-435, below the smallest double
-        _, _, _, lp, _ = solve_model(100, 100, 0.5, 1.0, method="block_tridiagonal")
+        _, _, _, lp, _ = solve_model(100, 100, 0.5, method="block_tridiagonal")
         assert lp <= 1e-300
 
     def test_banded_erlang_b_past_the_dense_limit(self):
         offered = 800.0
-        _, u1, u2, lp, _ = solve_model(100, 100, offered, 1.0, method="block_tridiagonal")
+        _, u1, u2, lp, _ = solve_model(100, 100, offered, method="block_tridiagonal")
         b = erlang_b(200, offered)
         assert abs(lp - b) <= 1e-12 * b + 1e-16
         carried = offered * (1 - b)
@@ -161,13 +159,13 @@ class TestSolvers:
     def test_non_finite_solution_is_an_error(self, monkeypatch):
         monkeypatch.setattr(qbd, "_solve_banded", lambda g, k: np.full(g.n_states, np.nan))
         with pytest.raises(QbdError, match="non-finite"):
-            solve_model(5, 5, 1.0, 1.0, method="block_tridiagonal")
+            solve_model(5, 5, 1.0, method="block_tridiagonal")
 
     def test_dense_refused_above_the_limit(self, monkeypatch):
         def dense(self):
             raise AssertionError("the matrix must not be built")
         monkeypatch.setattr(qbd.Generator, "dense", dense)
-        g = build_generator(QbdModel(64, 64, 1.0, 1.0))
+        g = build_generator(QbdModel(64, 64, 1.0))
         assert g.n_states > qbd.DENSE_MAX_STATES
         with pytest.raises(QbdError, match="refused"):
             solve_stationary(g, "dense")
@@ -176,15 +174,15 @@ class TestSolvers:
     def test_singular_system_is_an_error(self, method):
         # with no transitions A is e_k in row k and zero elsewhere; LAPACK
         # reports the zero pivot in info, which must not pass as a solution
-        g = build_generator(QbdModel(3, 2, 1.0, 1.0))
+        g = build_generator(QbdModel(3, 2, 1.0))
         g.transitions = []
         with pytest.raises(QbdError, match="%s solve failed" % method):
             solve_stationary(g, method)
 
     @pytest.mark.parametrize("method, C", [("dense", 40), ("block_tridiagonal", 100)])
     def test_solve_factors_only_the_matrix_it_builds(self, method, C):
-        solve_model(2, 2, 1.0, 1.0, method=method)  # warm the imports
-        g = build_generator(QbdModel(C, C, float(C), 1.0))
+        solve_model(2, 2, 1.0, method=method)  # warm the imports
+        g = build_generator(QbdModel(C, C, float(C)))
         n, w = g.n_states, g.block_size
         matrix = 8 * n * n if method == "dense" else 8 * n * (3 * w + 1)
         tracemalloc.start()
@@ -198,47 +196,41 @@ class TestSolvers:
     @pytest.mark.parametrize("C1,C2", [(1, 1), (5, 3), (7, 15), (30, 20), (100, 100)])
     def test_pinned_state_is_on_the_modal_level(self, C1, C2):
         c = C1 + C2
-        # (1e300, 1e-10): lambda / mu overflows to inf
-        for lam, mu in ((1e-8, 1.0), (0.7, 1.0), (c / 3, 1.0), (c - 0.5, 1.0), (c, 1.0),
-                        (2.0 * c, 1.0), (1e300, 1e-10)):
-            g = build_generator(QbdModel(C1, C2, lam, mu))
+        for lam in (1e-8, 0.7, c / 3, c - 0.5, c, 2.0 * c, 1e300):
+            g = build_generator(QbdModel(C1, C2, lam))
             i, j = divmod(g.pinned_state(), g.block_size)
             total = i + j
-            # total occupancy is truncated Poisson(lam / mu) on 0..c: its mode
-            a = lam / mu
-            if a == math.inf:
-                assert total == 0
-            else:
-                weight = [n * math.log(a) - math.lgamma(n + 1) for n in range(c + 1)]
-                assert weight[c - total] >= max(weight) - 1e-9
+            # total occupancy is truncated Poisson(lam) on 0..c: its mode
+            weight = [n * math.log(lam) - math.lgamma(n + 1) for n in range(c + 1)]
+            assert weight[c - total] >= max(weight) - 1e-9
             # the most even split of total that the capacities allow
             assert abs(i - j) == min(abs(2 * s - total)
                                      for s in range(max(0, total - C2), min(C1, total) + 1))
 
     def test_low_load_limits(self):
-        d, u1, u2, lp, _ = solve_model(4, 4, 1e-8, 1.0)
+        d, u1, u2, lp, _ = solve_model(4, 4, 1e-8)
         assert d.pi[4, 4] > 0.999
         assert u1 < 1e-6 and lp < 1e-12
 
     def test_saturation(self):
-        _, u1, _, lp, _ = solve_model(2, 2, 1e4, 1.0)
+        _, u1, _, lp, _ = solve_model(2, 2, 1e4)
         assert u1 > 0.99 and lp > 0.9
 
     def test_utilization_monotone_in_rho(self):
         prev = 0.0
         for rho in [0.2, 0.5, 1.0, 2.0, 5.0, 10.0]:
-            _, u1, _, _, _ = solve_model(5, 5, rho, 1.0)
+            _, u1, _, _, _ = solve_model(5, 5, rho)
             assert u1 > prev
             prev = u1
 
     def test_gap_support_asymmetric(self):
-        _, _, _, _, gap = solve_model(30, 20, 10.0, 1.0)
+        _, _, _, _, gap = solve_model(30, 20, 10.0)
         assert min(gap) == -20 and max(gap) == 30
         assert sum(gap.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_gap_tail_negligible_at_half_load(self):
         # rho chosen so u ~= 0.5 for C1=C2=20
-        _, u1, _, _, gap = solve_model(20, 20, 20.0, 1.0)
+        _, u1, _, _, gap = solve_model(20, 20, 20.0)
         assert 0.4 < u1 < 0.6
         tail = sum(p for psi, p in gap.items() if abs(psi) > 10)
         assert tail < 1e-3
@@ -255,13 +247,13 @@ def erlang_b(servers, offered):
 # Join-max-available loses a flow only when both paths are full, so the total
 # occupancy is an M/M/c/c loss system with c = C1 + C2: LP is Erlang-B and the
 # carried load is the offered load times (1 - B).  rho is the offered load per
-# unit of capacity, lambda / (mu * (C1 + C2)).
+# unit of capacity, lambda / (C1 + C2).
 @pytest.mark.parametrize("method", ["dense", "block_tridiagonal"])
 @pytest.mark.parametrize("C1,C2", [(1, 1), (5, 3), (7, 15), (20, 20), (30, 20), (60, 60)])
 @pytest.mark.parametrize("rho", [0.2, 0.5, 1.0, 2.0, 5.0])
 def test_erlang_b_oracle(method, C1, C2, rho):
     offered = rho * (C1 + C2)
-    _, u1, u2, lp, _ = solve_model(C1, C2, offered, 1.0, method=method)
+    _, u1, u2, lp, _ = solve_model(C1, C2, offered, method=method)
     b = erlang_b(C1 + C2, offered)
     assert abs(lp - b) <= 1e-12 * b + 1e-16
     carried = offered * (1 - b)
@@ -271,10 +263,9 @@ def test_erlang_b_oracle(method, C1, C2, rho):
 @settings(max_examples=25, deadline=None)
 @given(C1=st.integers(min_value=1, max_value=12),
        C2=st.integers(min_value=1, max_value=12),
-       rho=st.floats(min_value=0.05, max_value=8.0),
-       mu=st.floats(min_value=0.1, max_value=5.0))
-def test_property_solvers_agree(C1, C2, rho, mu):
-    g = build_generator(QbdModel(C1, C2, rho * mu, mu))
+       rho=st.floats(min_value=0.05, max_value=8.0))
+def test_property_solvers_agree(C1, C2, rho):
+    g = build_generator(QbdModel(C1, C2, rho))
     a = solve_stationary(g, "dense")
     b = solve_stationary(g, "block_tridiagonal")
     assert np.abs(a.pi - b.pi).max() < 1e-10
@@ -283,10 +274,9 @@ def test_property_solvers_agree(C1, C2, rho, mu):
 @settings(max_examples=40, deadline=None)
 @given(C1=st.integers(min_value=1, max_value=12),
        C2=st.integers(min_value=1, max_value=12),
-       lam=st.floats(min_value=1e-3, max_value=1e3),
-       mu=st.floats(min_value=1e-3, max_value=1e3))
-def test_property_generator_is_the_transition_rule(C1, C2, lam, mu):
-    g = build_generator(QbdModel(C1, C2, lam, mu))
+       lam=st.floats(min_value=1e-3, max_value=1e3))
+def test_property_generator_is_the_transition_rule(C1, C2, lam):
+    g = build_generator(QbdModel(C1, C2, lam))
     s = g.state_index
     want = np.zeros((g.n_states, g.n_states))
     for i in range(C1 + 1):
@@ -299,27 +289,27 @@ def test_property_generator_is_the_transition_rule(C1, C2, lam, mu):
             elif i > 0:
                 want[s(i, j), s(i - 1, j)] = lam / 2
                 want[s(i, j), s(i, j - 1)] = lam / 2
-            # each occupied unit frees up at rate mu
+            # each occupied unit frees up at rate 1
             if i < C1:
-                want[s(i, j), s(i + 1, j)] = (C1 - i) * mu
+                want[s(i, j), s(i + 1, j)] = C1 - i
             if j < C2:
-                want[s(i, j), s(i, j + 1)] = (C2 - j) * mu
+                want[s(i, j), s(i, j + 1)] = C2 - j
     Q = g.dense()
     off = ~np.eye(g.n_states, dtype=bool)
     assert (Q[off] == want[off]).all()
-    assert np.abs(Q.sum(axis=1)).max() <= 1e-12 * max(lam, mu * (C1 + C2))
+    assert np.abs(Q.sum(axis=1)).max() <= 1e-12 * max(lam, C1 + C2)
 
 
 class TestMetrics:
     def test_utilization_definition(self):
-        m = QbdModel(2, 2, 1.0, 1.0)
-        d = solve_stationary(build_generator(m))
-        i = np.arange(3)
-        by_hand = float(((2 - i) * d.pi.sum(axis=1)).sum() / 2)
-        assert utilization(d, m)[0] == pytest.approx(by_hand)
+        # C1 = 3 and C2 = 2 come from the shape of pi
+        d = solve_stationary(build_generator(QbdModel(3, 2, 1.0)))
+        u1 = float(((3 - np.arange(4)) * d.pi.sum(axis=1)).sum() / 3)
+        u2 = float(((2 - np.arange(3)) * d.pi.sum(axis=0)).sum() / 2)
+        assert utilization(d) == pytest.approx((u1, u2))
 
     def test_loss_is_corner_state(self):
-        d = solve_stationary(build_generator(QbdModel(3, 2, 4.0, 1.0)))
+        d = solve_stationary(build_generator(QbdModel(3, 2, 4.0)))
         assert loss_probability(d) == d.pi[0, 0]
 
     @pytest.mark.parametrize("method, C1, C2, lam", [
@@ -328,7 +318,7 @@ class TestMetrics:
         ("block_tridiagonal", 30, 20, 40.0), ("block_tridiagonal", 100, 100, 150.0),
         ("block_tridiagonal", 100, 100, 220.0)])
     def test_gap_matches_diagonal_loop_bitwise(self, method, C1, C2, lam):
-        d = solve_stationary(build_generator(QbdModel(C1, C2, lam, 1.0)), method)
+        d = solve_stationary(build_generator(QbdModel(C1, C2, lam)), method)
         n1, n2 = d.pi.shape
         want = {}
         for psi in range(-(n2 - 1), n1):
@@ -343,7 +333,7 @@ class TestMetrics:
         assert all(float(got[psi]).hex() == float(want[psi]).hex() for psi in want)
 
     def test_gap_marginalizes_pi(self):
-        d = solve_stationary(build_generator(QbdModel(3, 2, 1.0, 1.0)))
+        d = solve_stationary(build_generator(QbdModel(3, 2, 1.0)))
         gap = gap_distribution(d)
         assert gap[3] == pytest.approx(float(d.pi[3, 0]))
         assert gap[-2] == pytest.approx(float(d.pi[0, 2]))
@@ -366,7 +356,7 @@ class TestBenchmarkTracer:
         tracing.install(tracer, api)
         try:
             for method in ("dense", "block_tridiagonal"):
-                solve_model(5, 5, 2.0, 1.0, method=method)
+                solve_model(5, 5, 2.0, method=method)
         finally:
             tracer.unpatch()
         metrics = tracing.layer_metrics(tracer.spans)

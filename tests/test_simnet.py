@@ -15,7 +15,16 @@ from hypothesis import strategies as st
 
 from allpath import simnet
 from allpath.cli import main as cli_main
-from allpath.protocol import BRIDGE_CLASSES, DATA, DUPLICATE, MISS, UNRESOLVED, Frame
+from allpath.protocol import (
+    BRIDGE_CLASSES,
+    DATA,
+    DUPLICATE,
+    LEARNT_TIMER,
+    LOCK_TIMER,
+    MISS,
+    UNRESOLVED,
+    Frame,
+)
 from allpath.simnet import (
     Engine,
     FlowSpec,
@@ -200,6 +209,42 @@ class TestScenarios:
         assert len(delivered) > 100 and same_edge
         for f in delivered:
             assert f["path"] == f["probe_trace"], f
+
+    @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
+    def test_walk_path_skips_expired_entries(self, protocol):
+        # B keeps A's MAC from A's request at 0, but every table entry has
+        # expired by 40 s: the walk misses, B asks again, and its probe
+        # takes the path the flow reports
+        wl = [FlowSpec("A", "B", 12000, 0.0), FlowSpec("B", "A", 12000, 40.0)]
+        rep = run_scenario(make_line(2), protocol, wl, seed=1)
+        second = rep.flows[1]
+        assert second["status"] == "done"
+        assert second["path"] == second["probe_trace"] == [2, 1]
+        assert len(rep.races) == 2
+        assert [rep.counters["dropped_" + reason] for reason in (DUPLICATE, MISS, UNRESOLVED)] \
+            == [0, 0, 0]
+
+    @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
+    def test_a_flood_after_the_lock_timer_is_admitted(self, protocol):
+        # A floods again, for C, once its first flood's locks are due: the
+        # engine's tick has made them learnt, so the fresher race re-points them
+        t = make_line(3, hosts={"A": 1, "B": 3, "C": 2})
+        wl = [FlowSpec("A", "B", 12000, 0.0), FlowSpec("A", "C", 12000, 2 * LOCK_TIMER)]
+        rep = run_scenario(t, protocol, wl, seed=1)
+        assert [f["status"] for f in rep.flows] == ["done", "done"]
+        assert [r["winning_trace"] is not None for r in rep.races] == [True, True]
+        assert rep.counters["dropped_duplicate"] == 0
+
+    def test_an_edge_directory_record_expires_at_a_frame(self):
+        # no forwarding timer is due at the frame, only the directory record
+        eng = Engine(make_line(3), "bridge_path")
+        edge = eng.bridges[1]
+        edge._dir_learn("B", 3, now=0.0)
+        edge._learn(3, 2, now=LEARNT_TIMER / 2)
+        eng._frame_at_bridge(LEARNT_TIMER + 1.0, 1, "A", Frame(kind=DATA, src_mac="A",
+                                                                 dst_mac="B"))
+        assert "B" not in edge.directory and list(edge.entries) == [3]
+        assert eng.dropped_unresolved == 1 and eng.frames_created == 0
 
     @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
     def test_walk_path_none_on_empty_tables(self, protocol):
@@ -538,6 +583,31 @@ class TestTableSeries:
         assert len(recount) > len(series) > 1
         assert series == change_points
 
+    @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
+    def test_change_points_of_a_recount_at_frames_walks_and_the_end(self, protocol,
+                                                                     monkeypatch):
+        # the walk at 40 s and the end at 80 s each find expired entries
+        recount = []
+        for name in ("_frame_at_bridge", "walk_path", "_finalize"):
+            def recounted(eng, *args, _original=getattr(Engine, name)):
+                result = _original(eng, *args)
+                recount.append((eng.now, sum(len(bs.entries) for bs in eng.bridges.values())))
+                return result
+            monkeypatch.setattr(Engine, name, recounted)
+        wl = [FlowSpec("A", "B", 12000, 0.0), FlowSpec("B", "A", 12000, 40.0)]
+        rep = run_scenario(make_line(2), protocol, wl, seed=1, duration=80.0)
+        change_points = [row for i, row in enumerate(recount)
+                         if i == 0 or row[1] != recount[i - 1][1]]
+        assert rep.table_series == change_points
+        assert [t for t, _ in rep.table_series].count(40.0) == 1  # the walk's row
+
+    @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
+    def test_the_final_tick_is_booked(self, protocol):
+        rep = run_scenario(make_line(2), protocol, [FlowSpec("A", "B", 12000, 0.0)],
+                           duration=40.0)
+        assert rep.final_tables["total"] == 0
+        assert rep.table_series[-1] == (40.0, 0)
+
 
 class TestCounters:
     @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
@@ -626,9 +696,10 @@ class TestCensus:
 
 
 class TestBenchmarkTracer:
-    def test_tracer_fits_the_package(self, monkeypatch):
+    def test_tracer_fits_the_package(self, monkeypatch, tmp_path):
         # the benchmark's tracer patches simnet and protocol names from
-        # outside; one renamed away fails here, not in a benchmark run
+        # outside; one renamed away, or a handle or tick that no longer
+        # runs, fails here, not in a benchmark run
         monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
         import tracing
 
@@ -639,7 +710,14 @@ class TestBenchmarkTracer:
         tracer = tracing.Tracer()
         tracing.install(tracer, api)
         try:
-            run_scenario(make_diamond(), "arp_path", [FlowSpec("A", "B", 12000, 0.0)], seed=1)
+            # the second flow starts at 0.3 s, after the first flood's locks are due
+            for protocol in ("arp-path", "flow-path", "bridge-path"):
+                assert cli_main(["simulate", "--topology", "diamond", "--protocol", protocol,
+                                 "--flows", "2", "--seed", "1",
+                                 "--out", str(tmp_path / protocol)]) == 0
         finally:
             tracer.unpatch()
-        assert tracing.layer_metrics(tracer.spans)["simnet.frames"] > 0
+        assert tracing.HANDLE | tracing.TICK <= {span[0] for span in tracer.spans}
+        metrics = tracing.layer_metrics(tracer.spans)
+        assert metrics["simnet.frames"] > 0
+        assert metrics["protocol.handle_calls"] > 0 and metrics["protocol.tick_s"] > 0

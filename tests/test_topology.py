@@ -124,6 +124,13 @@ class TestLinkValidation:
             make_line(7, hosts={"A": 1, "7": 3})
         assert sorted(Topology([1, 2], [Link(1, 2)], {"3": 1, "B": 2}).hosts) == ["3", "B"]
 
+    def test_colliding_link_names_rejected(self):
+        # host "2-3" on bridge 1 and host "1-2" on bridge 3 both read 1-2-3
+        with pytest.raises(TopologyError, match="two links are named '1-2-3'"):
+            make_line(3, hosts={"2-3": 1, "1-2": 3})
+        line = make_line(3, hosts={"2-3": 1, "B": 3})
+        assert sorted(ln.name for ln in line.links.values()) == ["1-2", "1-2-3", "2-3", "3-B"]
+
 
 class TestPathEnumeration:
     @pytest.mark.parametrize("n,count", [(2, 2), (3, 6), (4, 20), (5, 70)])
