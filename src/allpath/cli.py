@@ -244,8 +244,8 @@ def build_parser(parser_class=argparse.ArgumentParser):
     p = sub.add_parser("simulate", help="run a protocol traffic scenario")
     p.add_argument("--topology", default="grid:3")
     p.add_argument("--protocol", default="arp-path",
-                   choices=["arp-path", "flow-path", "bridge-path",
-                            "arp_path", "flow_path", "bridge_path"])
+                   choices=[p.replace("_", "-") for p in simnet.PROTOCOLS]
+                   + list(simnet.PROTOCOLS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duration", type=_positive_float, default=None)
     p.add_argument("--flows", type=_nonnegative_int, default=4)

@@ -4,11 +4,19 @@ A bridge "port" is identified by the neighbor reached through it (a bridge
 id or a host id); topologies never have parallel links so this is unique.
 
 Table entries have two states.  A *locked* entry is created by the first
-copy of a broadcast exploration frame, is immutable until its (short) lock
-timer fires, and causes later copies of the same exploration to be
-discarded, which is what keeps flooding loop-free.  After the lock timer it
-becomes *learnt*: refreshable, re-pointable by a fresher exploration, and
-expiring after the (long) learnt timer.
+copy of a broadcast exploration frame and stamped with that exploration's
+race; later copies of the same race are discarded wherever the stamp is,
+which is what keeps flooding loop-free.  After its (short) lock timer, or
+earlier when a reply for the same key arrives, the entry becomes *learnt*:
+refreshable, re-pointable by a fresher exploration, and expiring after the
+(long) learnt timer.  A reply that turns a locked entry learnt keeps its
+race stamp, so the slower copies of that flood stay duplicates.
+
+The protocols differ only in their keys, and each bridge class names its
+own.  Its handle() passes the flood key of an exploration to _flood(); its
+_unicast_key() gives the key a unicast frame is looked up by; and its
+host_key(topology, host) gives the key of the entries that forward to a
+host, or is None where a table keys per host couple (Flow-Path).
 
 Timers live in a per-bridge expiry heap with lazy deletion, the classic
 timer-queue design (Varghese & Lauck, "Hashed and Hierarchical Timing
@@ -137,7 +145,8 @@ class ForwardingDecision:
 
 
 # The one decision of every DUPLICATE drop, nearly half the frames of a grid
-# flood: nothing may mutate it, and _forward only mutates decisions with outputs.
+# flood: nothing may mutate it, and _forward and BridgePathBridge._flood only
+# mutate decisions with outputs.
 DROP_DUPLICATE = ForwardingDecision([], DUPLICATE)
 
 
@@ -152,6 +161,9 @@ class BridgeState:
     """
 
     protocol = None
+    # host_key(topology, host): the key of the entries that forward to host;
+    # None where tables key per host couple, so that no entry serves a host alone
+    host_key = None
 
     def __init__(self, bridge_id, ports, host_ports=()):
         self.bridge_id = bridge_id
@@ -194,7 +206,11 @@ class BridgeState:
         heapq.heappush(self._expiry, (expires_at, next(self._seq), e))
 
     def _learn(self, key, port, now):
-        e = self.entries[key] = ForwardingEntry(key, port, LEARNT, now + LEARNT_TIMER)
+        # the race stamp stays, so a locked entry learnt early still refuses
+        # the later copies of its flood
+        old = self.entries.get(key)
+        race_id = None if old is None else old.race_id
+        e = self.entries[key] = ForwardingEntry(key, port, LEARNT, now + LEARNT_TIMER, race_id)
         self._schedule(e)
 
     def _refresh(self, entry, now):
@@ -219,6 +235,14 @@ class BridgeState:
             self._lock(key, ingress, now, race_id)
             return True
         return False  # locked by another in-flight race: immutable
+
+    def _flood(self, ingress, frame, now, key):
+        """Admit the first copy of frame's race on key, and send it on every
+        port but ingress; a later copy is a DUPLICATE drop."""
+        if not self._race_admit(key, ingress, now, frame.race_id):
+            return DROP_DUPLICATE
+        out = frame.forwarded(self.bridge_id)
+        return ForwardingDecision([(p, out) for p in self.flood_ports[ingress]])
 
     def _learn_source(self, key, ingress, frame, now):
         """A reply creates a learnt entry for its source; data refreshes the
@@ -264,12 +288,13 @@ class BridgeState:
 class ArpPathBridge(BridgeState):
     protocol = "arp_path"
 
+    @staticmethod
+    def host_key(topology, host):
+        return host  # a host's MAC is its id
+
     def handle(self, ingress, frame, now):
         if frame.kind == ARP_REQUEST:
-            if not self._race_admit(frame.src_mac, ingress, now, frame.race_id):
-                return DROP_DUPLICATE
-            out = frame.forwarded(self.bridge_id)
-            return ForwardingDecision([(p, out) for p in self.flood_ports[ingress]])
+            return self._flood(ingress, frame, now, frame.src_mac)
         self._learn_source(frame.src_mac, ingress, frame, now)
         return self._forward(*self.route(ingress, frame), now)
 
@@ -292,10 +317,7 @@ class FlowPathBridge(BridgeState):
         if frame.kind == ARP_REQUEST:
             # provisional "A?" entry: destination MAC unknown, IPs disambiguate
             key = _prov_key(frame.src_mac, frame.src_ip, frame.dst_ip)
-            if not self._race_admit(key, ingress, now, frame.race_id):
-                return DROP_DUPLICATE
-            out = frame.forwarded(self.bridge_id)
-            return ForwardingDecision([(p, out) for p in self.flood_ports[ingress]])
+            return self._flood(ingress, frame, now, key)
 
         if frame.kind == ARP_REPLY:
             # reply from B to A confirms A? -> AB and creates BA
@@ -339,10 +361,10 @@ class BridgePathBridge(BridgeState):
         super().__init__(bridge_id, ports, host_ports)
         self.directory = {}  # host mac -> (edge id, expires_at)
         self._dir_expiry = []  # heap of (expires_at, seq, mac), stale items included
-        # flood_ports split: the core gets the encapsulated copy, hosts the other
-        self.flood_split = {i: ([p for p in out if p not in self.host_ports],
-                                [p for p in out if p in self.host_ports])
-                            for i, out in self.flood_ports.items()}
+
+    @staticmethod
+    def host_key(topology, host):
+        return topology.hosts[host]  # the host's edge bridge
 
     def tick(self, now):
         if self._expiry and self._expiry[0][0] <= now:  # skip the call when nothing is due
@@ -364,9 +386,10 @@ class BridgePathBridge(BridgeState):
         if from_host:
             self._dir_learn(frame.src_mac, self.bridge_id, now)
             if frame.dst_mac == BROADCAST:
-                return self._flood(ingress, frame.with_outer((self.bridge_id, BROADCAST)), now)
+                return self._flood(ingress, frame.with_outer((self.bridge_id, BROADCAST)), now,
+                                   self.bridge_id)
         elif frame.outer is not None and frame.outer[1] == BROADCAST:
-            return self._flood(ingress, frame, now)
+            return self._flood(ingress, frame, now, frame.outer[0])
         decision, e = self.route(ingress, frame)
         if from_host:
             # the core machine sees the frame only if route() encapsulated it
@@ -379,19 +402,18 @@ class BridgePathBridge(BridgeState):
                 self._dir_learn(frame.src_mac, outer_src, now)
         return self._forward(decision, e, now)
 
-    def _flood(self, ingress, frame, now):
-        outer_src = frame.outer[0]
-        if not self._race_admit(outer_src, ingress, now, frame.race_id):
-            return DROP_DUPLICATE
-        out = frame.forwarded(self.bridge_id)
-        bridge_ports, host_ports = self.flood_split[ingress]
-        outputs = [(p, out) for p in bridge_ports]
-        if self.host_ports:
-            if outer_src != self.bridge_id:
-                self._dir_learn(frame.src_mac, outer_src, now)
+    def _flood(self, ingress, frame, now, key):
+        """The core flood on the source edge bridge key; an edge bridge also
+        learns a remote source's edge and decapsulates on its host ports."""
+        decision = super()._flood(ingress, frame, now, key)
+        if self.host_ports and decision.outputs:
+            if key != self.bridge_id:
+                self._dir_learn(frame.src_mac, key, now)
+            out = decision.outputs[0][1]
             local = out.with_outer(None)
-            outputs += [(p, local) for p in host_ports]
-        return ForwardingDecision(outputs)
+            decision.outputs = [(p, local if p in self.host_ports else out)
+                                for p, _ in decision.outputs]
+        return decision
 
     def route(self, ingress, frame):
         """Local delivery, or encapsulation towards the destination's edge

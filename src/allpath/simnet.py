@@ -578,15 +578,20 @@ def measure_empirical_tables(topology, protocol, seed=0):
     expired but before the refreshed entries do.
 
     Returns (total_entries, b, L_e, B_E, H) in the sense of the table-size
-    equations: b is the mean bridge count of the refresh probes' paths (for
-    Bridge-Path, one path per ordered pair of distinct edge bridges).  L_e
-    is not measured but solved from the total, as total / H - b for ARP-Path
-    and total / B_E - b for Bridge-Path, so their equations hold by
-    construction; Flow-Path's L_e is 0 and its H(H-1)b is a real prediction.
+    equations.  The protocol's host_key names the table key of each host:
+    the host for ARP-Path, its edge bridge for Bridge-Path, and the host
+    itself for Flow-Path, which keys per host couple.  b is the mean bridge count of the
+    refresh probes' paths, one path per ordered pair of distinct keys.  L_e
+    is not measured but solved from the total, as total / #keys - b, so the
+    ARP-Path and Bridge-Path equations hold by construction; Flow-Path's L_e
+    is 0 and its H(H-1)b is a real prediction.
     """
     hosts = sorted(topology.hosts)
-    if len(hosts) < 2:
-        raise ScenarioError("need at least two hosts")
+    host_key = BRIDGE_CLASSES[protocol].host_key
+    key = {h: host_key(topology, h) if host_key else h for h in hosts}
+    n_keys = len(set(key.values()))
+    if n_keys < 2:
+        raise ScenarioError("need hosts under at least two table keys")
     gap = max(4 * LOCK_TIMER, 0.25)
     pairs = [(a, b) for i, a in enumerate(hosts) for b in hosts[i + 1:]]
     window = gap * len(pairs)
@@ -607,26 +612,16 @@ def measure_empirical_tables(topology, protocol, seed=0):
     report = run_scenario(topology, protocol, workload, seed=seed, duration=measure_at)
 
     total = report.final_tables["total"]
-    traces = {}
+    traces = {}  # (src key, dst key) -> the last probe trace between them
     for rec in report.flows[len(pairs):]:
         if rec["probe_trace"] is None:
             raise ScenarioError("refresh probe %s->%s was not delivered" % (rec["src"], rec["dst"]))
-        traces[(rec["src"], rec["dst"])] = rec["probe_trace"]
+        ends = (key[rec["src"]], key[rec["dst"]])
+        if ends[0] != ends[1]:
+            traces[ends] = rec["probe_trace"]
 
-    H = len(hosts)
-    edge_set = sorted({topology.hosts[h] for h in hosts})
-    B_E = len(edge_set)
-    if protocol == "bridge_path":
-        by_edge_pair = {}
-        for (a, b), tr in traces.items():
-            ep = (topology.hosts[a], topology.hosts[b])
-            if ep[0] != ep[1]:
-                by_edge_pair[ep] = tr
-        lens = [len(tr) for tr in by_edge_pair.values()]
-        b_mean = sum(lens) / len(lens)
-        L_e = total / B_E - b_mean
-    else:
-        lens = [len(tr) for tr in traces.values()]
-        b_mean = sum(lens) / len(lens)
-        L_e = 0.0 if protocol == "flow_path" else total / H - b_mean
-    return total, b_mean, L_e, B_E, H
+    lens = [len(tr) for tr in traces.values()]
+    b_mean = sum(lens) / len(lens)
+    L_e = total / n_keys - b_mean if host_key else 0.0
+    B_E = len({topology.hosts[h] for h in hosts})
+    return total, b_mean, L_e, B_E, len(hosts)

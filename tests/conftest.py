@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from allpath.protocol import BRIDGE_CLASSES
 from allpath.simnet import Engine, measure_empirical_tables
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,14 +77,16 @@ def census(monkeypatch):
     5-tuple and the (low, high) bounds that the refresh-probe traces put on
     the total.
 
-    Tables are keyed by destination: the host for ARP-Path, its edge bridge
-    for Bridge-Path.  A bridge on a refresh probe's trace to a key forwarded
-    the probe by a live entry for it (a Bridge-Path egress edge holds its own
-    id, refreshed by its hosts' outgoing data), and only the refreshes keep
-    entries alive until the census, each along a trace to or from its key.  So
+    Tables are keyed by destination, the protocol's host_key: the host for
+    ARP-Path, its edge bridge for Bridge-Path.  A bridge on a refresh probe's
+    trace to a key forwarded the probe by a live entry for it (a Bridge-Path
+    egress edge holds its own id, refreshed by its hosts' outgoing data), and
+    only the refreshes keep entries alive until the census, each along a
+    trace to or from its key.  So
     sum |union of traces to key| <= total <= sum |union of traces to or from key|,
-    which does not use the fitted L_e.  Flow-Path is not bounded this way:
-    its bounds are None, and its closed form H(H-1)b is checked directly.
+    which does not use the fitted L_e.  Flow-Path, whose host_key is None, is
+    not bounded this way: its bounds are None, and its closed form H(H-1)b is
+    checked directly.
     """
     reports = []
     run = Engine.run
@@ -98,13 +101,13 @@ def census(monkeypatch):
         result = measure_empirical_tables(topology, protocol, seed=seed)
         [report] = reports
         reports.clear()
-        if protocol == "flow_path":
+        host_key = BRIDGE_CLASSES[protocol].host_key
+        if host_key is None:
             return result, None
-        key = topology.hosts.get if protocol == "bridge_path" else (lambda host: host)
         H = len(topology.hosts)
         to, touching = {}, {}
         for flow in report.flows[H * (H - 1) // 2:]:  # phase 2: the refresh flows
-            src, dst = key(flow["src"]), key(flow["dst"])
+            src, dst = host_key(topology, flow["src"]), host_key(topology, flow["dst"])
             for k in {src, dst}:
                 touching.setdefault(k, set()).update(flow["probe_trace"])
             to.setdefault(dst, set()).update(flow["probe_trace"])

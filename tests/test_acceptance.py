@@ -85,20 +85,17 @@ def test_criterion_05_table_count_oracle_equivalence(census):
           "bounds set by the refresh-probe traces")
 
 
-def _exploration_key(protocol, eng, src_host, dst_host):
-    src = eng.hosts[src_host]
-    if protocol == "arp_path":
-        return src.mac
-    if protocol == "bridge_path":
-        return src.bridge
-    return ("prov", src.mac, src.ip, eng.hosts[dst_host].ip)
-
-
-def _assert_flood_tree(eng, key, src_bridge):
-    # every bridge holds exactly one entry for the exploration key, and
-    # following entry ports from any bridge reaches the source bridge
+def _assert_flood_tree(eng, race_id, src_bridge):
+    # every bridge holds exactly one entry stamped with the race, all under
+    # one key, and following entry ports from any bridge reaches the source bridge
+    keys = set()
     for start, bs in eng.bridges.items():
-        assert key in bs.entries, (start, key)
+        stamped = [k for k, e in bs.entries.items() if e.race_id == race_id]
+        assert len(stamped) == 1, (start, stamped)
+        keys.update(stamped)
+    assert len(keys) == 1, keys
+    [key] = keys
+    for start in eng.bridges:
         cur = start
         for _ in range(len(eng.bridges) + 1):
             if cur == src_bridge:
@@ -138,8 +135,7 @@ def test_criterion_06_protocol_invariants_at_scale(bridge_arrivals):
             for tr in (race["winning_trace"], race["reply_trace"]):
                 assert tr is not None and len(set(tr)) == len(tr)
             # tree property: one exploration entry per bridge, oriented to src
-            _assert_flood_tree(eng, _exploration_key(protocol, eng, src, dst),
-                               eng.hosts[src].bridge)
+            _assert_flood_tree(eng, tuple(race["race_id"]), eng.hosts[src].bridge)
             # reply path reversal (checked for every protocol; required for
             # flow_path)
             assert race["reply_trace"] == list(reversed(race["winning_trace"]))

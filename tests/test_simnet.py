@@ -163,6 +163,27 @@ class TestScenarios:
             for tr in (race["winning_trace"], race["reply_trace"]):
                 assert tr is not None and len(set(tr)) == len(tr)
 
+    @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
+    def test_crossing_races_forward_no_frame_twice(self, protocol, bridge_arrivals):
+        # A and B ARP for each other at t = 0 over a triangle whose direct
+        # link is slow.  B's reply turns entries that A's flood has just
+        # locked learnt before the flood's slower copies arrive; the entries
+        # keep the race stamp, so those copies stay duplicates.  Without the
+        # stamp ARP-Path re-admits them, re-points A's entries into a cycle,
+        # and B's frames go round it for ever.
+        t = Topology([1, 2, 3], [Link(1, 2, 1e8), Link(2, 3), Link(3, 1, 1e9, 1e-5)],
+                     {"A": 1, "B": 2})
+        eng = Engine(t, protocol, seed=0)
+        eng.add_flow(FlowSpec("A", "B", 12000, 0.0))
+        eng.add_flow(FlowSpec("B", "A", 12000, 0.0))
+        rep = eng.run(until=0.05)  # bounded, so that a storm fails instead of hanging
+        assert [f["status"] for f in rep.flows] == ["done", "done"]
+        assert rep.counters["in_flight"] == 0
+        assert bridge_arrivals
+        for arrival in bridge_arrivals:
+            forwarders = arrival[:-1]  # no bridge forwarded the frame twice
+            assert len(set(forwarders)) == len(forwarders), arrival
+
     def test_congested_branch_avoided(self):
         # preload the 1->2 output port: the request copy over 1->4 wins
         eng = Engine(make_diamond(), "arp_path", seed=0)
@@ -673,8 +694,10 @@ class TestCensus:
                 assert bounds[0] <= total <= bounds[1], (H, bounds)
 
     def test_rejects_single_host(self):
-        with pytest.raises(ScenarioError):
-            measure_empirical_tables(make_line(3, hosts={"A": 1}), "arp_path")
+        # fewer than two table keys: one host, or two behind one Bridge-Path edge
+        for protocol, hosts in (("arp_path", {"A": 1}), ("bridge_path", {"A": 1, "B": 1})):
+            with pytest.raises(ScenarioError):
+                measure_empirical_tables(make_line(3, hosts=hosts), protocol)
 
     # exact 5-tuples on simple grids with two hosts per corner at seed 3
     PINNED = {
@@ -693,6 +716,41 @@ class TestCensus:
     def test_census_tuples_are_pinned(self, protocol, n):
         t = make_simple_grid(n, hosts_per_corner=2)
         assert measure_empirical_tables(t, protocol, seed=3) == self.PINNED[(protocol, n)]
+
+
+class TestProtocolGates:
+    """PAPER.md's protocol comparison as checks that hold by design."""
+
+    def test_table_keys_and_flow_path_symmetry(self):
+        # 60 seeds over the diamond and grid:3 with 2 hosts per end or corner,
+        # 12 flows a run started LOCK_TIMER / 5 apart, so that floods overlap
+        topologies = [make_diamond(hosts={"A0": 1, "A1": 1, "B0": 3, "B1": 3}),
+                      make_simple_grid(3, hosts_per_corner=2)]
+        entries = reverse_pairs = 0
+        for seed, t in itertools.product(range(60), topologies):
+            hosts = sorted(t.hosts)
+            rng = random.Random(seed)
+            wl = [FlowSpec(*rng.sample(hosts, 2), 12000, k * LOCK_TIMER / 5) for k in range(12)]
+            for protocol, cls in BRIDGE_CLASSES.items():
+                rep = run_scenario(t, protocol, wl, seed=seed)
+                if cls.host_key is not None:
+                    # every key is a host's: at most H (ARP-Path) or B_E
+                    # (Bridge-Path) entries a table
+                    keys = {cls.host_key(t, h) for h in hosts}
+                    for bs in rep.bridges.values():
+                        assert set(bs.entries) <= keys, (protocol, seed, bs.bridge_id)
+                        entries += len(bs.entries)
+                    continue
+                # Flow-Path: a done flow's path is the reverse of its reverse flow's
+                paths = {}
+                for f in rep.flows:
+                    if f["status"] == "done":
+                        paths.setdefault((f["src"], f["dst"]), set()).add(tuple(f["path"]))
+                for (a, b), forward in paths.items():
+                    if (b, a) in paths:
+                        assert forward == {p[::-1] for p in paths[(b, a)]}, (seed, a, b)
+                        reverse_pairs += 1
+        assert entries > 1000 and reverse_pairs > 300
 
 
 class TestBenchmarkTracer:
