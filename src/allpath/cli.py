@@ -53,16 +53,21 @@ def _write_manifest(outdir, subcommand, params, outputs, started):
         fh.write("\n")
 
 
+# the one name of each protocol, for --protocol and a scenario's protocol
+PROTOCOLS = {p.replace("_", "-"): p for p in simnet.PROTOCOLS}
+
+
 def _parse_topology(spec):
+    """A generator name (grid:N, crossed:N, diamond) or a topology object."""
+    if isinstance(spec, dict):
+        return topology.Topology.from_json_dict(spec)
     if spec.startswith("grid:"):
         return topology.make_simple_grid(int(spec.split(":", 1)[1]))
     if spec.startswith("crossed:"):
         return topology.make_crossed_grid(int(spec.split(":", 1)[1]))
     if spec == "diamond":
         return topology.make_diamond()
-    if os.path.exists(spec):
-        return topology.Topology.load_json(spec)
-    raise ValueError("unknown topology %r (use grid:N, crossed:N, diamond or a JSON file)" % spec)
+    raise ValueError("unknown topology %r (use grid:N, crossed:N or diamond)" % spec)
 
 
 def _parse_float_list(text):
@@ -119,18 +124,21 @@ _host_list = _as_given(_parse_int_list, lambda v: all(h > 0 and h % 4 == 0 for h
 
 
 def cmd_simulate(args, outdir):
-    """Run the scenario file, or the flag scenario: --flows random 12,000-bit flows."""
-    doc = {}  # every field takes its option's value
+    """Run the --scenario document, or {}: each field it lacks takes its
+    option's value, and without flows it runs --flows random 12,000-bit flows."""
+    doc = {}
     if args.scenario:
         with open(args.scenario) as fh:
             doc = json_typed("scenario", json.load(fh), OBJECT)
-    topo_spec = json_field("scenario", doc, "topology", NAME_OR_OBJECT, default=args.topology)
-    t = topology.Topology.from_json_dict(topo_spec) if isinstance(topo_spec, dict) \
-        else _parse_topology(topo_spec)
+    t = _parse_topology(json_field("scenario", doc, "topology", NAME_OR_OBJECT,
+                                   default=args.topology))
     protocol = json_field("scenario", doc, "protocol", STR, default=args.protocol)
+    if protocol not in PROTOCOLS:
+        raise ValueError("scenario.protocol must be one of %s, not %s"
+                         % (", ".join(PROTOCOLS), json.dumps(protocol)))
     seed = json_field("scenario", doc, "seed", INT, default=args.seed)
     duration = json_field("scenario", doc, "duration", OPTIONAL_NUMBER, default=args.duration)
-    if args.scenario:
+    if "flows" in doc:
         workload = [simnet.FlowSpec(json_field(where, f, "src", STR),
                                     json_field(where, f, "dst", STR),
                                     json_field(where, f, "size_bits", NUMBER),
@@ -143,7 +151,7 @@ def cmd_simulate(args, outdir):
             raise ValueError("topology has fewer than two hosts")
         workload = [simnet.FlowSpec(*rng.sample(hosts, 2), 12000, 0.3 * k)
                     for k in range(args.flows)]
-    report = simnet.run_scenario(t, protocol.replace("-", "_"), workload, seed=seed,
+    report = simnet.run_scenario(t, PROTOCOLS[protocol], workload, seed=seed,
                                  duration=duration)
 
     with open(os.path.join(outdir, "report.json"), "w") as fh:
@@ -207,6 +215,7 @@ def cmd_balance(args, outdir):
 
 
 def cmd_replay(args):
+    """The namespace a manifest parses to, for main to run; a bad one raises ValueError."""
     with open(args.manifest) as fh:
         doc = json_typed("manifest", json.load(fh), OBJECT)
     argv = [json_field("manifest", doc, "subcommand", STR)]
@@ -216,8 +225,10 @@ def cmd_replay(args):
         argv += ["--" + key.replace("_", "-"), str(val)]
     if args.out:
         argv += ["--out", args.out]
-    build_parser(_ManifestParser).parse_args(argv)  # a bad value exits 1, before any output
-    return main(argv)
+    args = build_parser(_ManifestParser).parse_args(argv)
+    if args.cmd == "replay":  # a "" key rebuilds as "--", and its value as a manifest
+        raise ValueError("manifest: a manifest records a run, not a replay")
+    return args
 
 
 # -- parser ---------------------------------------------------------------
@@ -243,9 +254,7 @@ def build_parser(parser_class=argparse.ArgumentParser):
 
     p = sub.add_parser("simulate", help="run a protocol traffic scenario")
     p.add_argument("--topology", default="grid:3")
-    p.add_argument("--protocol", default="arp-path",
-                   choices=[p.replace("_", "-") for p in simnet.PROTOCOLS]
-                   + list(simnet.PROTOCOLS))
+    p.add_argument("--protocol", default="arp-path", choices=list(PROTOCOLS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duration", type=_positive_float, default=None)
     p.add_argument("--flows", type=_nonnegative_int, default=4)
@@ -294,24 +303,24 @@ def build_parser(parser_class=argparse.ArgumentParser):
 
 
 def main(argv=None):
-    """Parse, run one subcommand into the output directory, write its manifest.
+    """Parse (replay: the manifest), refuse, make the output directory, run, write the manifest.
 
     The manifest's params are the parsed options, so replay passes back
     exactly what the parser accepted.
     """
     args = build_parser().parse_args(argv)
-    if args.cmd == "qbd" and args.method == "dense":
-        from . import qbd
-
-        states = (args.c1 + 1) * (args.c2 + 1)
-        if states > qbd.DENSE_MAX_STATES:
-            print("allpath: error: --method dense is limited to %d states, and C1 = %d, "
-                  "C2 = %d has %d; use block_tridiagonal"
-                  % (qbd.DENSE_MAX_STATES, args.c1, args.c2, states), file=sys.stderr)
-            return 2
     try:
         if args.cmd == "replay":
-            return cmd_replay(args)
+            args = cmd_replay(args)
+        if args.cmd == "qbd" and args.method == "dense":
+            from . import qbd
+
+            states = (args.c1 + 1) * (args.c2 + 1)
+            if states > qbd.DENSE_MAX_STATES:
+                print("allpath: error: --method dense is limited to %d states, and C1 = %d, "
+                      "C2 = %d has %d; use block_tridiagonal"
+                      % (qbd.DENSE_MAX_STATES, args.c1, args.c2, states), file=sys.stderr)
+                return 2
         started = time.time()
         outdir = args.out or os.environ.get("ALLPATH_OUTDIR") or "."
         os.makedirs(outdir, exist_ok=True)

@@ -384,7 +384,6 @@ class BridgePathBridge(BridgeState):
     def handle(self, ingress, frame, now):
         from_host = ingress in self.host_ports
         if from_host:
-            self._dir_learn(frame.src_mac, self.bridge_id, now)
             if frame.dst_mac == BROADCAST:
                 return self._flood(ingress, frame.with_outer((self.bridge_id, BROADCAST)), now,
                                    self.bridge_id)

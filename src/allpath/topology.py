@@ -116,9 +116,6 @@ class Topology:
 
     # -- basic queries ----------------------------------------------------
 
-    def role(self, bridge) -> str:
-        return "edge" if bridge in self.edge_bridges() else "core"
-
     def edge_bridges(self):
         return sorted({b for b in self.hosts.values()})
 
@@ -145,7 +142,7 @@ class Topology:
 
     def to_json_dict(self):
         return {
-            "bridges": [{"id": b, "role": self.role(b)} for b in self.bridges],
+            "bridges": [{"id": b} for b in self.bridges],
             "links": [
                 {
                     "a": ln.a,
@@ -188,11 +185,6 @@ class Topology:
             hosts[host] = bridge
             links.append(Link(host, bridge, *_json_link_params(where, h)))
         return cls(bridges, links, hosts, meta=meta)
-
-    @classmethod
-    def load_json(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
 
 
 # JSON field kinds: (Python types, name in errors).  JSON true and false are

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import warnings
@@ -12,7 +13,7 @@ import warnings
 import pytest
 
 import allpath
-from allpath import simnet
+from allpath import cli, simnet
 from allpath.cli import main
 from allpath.topology import make_line, make_simple_grid
 
@@ -69,6 +70,47 @@ class TestSimulate:
         doc = json.loads((out / "report.json").read_text())
         assert doc["protocol"] == "flow_path"
         assert doc["flows"][0]["status"] == "done"
+
+    @pytest.mark.parametrize("topo", ["grid:3", make_simple_grid(3).to_json_dict()],
+                             ids=["name", "object"])
+    def test_scenario_without_flows_is_the_flag_run(self, tmp_path, topo):
+        # a field the document lacks takes its option's value, flows too, and a
+        # field it has wins over its option
+        flag = tmp_path / "flag"
+        assert run(["simulate", "--topology", "grid:3", "--protocol", "bridge-path",
+                    "--seed", "7", "--flows", "12", "--out", str(flag)]) == 0
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"topology": topo, "seed": 7}))
+        out = tmp_path / "run"
+        assert run(["simulate", "--scenario", str(scenario), "--topology", "diamond",
+                    "--seed", "99", "--protocol", "bridge-path", "--flows", "12",
+                    "--out", str(out)]) == 0
+        for name in ("report.json", "report.csv", "tables.csv"):
+            assert read(out / name) == read(flag / name), name
+
+    def test_scenario_protocol_of_another_name_runtime_error(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "topology": "diamond", "protocol": "arp_path",
+            "flows": [{"src": "A", "dst": "B", "size_bits": 12000, "start_time": 0.0}],
+        }))
+        out = tmp_path / "run"
+        assert run(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "allpath: error: scenario.protocol must be one of arp-path, flow-path, "
+            'bridge-path, not "arp_path"\n')
+        assert not (out / "report.json").exists()
+
+    def test_topology_file_runtime_error(self, tmp_path, capsys):
+        # a topology is a generator name, or an object inside a scenario
+        path = tmp_path / "topo.json"
+        path.write_text(json.dumps(make_line(3).to_json_dict()))
+        out = tmp_path / "run"
+        assert run(["simulate", "--topology", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "allpath: error: unknown topology %r (use grid:N, crossed:N or diamond)\n"
+            % str(path))
+        assert not (out / "report.json").exists()
 
     def test_self_flow_runtime_error(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
@@ -208,10 +250,10 @@ class TestPinnedOutputs:
             "report.json content": "9da22bf8e280d6f1ee9bc994a9d40936802a4d6ab7fd5e9316d5a6f46eb9e7ab",
         },
         "bridge-path": {
-            "report.json": "ea3d5c482cad658cd865fdc22e8ce3dfab41fd8c28ceb30eb1d2b1bd36e27df3",
+            "report.json": "04f4146cd37b1597c2139b8c4c336f95b70ebcde83edc936f02d79e32653cf0a",
             "report.csv": "a28507fc2c94d2e89ee934773fe567df84e13b89c510fc76fa5e670fe4ea451e",
             "tables.csv": "50eb1fe5c923388985aaa767ee3fc567a25a70e9f19aa6d607e85e86e76a2c2e",
-            "report.json content": "321f42eaa24ff61865d5f26ea62e54a4d935105d1d48649330ef308d1c022345",
+            "report.json content": "0e134fe9faaa56b8d7951592a616dfa355b975fedfa243a6de3217283632022c",
         },
     }
 
@@ -246,10 +288,10 @@ class TestPinnedOutputs:
             "report.json content": "07708cc189c08ffaa2c6b5b5bcec0d9ef447940362f9b71b8f0061f9fa0a387f",
         },
         "bridge-path": {
-            "report.json": "67d063b606b0afd64d8188d246dfc3ab99f1e181b1a4d89eb89720f9e2e4e636",
+            "report.json": "c0fb324d764902d7de9f763ed1cfc4e3b308801cda875d690efca3c28789ce96",
             "report.csv": "f61cbdf5416089ead7fae5159f301bbb72eb3f191f0ff3f52185dc8ea9510b80",
             "tables.csv": "5cd2cf2282ea7aaf955e5eab48522333659b86ace837ef6ef84281001db69bb1",
-            "report.json content": "3cf5b4e052c0b7dc38c1ea3045ce3f215a72e17171634098cff56843871664fd",
+            "report.json content": "de73480875d44a076218443cf24b912511ee9d49ed0281c6fa4d77109594f3d6",
         },
     }
 
@@ -391,6 +433,7 @@ class TestQbd:
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--flows", "-1"],
+    ["simulate", "--protocol", "arp_path"],
     ["simulate", "--duration", "nan"],
     ["simulate", "--duration", "inf"],
     ["simulate", "--duration", "0"],
@@ -518,6 +561,9 @@ class TestReplay:
                      "manifest: the following arguments are required: --c1", id="no-c1"),
         pytest.param({"subcommand": "simulate", "params": {"seed": 2.5}},
                      "manifest: argument --seed: invalid int value: '2.5'", id="seed-a-float"),
+        pytest.param({"subcommand": "simulate", "params": {"protocol": "arp_path"}},
+                     "manifest: argument --protocol: invalid choice: 'arp_path' (choose from "
+                     "'arp-path', 'flow-path', 'bridge-path')", id="underscored-protocol"),
         # a key is an option named in full: no help action, no abbreviation
         pytest.param({"subcommand": "qbd", "params": {"c1": 2, "c2": 2, "help": True}},
                      "manifest: unrecognized arguments: --help True", id="help"),
@@ -536,6 +582,17 @@ class TestReplay:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_manifest_of_a_replay_runtime_error(self, tmp_path, capsys, monkeypatch):
+        # a "" key rebuilds as "--", which makes its value a manifest to replay,
+        # here the manifest itself
+        (tmp_path / "manifest.json").write_text(json.dumps(
+            {"subcommand": "replay", "params": {"": "manifest.json"}}))
+        monkeypatch.chdir(tmp_path)
+        assert run(["replay", "manifest.json"]) == 1
+        assert capsys.readouterr().err == \
+            "allpath: error: manifest: a manifest records a run, not a replay\n"
+        assert os.listdir(tmp_path) == ["manifest.json"]
+
     def test_dense_refusal_on_replay_is_usage_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"subcommand": "qbd", "params": {
@@ -544,6 +601,21 @@ class TestReplay:
         assert run(["replay", str(manifest), "--out", str(out)]) == 2
         assert "limited to 4096 states" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_replay_enters_main_once(self, tmp_path, monkeypatch):
+        # main runs the namespace the manifest parses to, as it runs any command
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(["qbd", "--c1", "2", "--c2", "2", "--out", str(first)]) == 0
+        calls = []
+
+        def counting_main(argv=None):
+            calls.append(argv)
+            return main(argv)
+
+        monkeypatch.setattr(cli, "main", counting_main)
+        assert cli.main(["replay", str(first / "manifest.json"), "--out", str(second)]) == 0
+        assert len(calls) == 1
+        assert read(first / "qbd_gap.csv") == read(second / "qbd_gap.csv")
 
     def test_scenario_manifest_fields(self, tmp_path):
         # the seed that ran is the scenario's; the manifest does not repeat one
@@ -561,3 +633,17 @@ class TestReplay:
         assert doc["subcommand"] == "qbd"
         assert doc["outputs"] == ["qbd_gap.csv", "qbd_summary.csv"]
         assert doc["wall_clock_s"] >= 0
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    """Each `allpath` line of README's CLI code block exits 0, in order, replay included."""
+    with open(os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")) as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("allpath ")]
+    assert [line.split()[1] for line in lines] == [
+        "simulate", "scalability", "qbd", "balance", "replay"]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ALLPATH_OUTDIR", raising=False)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line

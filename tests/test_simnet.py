@@ -256,6 +256,19 @@ class TestScenarios:
         assert [r["winning_trace"] is not None for r in rep.races] == [True, True]
         assert rep.counters["dropped_duplicate"] == 0
 
+    def test_an_edge_directory_names_remote_hosts_only(self):
+        # route delivers to a host port before it reads the directory, so a
+        # record of a local host would never be read
+        t = make_simple_grid(3, hosts_per_corner=2)
+        wl = [FlowSpec(a, b, 12000, 0.3 * k)
+              for k, (a, b) in enumerate(itertools.permutations(sorted(t.hosts), 2))]
+        rep = run_scenario(t, "bridge_path", wl, seed=2)
+        for edge in t.edge_bridges():
+            directory = rep.bridges[edge].directory
+            assert directory and not set(directory) & set(t.hosts_at(edge))
+            assert {mac: rec[0] for mac, rec in directory.items()} == \
+                {h: t.hosts[h] for h in directory}
+
     def test_an_edge_directory_record_expires_at_a_frame(self):
         # no forwarding timer is due at the frame, only the directory record
         eng = Engine(make_line(3), "bridge_path")
