@@ -118,6 +118,8 @@ _load_list = _as_given(_parse_float_list, lambda v: v and all(0 < x < math.inf f
 _n_range = _as_given(_parse_range, lambda v: v and v[0] >= 2, "A..B with 2 <= A <= B")
 _host_list = _as_given(_parse_int_list, lambda v: all(h > 0 and h % 4 == 0 for h in v),
                        "a comma list of positive multiples of 4")
+_topology_name = _as_given(_parse_topology, lambda t: True,
+                           "grid:N with N >= 1, crossed:N with N >= 2, or diamond")
 
 
 # -- subcommands ----------------------------------------------------------
@@ -253,7 +255,8 @@ def build_parser(parser_class=argparse.ArgumentParser):
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("simulate", help="run a protocol traffic scenario")
-    p.add_argument("--topology", default="grid:3")
+    p.add_argument("--topology", type=_topology_name, default="grid:3",
+                   help="grid:N, crossed:N or diamond")
     p.add_argument("--protocol", default="arp-path", choices=list(PROTOCOLS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duration", type=_positive_float, default=None)
@@ -306,9 +309,11 @@ def main(argv=None):
     """Parse (replay: the manifest), refuse, make the output directory, run, write the manifest.
 
     The manifest's params are the parsed options, so replay passes back
-    exactly what the parser accepted.
+    exactly what the parser accepted.  A run that fails removes the
+    directories it made while they are still empty.
     """
     args = build_parser().parse_args(argv)
+    made = []  # the output directory and its parents that this run made, deepest first
     try:
         if args.cmd == "replay":
             args = cmd_replay(args)
@@ -323,6 +328,10 @@ def main(argv=None):
                 return 2
         started = time.time()
         outdir = args.out or os.environ.get("ALLPATH_OUTDIR") or "."
+        missing = os.path.abspath(outdir)
+        while not os.path.exists(missing):
+            made.append(missing)
+            missing = os.path.dirname(missing)
         os.makedirs(outdir, exist_ok=True)
         outputs = args.fn(args, outdir)
         params = {k: v for k, v in vars(args).items() if k not in ("cmd", "fn", "out")}
@@ -330,6 +339,11 @@ def main(argv=None):
         return 0
     except (ValueError, OSError, KeyError) as exc:
         print("allpath: error: %s" % exc, file=sys.stderr)
+        for path in made:
+            try:
+                os.rmdir(path)
+            except OSError:  # not empty: the run wrote there
+                break
         return 1
 
 

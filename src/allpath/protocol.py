@@ -201,9 +201,8 @@ class BridgeState:
         heapq.heappush(self._expiry, (entry.expires_at, next(self._seq), entry))
 
     def _lock(self, key, port, now, race_id):
-        expires_at = now + LOCK_TIMER
-        e = self.entries[key] = ForwardingEntry(key, port, LOCKED, expires_at, race_id)
-        heapq.heappush(self._expiry, (expires_at, next(self._seq), e))
+        e = self.entries[key] = ForwardingEntry(key, port, LOCKED, now + LOCK_TIMER, race_id)
+        self._schedule(e)
 
     def _learn(self, key, port, now):
         # the race stamp stays, so a locked entry learnt early still refuses
@@ -333,12 +332,10 @@ class FlowPathBridge(BridgeState):
             return ForwardingDecision([(port_back, frame.forwarded(self.bridge_id))])
 
         # a data frame that matched its flow entry also refreshes the reverse
-        # entry when it agrees with the ingress port
+        # entry, its source's
         decision, e = self.route(ingress, frame)
         if e is not None:
-            rev = self.entries.get(_flow_key(frame.src_mac, frame.dst_mac))
-            if rev is not None and rev.port == ingress:
-                self._refresh(rev, now)
+            self._learn_source(_flow_key(frame.src_mac, frame.dst_mac), ingress, frame, now)
         return self._forward(decision, e, now)
 
     def _unicast_key(self, frame):

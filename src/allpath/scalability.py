@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .topology import SHORTEST_ONLY, Topology, bridge_distances
+from .topology import SHORTEST_ONLY, Topology, available_path_count, bridge_distances
 
 
 class ParamError(ValueError):
@@ -69,15 +69,15 @@ def lex_shortest_path(t: Topology, src, dst):
 
 
 def grid_params(t: Topology, H) -> ScalabilityParams:
-    """Derive (b, L_e) for a generated grid under the corner convention.
+    """Derive (b, L_e) over the edge bridges, a generated grid's corners.
 
     b averages the lex-min shortest path size over all ordered corner
     pairs; L_e is the mean tree overhead: for each destination corner, the
     union of the incoming paths minus the mean incoming path size.
     """
     corners = t.edge_bridges()
-    if t.meta.get("kind") not in ("simple_grid", "crossed_grid") or not corners:
-        raise ParamError("grid_params needs a generated grid topology with hosts")
+    if not corners:
+        raise ParamError("grid_params needs a topology with hosts")
     if len(corners) == 1:  # degenerate n=1 lattice
         return ScalabilityParams(H=H, B_E=1, b=1.0, L_e=0.0)
     if H % len(corners) != 0:
@@ -103,8 +103,6 @@ def grid_params(t: Topology, H) -> ScalabilityParams:
 
 def sweep_rows(grid_factory, n_values, hosts_values, criterion=SHORTEST_ONLY):
     """CSV-ready rows: n, H, P_*, T_*, R_*, path count between opposite corners."""
-    from .topology import available_path_count
-
     for n in n_values:
         t = grid_factory(n)
         psi = available_path_count(t, criterion) if len(t.edge_bridges()) >= 2 else 1

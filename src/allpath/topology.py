@@ -46,28 +46,21 @@ class Link:
                                 % (self.prop_delay_s,))
 
     @cached_property
-    def key(self):
-        # built on first use and kept in the instance dict; fields, equality
-        # and hashing are untouched
-        return frozenset((self.a, self.b))
-
-    @cached_property
     def name(self):
-        """The link's report.csv name: its two ends' ids as strings, sorted and
-        joined by "-"."""
+        """The link's identity and report.csv name: its two ends' ids as
+        strings, sorted and joined by "-"."""
         return "-".join(sorted(map(str, (self.a, self.b))))
 
 
 class Topology:
     """Immutable-after-construction bridge/host graph."""
 
-    def __init__(self, bridges, links, hosts, meta=None):
+    def __init__(self, bridges, links, hosts):
         self.bridges = sorted(set(bridges))
-        self.links = {}
+        self.links = {}  # Link.name -> Link
         self.adj = {b: {} for b in self.bridges}  # bridge -> neighbor bridge -> Link
         self.hosts = dict(hosts)  # host id -> bridge id
         self.host_links = {}  # host id -> Link
-        self.meta = dict(meta or {})
 
         bridge_set = set(self.bridges)
         # link names and table ports are stringified ids, so a host id must
@@ -78,12 +71,10 @@ class Topology:
                 raise TopologyError("host %r has the name of bridge %r"
                                     % (host, bridge_names[host]))
         for ln in links:
-            if ln.key in self.links:
-                raise TopologyError("duplicate link %r" % (sorted(ln.key, key=str),))
             ends = [ln.a, ln.b]
             n_bridges = sum(1 for e in ends if e in bridge_set)
             if n_bridges == 2:
-                self.links[ln.key] = ln
+                self._add_link(ln)
                 self.adj[ln.a][ln.b] = ln
                 self.adj[ln.b][ln.a] = ln
             elif n_bridges == 1:
@@ -91,11 +82,11 @@ class Topology:
                 if host not in self.hosts:
                     raise TopologyError("link to unknown host %r" % (host,))
                 # a host has one link, to its own bridge; a second link to
-                # that bridge repeats the pair and is a duplicate link above
+                # that bridge repeats the pair, and so the name, of the first
                 if bridge != self.hosts[host]:
                     raise TopologyError("host %r attaches to bridge %r, but a link joins it "
                                         "to bridge %r" % (host, self.hosts[host], bridge))
-                self.links[ln.key] = ln
+                self._add_link(ln)
                 self.host_links[host] = ln
             else:
                 raise TopologyError("link endpoints %r not in topology" % (ends,))
@@ -105,14 +96,15 @@ class Topology:
                 raise TopologyError("host %r attaches to unknown bridge %r" % (host, bridge))
             if host not in self.host_links:
                 ln = Link(host, bridge)
-                self.links[ln.key] = ln
+                self._add_link(ln)
                 self.host_links[host] = ln
-        names = set()
-        for ln in self.links.values():
-            if ln.name in names:
-                raise TopologyError("two links are named %r" % (ln.name,))
-            names.add(ln.name)
         self._check_connected()
+
+    def _add_link(self, ln):
+        # one name per link: a repeated pair of ends repeats the name too
+        if ln.name in self.links:
+            raise TopologyError("two links are named %r" % (ln.name,))
+        self.links[ln.name] = ln
 
     # -- basic queries ----------------------------------------------------
 
@@ -150,7 +142,7 @@ class Topology:
                     "bandwidth_bps": ln.bandwidth_bps,
                     "prop_delay_s": ln.prop_delay_s,
                 }
-                for key, ln in sorted(self.links.items(), key=lambda kv: sorted(map(str, kv[0])))
+                for _, ln in sorted(self.links.items())
                 if ln.a in self.adj and ln.b in self.adj
             ],
             "hosts": [
@@ -162,15 +154,14 @@ class Topology:
                 }
                 for h, b in sorted(self.hosts.items())
             ],
-            "meta": self.meta,
         }
 
     @classmethod
     def from_json_dict(cls, doc):
         """The topology of a to_json_dict document.  A field that is missing
-        or of the wrong JSON type raises ValueError naming the field."""
+        or of the wrong JSON type raises ValueError naming the field; other
+        fields are ignored."""
         json_typed("topology", doc, OBJECT)
-        meta = json_field("topology", doc, "meta", OPTIONAL_OBJECT, default=None)
         bridges = [json_field(where, b, "id", INT)
                    for where, b in json_objects("topology", doc, "bridges")]
         hosts = {}
@@ -184,13 +175,12 @@ class Topology:
                 raise TopologyError("%s.id repeats host %s" % (where, json.dumps(host)))
             hosts[host] = bridge
             links.append(Link(host, bridge, *_json_link_params(where, h)))
-        return cls(bridges, links, hosts, meta=meta)
+        return cls(bridges, links, hosts)
 
 
 # JSON field kinds: (Python types, name in errors).  JSON true and false are
 # no numbers, although Python's bool is an int.
 OBJECT = (dict, "an object")
-OPTIONAL_OBJECT = ((dict, type(None)), "an object")
 LIST = (list, "a list")
 INT = (int, "an integer")
 STR = (str, "a string")
@@ -239,24 +229,18 @@ def _json_link_params(where, obj):
 # -- generators -----------------------------------------------------------
 
 
-def _grid_corners(n):
-    return [1, n, n * n - n + 1, n * n]
-
-
 def _corner_hosts(n, hosts_per_corner):
     hosts = {}
-    corners = [1] if n == 1 else _grid_corners(n)
+    corners = [1] if n == 1 else [1, n, n * n - n + 1, n * n]
     for c in corners:
         for k in range(hosts_per_corner):
             hosts["h%d_%d" % (c, k)] = c
     return hosts
 
 
-def make_simple_grid(n, hosts_per_corner=1):
-    """n x n lattice with horizontal/vertical links; corner bridges are edge."""
-    if n < 1:
-        raise TopologyError("simple grid requires n >= 1")
-    bridges = list(range(1, n * n + 1))
+def _grid(n, hosts_per_corner, crossed):
+    """The n x n lattice, row-major, with hosts at its corners; crossed adds
+    both diagonals of every unit cell after the lattice links."""
     links = []
     for r in range(n):
         for c in range(n):
@@ -265,24 +249,27 @@ def make_simple_grid(n, hosts_per_corner=1):
                 links.append(Link(b, b + 1))
             if r + 1 < n:
                 links.append(Link(b, b + n))
-    hosts = _corner_hosts(n, hosts_per_corner)
-    meta = {"kind": "simple_grid", "n": n, "corner_pair": [1, n * n]}
-    return Topology(bridges, links, hosts, meta=meta)
+    if crossed:
+        for r in range(n - 1):
+            for c in range(n - 1):
+                b = r * n + c + 1
+                links.append(Link(b, b + n + 1))
+                links.append(Link(b + 1, b + n))
+    return Topology(range(1, n * n + 1), links, _corner_hosts(n, hosts_per_corner))
+
+
+def make_simple_grid(n, hosts_per_corner=1):
+    """n x n lattice with horizontal/vertical links; corner bridges are edge."""
+    if n < 1:
+        raise TopologyError("simple grid requires n >= 1")
+    return _grid(n, hosts_per_corner, crossed=False)
 
 
 def make_crossed_grid(n, hosts_per_corner=1):
     """Simple grid plus both diagonals in every unit cell."""
     if n < 2:
         raise TopologyError("crossed grid requires n >= 2")
-    base = make_simple_grid(n, hosts_per_corner)
-    links = [ln for ln in base.links.values() if ln.a in base.adj and ln.b in base.adj]
-    for r in range(n - 1):
-        for c in range(n - 1):
-            b = r * n + c + 1
-            links.append(Link(b, b + n + 1))
-            links.append(Link(b + 1, b + n))
-    meta = {"kind": "crossed_grid", "n": n, "corner_pair": [1, n * n]}
-    return Topology(base.bridges, links, _corner_hosts(n, hosts_per_corner), meta=meta)
+    return _grid(n, hosts_per_corner, crossed=True)
 
 
 def make_line(n_bridges, hosts=None):
@@ -293,7 +280,7 @@ def make_line(n_bridges, hosts=None):
     links = [Link(b, b + 1) for b in range(1, n_bridges)]
     if hosts is None:
         hosts = {"A": 1, "B": n_bridges}
-    return Topology(bridges, links, hosts, meta={"kind": "line", "n": n_bridges})
+    return Topology(bridges, links, hosts)
 
 
 def make_diamond(hosts=None):
@@ -301,7 +288,7 @@ def make_diamond(hosts=None):
     links = [Link(1, 2), Link(2, 3), Link(1, 4), Link(4, 3)]
     if hosts is None:
         hosts = {"A": 1, "B": 3}
-    return Topology([1, 2, 3, 4], links, hosts, meta={"kind": "diamond"})
+    return Topology([1, 2, 3, 4], links, hosts)
 
 
 # -- path enumeration -----------------------------------------------------
@@ -380,19 +367,13 @@ def count_shortest_paths(t: Topology, src: BridgeId, dst: BridgeId) -> int:
     return count(src)
 
 
-def designated_corner_pair(t: Topology):
-    pair = t.meta.get("corner_pair")
-    if pair:
-        return tuple(pair)
+def available_path_count(t: Topology, criterion=SHORTEST_ONLY) -> int:
+    """Path count between the first and last edge bridge: a grid's opposite
+    corners 1 and n**2."""
     edges = t.edge_bridges()
     if len(edges) < 2:
         raise TopologyError("need at least two edge bridges")
-    return edges[0], edges[-1]
-
-
-def available_path_count(t: Topology, criterion=SHORTEST_ONLY) -> int:
-    """Path count between the designated opposite-corner edge-bridge pair."""
-    src, dst = designated_corner_pair(t)
+    src, dst = edges[0], edges[-1]
     if criterion == SHORTEST_ONLY:
         return count_shortest_paths(t, src, dst)
     return len(enumerate_paths(t, src, dst, criterion))

@@ -56,8 +56,15 @@ class TestSimulate:
             run(["simulate", "--protocol", "token-ring", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
-    def test_bad_topology_runtime_error(self, tmp_path):
-        assert run(["simulate", "--topology", "torus:3", "--out", str(tmp_path)]) == 1
+    def test_bad_topology_runtime_error(self, tmp_path, capsys):
+        # the parser checks --topology (exit 2); a scenario's topology is read
+        # when the run starts
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"topology": "grid:x"}))
+        out = tmp_path / "run"
+        assert run(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+        assert "invalid literal for int()" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scenario_file(self, tmp_path):
         scenario = tmp_path / "scenario.json"
@@ -105,12 +112,44 @@ class TestSimulate:
         # a topology is a generator name, or an object inside a scenario
         path = tmp_path / "topo.json"
         path.write_text(json.dumps(make_line(3).to_json_dict()))
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"topology": str(path)}))
         out = tmp_path / "run"
-        assert run(["simulate", "--topology", str(path), "--out", str(out)]) == 1
+        assert run(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "allpath: error: unknown topology %r (use grid:N, crossed:N or diamond)\n"
             % str(path))
-        assert not (out / "report.json").exists()
+        assert not out.exists()
+
+    def test_old_topology_meta_is_ignored(self, tmp_path):
+        topo = make_simple_grid(2).to_json_dict()
+        old = dict(topo, meta={"kind": "simple_grid", "n": 2, "corner_pair": [1, 4]})
+        for name, doc in (("plain", topo), ("old", old)):
+            scenario = tmp_path / (name + ".json")
+            scenario.write_text(json.dumps({"topology": doc, "seed": 3}))
+            assert run(["simulate", "--scenario", str(scenario), "--flows", "4",
+                        "--out", str(tmp_path / name)]) == 0
+        for name in ("report.json", "report.csv", "tables.csv"):
+            assert read(tmp_path / "plain" / name) == read(tmp_path / "old" / name), name
+
+    def test_failed_run_removes_the_directories_it_made(self, tmp_path, capsys):
+        out = tmp_path / "fresh" / "nested"
+        assert run(["simulate", "--scenario", str(tmp_path / "missing.json"),
+                    "--out", str(out)]) == 1
+        assert "missing.json" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_run_keeps_a_directory_that_existed(self, tmp_path, monkeypatch):
+        out = tmp_path / "existing"
+        out.mkdir()
+        missing = str(tmp_path / "missing.json")
+        assert run(["simulate", "--scenario", missing, "--out", str(out)]) == 1
+        assert out.is_dir()
+        # nor the working directory, the default --out
+        monkeypatch.chdir(out)
+        monkeypatch.delenv("ALLPATH_OUTDIR", raising=False)
+        assert run(["simulate", "--scenario", missing]) == 1
+        assert out.is_dir() and os.getcwd() == str(out)
 
     def test_self_flow_runtime_error(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
@@ -432,6 +471,11 @@ class TestQbd:
 
 
 @pytest.mark.parametrize("argv", [
+    ["simulate", "--topology", "grid:x"],
+    ["simulate", "--topology", "grid:0"],
+    ["simulate", "--topology", "crossed:1"],
+    ["simulate", "--topology", "torus:3"],
+    ["simulate", "--topology", "sc.json"],
     ["simulate", "--flows", "-1"],
     ["simulate", "--protocol", "arp_path"],
     ["simulate", "--duration", "nan"],
@@ -581,6 +625,17 @@ class TestReplay:
         assert captured.err == "allpath: error: %s\n" % expected
         assert captured.out == ""
         assert not out.exists()
+
+    def test_replay_of_a_deleted_scenario_runtime_error(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"topology": "diamond", "flows": []}))
+        first = tmp_path / "first"
+        assert run(["simulate", "--scenario", str(scenario), "--out", str(first)]) == 0
+        scenario.unlink()
+        second = tmp_path / "second"
+        assert run(["replay", str(first / "manifest.json"), "--out", str(second)]) == 1
+        assert "scenario.json" in capsys.readouterr().err
+        assert not second.exists()
 
     def test_manifest_of_a_replay_runtime_error(self, tmp_path, capsys, monkeypatch):
         # a "" key rebuilds as "--", which makes its value a manifest to replay,

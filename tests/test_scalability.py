@@ -1,5 +1,7 @@
 """Closed-form path-count and table-size equations."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,15 @@ from allpath.scalability import (
     lex_shortest_path,
     sweep_rows,
 )
-from allpath.topology import make_crossed_grid, make_simple_grid
+from allpath.topology import (
+    SHORTEST_ONLY,
+    SHORTEST_PLUS_ONE,
+    Topology,
+    available_path_count,
+    make_crossed_grid,
+    make_diamond,
+    make_simple_grid,
+)
 
 
 class TestParams:
@@ -96,10 +106,29 @@ class TestGridParams:
         with pytest.raises(ParamError):
             grid_params(make_simple_grid(3), H=5)
 
-    def test_requires_grid(self):
-        from allpath.topology import make_diamond
-        with pytest.raises(ParamError):
-            grid_params(make_diamond(), H=4)
+    def test_requires_hosts(self):
+        with pytest.raises(ParamError, match="needs a topology with hosts"):
+            grid_params(make_simple_grid(3, hosts_per_corner=0), H=4)
+
+    def test_any_topology_with_hosts(self):
+        # the diamond's edge bridges 1 and 3 join over the lex-min path 1-2-3
+        p = grid_params(make_diamond(), H=4)
+        assert (p.B_E, p.b, p.L_e) == (2, 3.0, 0.0)
+
+    @pytest.mark.parametrize("make, n", [(make_simple_grid, n) for n in range(1, 7)]
+                             + [(make_crossed_grid, n) for n in range(2, 7)])
+    def test_a_grid_is_its_bridges_links_and_hosts(self, make, n):
+        # the corner convention needs no record beside the graph: the same
+        # bridges, links and hosts give the same path counts and parameters
+        t = make(n)
+        bare = Topology(t.bridges, list(t.links.values()), t.hosts)
+        assert grid_params(bare, H=12) == grid_params(t, H=12)
+        if n == 1:
+            return  # one edge bridge: no pair to count paths between
+        for criterion in (SHORTEST_ONLY, SHORTEST_PLUS_ONE):
+            assert available_path_count(bare, criterion) == available_path_count(t, criterion)
+        want = math.comb(2 * (n - 1), n - 1) if make is make_simple_grid else 1
+        assert available_path_count(bare) == want
 
     def test_r_fa_band_and_decrease(self):
         prev = None

@@ -768,9 +768,9 @@ class TestProtocolGates:
 
 class TestBenchmarkTracer:
     def test_tracer_fits_the_package(self, monkeypatch, tmp_path):
-        # the benchmark's tracer patches simnet and protocol names from
-        # outside; one renamed away, or a handle or tick that no longer
-        # runs, fails here, not in a benchmark run
+        # the benchmark's tracer patches names of every layer from outside;
+        # one renamed away, or a call that no longer goes through it, fails
+        # here, not in a benchmark run
         monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
         import tracing
 
@@ -778,17 +778,35 @@ class TestBenchmarkTracer:
 
         api = SimpleNamespace(balance=balance, cli=cli, protocol=protocol, qbd=qbd,
                               scalability=scalability, simnet=simnet, topology=topology)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"topology": make_simple_grid(2).to_json_dict()}))
         tracer = tracing.Tracer()
         tracing.install(tracer, api)
         try:
             # the second flow starts at 0.3 s, after the first flood's locks are due
             for protocol in ("arp-path", "flow-path", "bridge-path"):
-                assert cli_main(["simulate", "--topology", "diamond", "--protocol", protocol,
+                assert cli.main(["simulate", "--topology", "diamond", "--protocol", protocol,
                                  "--flows", "2", "--seed", "1",
                                  "--out", str(tmp_path / protocol)]) == 0
+            for argv in (["simulate", "--scenario", str(scenario), "--flows", "1"],
+                         ["scalability", "--grid", "simple", "--n-range", "2..3", "--hosts", "4"],
+                         ["scalability", "--grid", "crossed", "--n-range", "2..3",
+                          "--hosts", "4"],
+                         ["qbd", "--c1", "2", "--c2", "2", "--rho", "1", "--method", "dense"],
+                         ["qbd", "--c1", "2", "--c2", "2", "--rho", "1"],
+                         ["balance", "--paths", "2", "--capacity", "2", "--rho", "0.5",
+                          "--replications", "1", "--duration", "1"],
+                         ["replay", str(tmp_path / "qbd" / "manifest.json")]):
+                assert cli.main(argv + ["--out", str(tmp_path / argv[0])]) == 0
+            simnet.measure_empirical_tables(make_simple_grid(2), "arp_path")
         finally:
             tracer.unpatch()
-        assert tracing.HANDLE | tracing.TICK <= {span[0] for span in tracer.spans}
+        patched = (tracing.CLI | tracing.TOPO_BUILD | tracing.TOPO_PATHS | tracing.PROTOCOL
+                   | tracing.ENGINE_RUN | tracing.FLUID | tracing.TO_JSON | tracing.CENSUS
+                   | tracing.SWEEP | tracing.QBD_BUILD | tracing.QBD_SOLVE_DENSE
+                   | tracing.QBD_SOLVE_BLOCK | tracing.QBD_DENSE | tracing.QBD_GAP
+                   | tracing.BAL_KERNEL | tracing.BAL_SIMULATE)
+        assert patched - {span[0] for span in tracer.spans} == set()
         metrics = tracing.layer_metrics(tracer.spans)
         assert metrics["simnet.frames"] > 0
         assert metrics["protocol.handle_calls"] > 0 and metrics["protocol.tick_s"] > 0

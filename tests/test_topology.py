@@ -29,7 +29,7 @@ def validate_path(t, path):
     consecutive pair of bridges is linked."""
     if len(set(path)) != len(path):
         return False
-    return all(frozenset((a, b)) in t.links for a, b in zip(path, path[1:]))
+    return all(Link(a, b).name in t.links for a, b in zip(path, path[1:]))
 
 
 class TestGenerators:
@@ -82,8 +82,8 @@ class TestGenerators:
         assert line.hosts == {"A": 1, "B": 3}
         d = make_diamond()
         assert d.bridges == [1, 2, 3, 4]
-        assert frozenset((1, 2)) in d.links
-        assert frozenset((2, 4)) not in d.links
+        assert "1-2" in d.links
+        assert "2-4" not in d.links
 
 
 class TestLinkValidation:
@@ -112,8 +112,11 @@ class TestLinkValidation:
             Topology([1, 2, 3], [Link(1, 2)], {})
 
     def test_duplicate_link_rejected(self):
-        with pytest.raises(TopologyError):
+        # a repeated pair of ends repeats the link's name
+        with pytest.raises(TopologyError, match="two links are named '1-2'"):
             Topology([1, 2], [Link(1, 2), Link(2, 1)], {})
+        with pytest.raises(TopologyError, match="two links are named '1-A'"):
+            Topology([1, 2], [Link(1, 2), Link("A", 1), Link(1, "A")], {"A": 1})
 
     def test_host_named_like_a_bridge_rejected(self):
         # host "2"'s link to bridge 1 and the bridge link 1-2 would share
@@ -212,7 +215,8 @@ class TestSerialization:
         assert back.bridges == t.bridges
         assert back.hosts == t.hosts
         assert set(back.links) == set(t.links)
-        assert back.meta == t.meta
+        assert back.to_json_dict() == t.to_json_dict()
+        assert sorted(t.to_json_dict()) == ["bridges", "hosts", "links"]
 
     def test_validate_path(self):
         t = make_simple_grid(2)
