@@ -471,11 +471,6 @@ class TestQbd:
 
 
 @pytest.mark.parametrize("argv", [
-    ["simulate", "--topology", "grid:x"],
-    ["simulate", "--topology", "grid:0"],
-    ["simulate", "--topology", "crossed:1"],
-    ["simulate", "--topology", "torus:3"],
-    ["simulate", "--topology", "sc.json"],
     ["simulate", "--flows", "-1"],
     ["simulate", "--protocol", "arp_path"],
     ["simulate", "--duration", "nan"],
@@ -504,6 +499,11 @@ class TestQbd:
     ["scalability", "--hosts", "3"],
     ["scalability", "--hosts", "0"],
     ["scalability", "--hosts", "4,x"],
+    ["simulate", "--topology", "grid:x"],
+    ["simulate", "--topology", "grid:0"],
+    ["simulate", "--topology", "crossed:1"],
+    ["simulate", "--topology", "torus:3"],
+    ["simulate", "--topology", "sc.json"],
 ])
 def test_invalid_value_is_usage_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
