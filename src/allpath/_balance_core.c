@@ -3,9 +3,11 @@
  * Twin of allpath._balance_py, which is the executable specification.  It
  * mirrors that code operation for operation: the same splitmix64 stream and
  * draw order, the same arrival-before-departure tie rule, the same k-th
- * maximizer tie break, and departures in a binary heap on (time, path) sifted
- * exactly as heapq sifts them.  So both kernels return identical results,
- * busy floats included, for a given seed.
+ * maximizer tie break, departures in a binary heap on (time, path) sifted
+ * exactly as heapq sifts them, and the same busy credit: each admitted flow's
+ * holding time clipped to [warmup, duration], added once when it is admitted.
+ * So both kernels return identical results, busy floats included, for a given
+ * seed.
  *
  * Build with -ffp-contract=off (setup.py does): a fused multiply-add rounds
  * once where the Python twin rounds twice.
@@ -99,20 +101,11 @@ static void simulate(Replication *r)
     long *occ = r->occ;
     Departure *heap = r->heap;
     Py_ssize_t n_active = 0, i;
-    double t = 0.0;
     double next_arr = -log(uniform(&r->state)) / r->lam;
 
     for (;;) {
         double next_dep = n_active ? heap[0].time : INFINITY;
-        double t_next = next_dep < next_arr ? next_dep : next_arr;
-        if (t_next >= r->duration)
-            t_next = r->duration;
-        if (t_next > r->warmup) {
-            double seg = t_next - (r->warmup > t ? r->warmup : t);
-            for (i = 0; i < n; i++)
-                r->busy[i] += (double)occ[i] * seg;
-        }
-        t = t_next;
+        double t = next_dep < next_arr ? next_dep : next_arr;
         if (t >= r->duration)
             break;
         if (next_arr <= next_dep) {
@@ -144,7 +137,12 @@ static void simulate(Replication *r)
                     choice = i;
                 }
                 occ[choice]++;
-                heap[n_active].time = t + draw_holding(&r->state, r->hold_kind, r->p);
+                double end = t + draw_holding(&r->state, r->hold_kind, r->p);
+                double share = (end < r->duration ? end : r->duration)
+                               - (t > r->warmup ? t : r->warmup);
+                if (share > 0)
+                    r->busy[choice] += share;
+                heap[n_active].time = end;
                 heap[n_active].path = choice;
                 sift_down(heap, 0, n_active++);
             }

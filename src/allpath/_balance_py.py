@@ -3,9 +3,11 @@
 The executable specification of the algorithm, and the fallback when the C
 kernel allpath._balance_core is not built.  That kernel mirrors this code
 operation for operation: the same splitmix64 stream and draw order, the
-same arrival-before-departure tie rule, the same k-th-maximizer tie break
-and the same heapq order of departures, so both return identical results
-for a given seed.  A change here must be made there too.
+same arrival-before-departure tie rule, the same k-th-maximizer tie break,
+the same heapq order of departures and the same busy credit, each admitted
+flow's holding time clipped to [warmup, duration] and added once when it is
+admitted, so both return identical results for a given seed.  A change here
+must be made there too.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ def run_replication(capacities, lam, duration, warmup, seed,
     departures = []  # heap of (time, path)
     arrivals = 0
     losses = 0
-    t = 0.0
     next_arr = -math.log(rng.uniform()) / lam
 
     def draw_holding():
@@ -71,14 +72,7 @@ def run_replication(capacities, lam, duration, warmup, seed,
 
     while True:
         next_dep = departures[0][0] if departures else math.inf
-        t_next = min(next_arr, next_dep)
-        if t_next >= duration:
-            t_next = duration
-        if t_next > warmup:
-            seg = t_next - max(t, warmup)
-            for i in range(n):
-                busy[i] += occ[i] * seg
-        t = t_next
+        t = min(next_arr, next_dep)
         if t >= duration:
             break
         if next_arr <= next_dep:
@@ -112,7 +106,11 @@ def run_replication(capacities, lam, duration, warmup, seed,
                                 choice = i
                                 break
                 occ[choice] += 1
-                heapq.heappush(departures, (t + draw_holding(), choice))
+                end = t + draw_holding()
+                share = min(end, duration) - max(t, warmup)
+                if share > 0:
+                    busy[choice] += share
+                heapq.heappush(departures, (end, choice))
             next_arr = t - math.log(rng.uniform()) / lam
         else:
             _, path = heapq.heappop(departures)

@@ -34,9 +34,9 @@ DC_ELEPHANT_HOLDING_S = 100e6 * 8 / 1e9  # 100 MB chunk at 1 Gbps
 DC_MOUSE_HOLDING_RANGE_S = (2e3 * 8 / 1e9, 50e3 * 8 / 1e9)  # 2..50 KB
 
 # Largest expected arrival count (arrival rate x duration) of one replication.
-# The C kernel handles about 3.6e6 arrivals/s at N=16, C=250 (2 vCPU VM), so
-# the limit is about half a minute of work; the largest benchmark case asks
-# for 1.8e4.
+# The C kernel handles about 5e6 arrivals/s at N=16, C=250, rho 0.9 (2 vCPU
+# Xeon VM), so the limit is about 20 s of work; the largest benchmark case
+# asks for 1.8e4.
 MAX_ARRIVALS_PER_REPLICATION = 1e8
 
 

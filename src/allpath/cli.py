@@ -61,13 +61,13 @@ def _parse_topology(spec):
     """A generator name (grid:N, crossed:N, diamond) or a topology object."""
     if isinstance(spec, dict):
         return topology.Topology.from_json_dict(spec)
-    if spec.startswith("grid:"):
-        return topology.make_simple_grid(int(spec.split(":", 1)[1]))
-    if spec.startswith("crossed:"):
-        return topology.make_crossed_grid(int(spec.split(":", 1)[1]))
     if spec == "diamond":
         return topology.make_diamond()
-    raise ValueError("unknown topology %r (use grid:N, crossed:N or diamond)" % spec)
+    kind, _, n = spec.partition(":")
+    make = {"grid": topology.make_simple_grid, "crossed": topology.make_crossed_grid}.get(kind)
+    if make is None or not n.removeprefix("-").isdecimal():
+        raise ValueError("unknown topology %r (use grid:N, crossed:N or diamond)" % spec)
+    return make(int(n))
 
 
 def _parse_float_list(text):

@@ -1,8 +1,9 @@
 """Deterministic discrete-event engine driving the protocol state machines.
 
 Control frames (ARP exploration, replies, small data probes) are simulated
-packet-level: they ride the current output-queue occupancies, which is what
-decides the latency race.  Bulk flow payloads are carried as a flow-level
+packet-level, each queued only behind earlier control frames on its output
+port (Hop.busy_until), and that queueing decides the latency race.  Bulk flow
+payloads, which never delay a control frame, are carried as a flow-level
 fluid model (max-min capacity shares, recomputed at flow start/end), since
 packet-level simulation of multi-megabyte flows is pointless at this scale.
 The max-min fill runs on the compiled kernel (allpath._fluid_core) when it
@@ -257,10 +258,9 @@ class Engine:
 
         self.hosts = {h: _Host(h, b) for h, b in topology.hosts.items()}
 
-        # the fluid plane numbers the links once, ranked by the sorted ends
-        # that their "a-b" names join, so ascending index is the order of
-        # report.csv's rows within one recompute
-        ranked = sorted(topology.links.values(), key=lambda ln: sorted(map(str, (ln.a, ln.b))))
+        # the fluid plane numbers the links once, in name order, so ascending
+        # index is the order of report.csv's rows within one recompute
+        ranked = [topology.links[name] for name in sorted(topology.links)]
         self._link_names = tuple(ln.name for ln in ranked)
         self._bandwidth = tuple(float(ln.bandwidth_bps) for ln in ranked)
         self.hops = {}  # (node, port) -> Hop, two per link

@@ -193,18 +193,28 @@ class TestSimulate:
         assert busy[0] >= (served - 1) * hold
 
     def test_erlang_b_oracle(self):
-        # N=1 with exponential holding is an Erlang-loss station
-        servers = 5
-        for rho in (0.4, 0.8, 1.2, 2.0):
-            offered = rho * servers
-            rep = simulate([servers], offered, 1.0, 400.0,
-                           replications=12, seed=11)
-            want = erlang_b(servers, offered)
-            n = len(rep.lp_reps)
-            mean = sum(rep.lp_reps) / n
-            var = sum((x - mean) ** 2 for x in rep.lp_reps) / (n - 1)
-            se = math.sqrt(var / n)
-            assert abs(mean - want) <= 3 * max(se, 1e-4), (rho, mean, want, se)
+        # join-max-available loses a flow only when every path is full, so the
+        # total occupancy is an Erlang-loss station with sum(C) servers for any
+        # capacities and holding distribution (Erlang-B insensitivity); the
+        # carried load sum(u_i * C_i) is the offered load times 1 - B
+        cases = [([5], 1.0, rho, 400.0, 12) for rho in (0.4, 0.8, 1.2, 2.0)] + [
+            ([5, 3, 2], 1.0, 1.0, 200.0, 10),
+            ([4, 4], 1.0, 1.5, 200.0, 10),
+            ([2, 1], TrafficMix(), 1.0, 10.0, 10),
+        ]
+        for caps, holding, rho, duration, replications in cases:
+            mean_holding = getattr(holding, "mean_holding_s", holding)
+            rep = simulate(caps, arrival_rate_for_load(rho, caps, mean_holding), holding,
+                           duration, replications=replications, seed=11)
+            offered = rho * sum(caps)
+            blocking = erlang_b(sum(caps), offered)
+            carried = [sum(u * c for u, c in zip(us, caps)) for us in rep.u_reps]
+            for samples, want in ((rep.lp_reps, blocking), (carried, offered * (1 - blocking))):
+                n = len(samples)
+                mean = sum(samples) / n
+                var = sum((x - mean) ** 2 for x in samples) / (n - 1)
+                se = math.sqrt(var / n)
+                assert abs(mean - want) <= 3 * max(se, 1e-4), (caps, rho, mean, want, se)
 
 
 class TestKernels:
@@ -218,6 +228,9 @@ class TestKernels:
             ([7], 5.0, 20.0, _balance_py.HOLD_DET, (0.3, 0, 0, 0)),
             # the benchmark's heap-heavy shape: up to 4000 flows in flight
             ([250] * 16, 3600.0, 1.0, _balance_py.HOLD_EXP, (1.0, 0, 0, 0)),
+            # every flow outlives the run, and the first ones straddle the
+            # warm-up: the busy credit is clipped at both ends of the window
+            ([3, 3], 2.0, 1.0, _balance_py.HOLD_DET, (10.0, 0, 0, 0)),
         ]
         for caps, lam, duration, kind, params in cases:
             for seed in (1, 99, 2**63 + 17):

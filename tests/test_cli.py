@@ -63,7 +63,8 @@ class TestSimulate:
         scenario.write_text(json.dumps({"topology": "grid:x"}))
         out = tmp_path / "run"
         assert run(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
-        assert "invalid literal for int()" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("allpath: error: unknown topology 'grid:x' "
+                                           "(use grid:N, crossed:N or diamond)\n")
         assert not out.exists()
 
     def test_scenario_file(self, tmp_path):

@@ -595,6 +595,14 @@ class TestUtilizationChangePoints:
             assert {name: read.get(name, 0.0).hex() for name in names} == \
                 {name: u.hex() for name, u in want.items()}
 
+    def test_rows_of_one_instant_come_in_name_order(self):
+        # host "1-2" names its link "1-2-3", which sorts before "1-9" although
+        # its end "1-2" sorts after the end "1" of link 1-9
+        topo = Topology([1, 3, 9], [Link(1, 9), Link(9, 3)], {"1-2": 3, "A": 1})
+        rows = run_scenario(topo, "flow_path", [FlowSpec("A", "1-2", 8e8, 0.0)]).link_utilization
+        first = [name for t, name, _u in rows if t == rows[0][0]]
+        assert first == ["1-2-3", "1-9", "1-A", "3-9"]
+
 
 class TestTableSeries:
     @pytest.mark.parametrize("protocol", ["arp-path", "flow-path", "bridge-path"])
