@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .topology import SHORTEST_ONLY, Topology, available_path_count, bridge_distances
+from .topology import (SHORTEST_ONLY, Topology, TopologyError, available_path_count,
+                       bridge_distances)
 
 
 class ParamError(ValueError):
@@ -57,15 +58,60 @@ def eval_ratios(p: ScalabilityParams):
 
 def lex_shortest_path(t: Topology, src, dst):
     """The lexicographically smallest minimum-hop bridge path."""
-    dist = bridge_distances(t, dst)
+    if src not in t.adj:
+        raise TopologyError("unknown bridge id %r" % (src,))
+    return _lex_descent(t, bridge_distances(t, dst), src, dst)
+
+
+def _lex_descent(t: Topology, dist, src, dst):
+    """The lex-min shortest path from src down dist, the hop distances to dst:
+    each step takes the smallest neighbor one hop nearer."""
     if src not in dist:
         raise ParamError("disconnected pair (%r, %r)" % (src, dst))
     path = [src]
     cur = src
     while cur != dst:
-        cur = min(nb for nb in t.bridge_neighbors(cur) if dist[nb] == dist[cur] - 1)
+        nearer = dist[cur] - 1
+        cur = next(nb for nb in t.bridge_neighbors(cur) if dist[nb] == nearer)
         path.append(cur)
     return path
+
+
+def _path_params(t: Topology):
+    """grid_params' (B_E, b, L_e), which depend on t alone: one BFS per
+    destination corner, whose distances every source's path descends."""
+    corners = t.edge_bridges()
+    if not corners:
+        raise ParamError("grid_params needs a topology with hosts")
+    if len(corners) == 1:  # degenerate n=1 lattice
+        return 1, 1.0, 0.0
+
+    lens = []
+    tree_overhead = []
+    for dst in corners:
+        dist = bridge_distances(t, dst)
+        union = set()
+        to_dst = []
+        for src in corners:
+            if src == dst:
+                continue
+            path = _lex_descent(t, dist, src, dst)
+            to_dst.append(len(path))
+            union.update(path)
+            lens.append(len(path))
+        tree_overhead.append(len(union) - sum(to_dst) / len(to_dst))
+    b = sum(lens) / len(lens)
+    L_e = sum(tree_overhead) / len(tree_overhead)
+    return len(corners), b, L_e
+
+
+def _spread_hosts(grid, H) -> ScalabilityParams:
+    """The parameters of H hosts spread evenly over the B_E corners of grid,
+    a _path_params result."""
+    B_E, b, L_e = grid
+    if B_E > 1 and H % B_E != 0:
+        raise ParamError("H must spread evenly over the %d corners" % B_E)
+    return ScalabilityParams(H=H, B_E=B_E, b=b, L_e=L_e)
 
 
 def grid_params(t: Topology, H) -> ScalabilityParams:
@@ -75,30 +121,7 @@ def grid_params(t: Topology, H) -> ScalabilityParams:
     pairs; L_e is the mean tree overhead: for each destination corner, the
     union of the incoming paths minus the mean incoming path size.
     """
-    corners = t.edge_bridges()
-    if not corners:
-        raise ParamError("grid_params needs a topology with hosts")
-    if len(corners) == 1:  # degenerate n=1 lattice
-        return ScalabilityParams(H=H, B_E=1, b=1.0, L_e=0.0)
-    if H % len(corners) != 0:
-        raise ParamError("H must spread evenly over the %d corners" % len(corners))
-
-    lens = []
-    tree_overhead = []
-    for dst in corners:
-        union = set()
-        to_dst = []
-        for src in corners:
-            if src == dst:
-                continue
-            path = lex_shortest_path(t, src, dst)
-            to_dst.append(len(path))
-            union.update(path)
-            lens.append(len(path))
-        tree_overhead.append(len(union) - sum(to_dst) / len(to_dst))
-    b = sum(lens) / len(lens)
-    L_e = sum(tree_overhead) / len(tree_overhead)
-    return ScalabilityParams(H=H, B_E=len(corners), b=b, L_e=L_e)
+    return _spread_hosts(_path_params(t), H)
 
 
 def sweep_rows(grid_factory, n_values, hosts_values, criterion=SHORTEST_ONLY):
@@ -106,8 +129,9 @@ def sweep_rows(grid_factory, n_values, hosts_values, criterion=SHORTEST_ONLY):
     for n in n_values:
         t = grid_factory(n)
         psi = available_path_count(t, criterion) if len(t.edge_bridges()) >= 2 else 1
+        grid = _path_params(t)
         for H in hosts_values:
-            p = grid_params(t, H)
+            p = _spread_hosts(grid, H)
             p_fp, p_ap, p_bp = eval_paths(p)
             t_fp, t_ap, t_bp = eval_tables(p)
             r_fa, r_ab = eval_ratios(p)

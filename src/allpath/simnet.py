@@ -253,7 +253,7 @@ class Engine:
         self.bridges = {}
         for b in topology.bridges:
             hosts = topology.hosts_at(b)
-            ports = topology.bridge_neighbors(b) + hosts
+            ports = list(topology.bridge_neighbors(b)) + hosts
             self.bridges[b] = cls(b, ports, host_ports=hosts)
 
         self.hosts = {h: _Host(h, b) for h, b in topology.hosts.items()}

@@ -12,7 +12,6 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 BridgeId = int
 HostId = str
@@ -44,16 +43,15 @@ class Link:
         if not 0 <= self.prop_delay_s < math.inf:
             raise TopologyError("propagation delay must be finite and nonnegative, not %r"
                                 % (self.prop_delay_s,))
-
-    @cached_property
-    def name(self):
-        """The link's identity and report.csv name: its two ends' ids as
-        strings, sorted and joined by "-"."""
-        return "-".join(sorted(map(str, (self.a, self.b))))
+        # the link's identity and report.csv name: its two ends' ids as
+        # strings, sorted and joined by "-"
+        object.__setattr__(self, "name", "-".join(sorted(map(str, (self.a, self.b)))))
 
 
 class Topology:
-    """Immutable-after-construction bridge/host graph."""
+    """Immutable-after-construction bridge/host graph: nothing changes
+    bridges, links, adj or hosts once it is built, so the sorted neighbor
+    tuples are computed once."""
 
     def __init__(self, bridges, links, hosts):
         self.bridges = sorted(set(bridges))
@@ -99,6 +97,7 @@ class Topology:
                 self._add_link(ln)
                 self.host_links[host] = ln
         self._check_connected()
+        self._neighbors = {b: tuple(sorted(nbs)) for b, nbs in self.adj.items()}
 
     def _add_link(self, ln):
         # one name per link: a repeated pair of ends repeats the name too
@@ -115,7 +114,7 @@ class Topology:
         return sorted(h for h, b in self.hosts.items() if b == bridge)
 
     def bridge_neighbors(self, bridge):
-        return sorted(self.adj[bridge])
+        return self._neighbors[bridge]
 
     def _check_connected(self):
         if not self.bridges:
@@ -296,6 +295,8 @@ def make_diamond(hosts=None):
 
 def bridge_distances(t: Topology, origin: BridgeId):
     """Hop distance from every bridge to origin (BFS)."""
+    if origin not in t.adj:
+        raise TopologyError("unknown bridge id %r" % (origin,))
     dist = {origin: 0}
     q = deque([origin])
     while q:
@@ -352,6 +353,8 @@ def enumerate_paths(t: Topology, src: BridgeId, dst: BridgeId, criterion=SHORTES
 
 def count_shortest_paths(t: Topology, src: BridgeId, dst: BridgeId) -> int:
     """Number of minimum-hop paths via DAG counting (no enumeration)."""
+    if src not in t.adj:
+        raise TopologyError("unknown bridge id %r" % (src,))
     dist = bridge_distances(t, dst)
     if src not in dist:
         raise TopologyError("bridges %r and %r are disconnected" % (src, dst))

@@ -397,6 +397,16 @@ class TestScalability:
         r_ab = {row.split(",")[header.index("R_AB")] for row in lines[1:]}
         assert r_ab == {"1", "2", "3"}
 
+    @pytest.mark.parametrize("grid, digest", [
+        ("simple", "480c833d005215cfb483201d157c0515dd4c02c1e79f144236b065fc60ba1fff"),
+        ("crossed", "08a04b3a2dcb18da7dd7593230816a0575b44b12bce20bc6474e67f2a3dd991b"),
+    ])
+    def test_benchmark_sweeps_are_pinned(self, tmp_path, grid, digest):
+        # perfbench's analytic sweeps, byte for byte
+        assert run(["scalability", "--grid", grid, "--n-range", "2..12",
+                    "--hosts", "4,8,12", "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256(read(tmp_path / "scalability.csv")).hexdigest() == digest
+
     def test_single_n(self, tmp_path):
         assert run(["scalability", "--n-range", "2..2", "--hosts", "4",
                     "--out", str(tmp_path)]) == 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allpath import scalability, topology
 from allpath.scalability import (
     ParamError,
     ScalabilityParams,
@@ -156,3 +157,26 @@ class TestSweep:
         for r in rows:
             assert r["psi_paths"] >= 1
             assert r["T_FP"] >= r["T_AP"] >= r["T_BP"]
+
+    @pytest.mark.parametrize("make, criterion", [(make_simple_grid, SHORTEST_ONLY),
+                                                 (make_crossed_grid, SHORTEST_PLUS_ONE)])
+    def test_one_bfs_per_destination_corner(self, monkeypatch, make, criterion):
+        # b and L_e depend on the grid alone: each of the 11 grids takes one
+        # BFS per destination corner and one for its path count, whatever
+        # the number of host counts
+        calls = []
+        real = topology.bridge_distances
+
+        def counted(t, origin):
+            calls.append(origin)
+            return real(t, origin)
+
+        monkeypatch.setattr(topology, "bridge_distances", counted)
+        monkeypatch.setattr(scalability, "bridge_distances", counted)
+        counts = []
+        for hosts in ([4], [4, 8, 12]):
+            calls.clear()
+            rows = list(sweep_rows(make, range(2, 13), hosts, criterion))
+            assert len(rows) == 11 * len(hosts)
+            counts.append(len(calls))
+        assert counts == [55, 55]

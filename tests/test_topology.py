@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from allpath import topology
+from allpath.scalability import lex_shortest_path
 from allpath.topology import (
     SHORTEST_ONLY,
     SHORTEST_PLUS_ONE,
@@ -84,6 +85,21 @@ class TestGenerators:
         assert d.bridges == [1, 2, 3, 4]
         assert "1-2" in d.links
         assert "2-4" not in d.links
+
+
+class TestDerivedViews:
+    def test_bridge_neighbors_is_one_sorted_tuple(self):
+        t = make_crossed_grid(4)
+        for b in t.bridges:
+            nbs = t.bridge_neighbors(b)
+            assert isinstance(nbs, tuple)
+            assert nbs == tuple(sorted(t.adj[b]))
+            assert t.bridge_neighbors(b) is nbs
+
+    def test_link_name_is_set_at_construction(self):
+        assert Link(2, 10).name == "10-2"
+        for ln, name in [(Link(2, 10), "10-2"), (Link("h1", 3), "3-h1"), (Link(3, "A"), "3-A")]:
+            assert vars(ln)["name"] == name
 
 
 class TestLinkValidation:
@@ -192,6 +208,14 @@ class TestPathEnumeration:
             enumerate_paths(t, 1, 99)
         with pytest.raises(TopologyError):
             enumerate_paths(t, 1, 4, "bogus")
+
+    @pytest.mark.parametrize("call, src, dst", [(lex_shortest_path, 1, 99),
+                                                (lex_shortest_path, 99, 1),
+                                                (count_shortest_paths, 1, 99),
+                                                (count_shortest_paths, 99, 1)])
+    def test_unknown_bridge_id(self, call, src, dst):
+        with pytest.raises(TopologyError, match="^unknown bridge id 99$"):
+            call(make_simple_grid(3), src, dst)
 
 
 class TestAvailablePathCount:
