@@ -151,7 +151,9 @@ DROP_DUPLICATE = ForwardingDecision([], DUPLICATE)
 
 
 class BridgeState:
-    """Common table machinery; subclasses implement handle().
+    """Common table machinery; subclasses implement handle(ingress, frame,
+    now), which learns from a frame that arrived on ingress at now and
+    returns its ForwardingDecision.
 
     route() is the one place a bridge decides where a unicast frame goes.
     It has no side effects and does not stamp the frame, so the engine can
@@ -253,10 +255,6 @@ class BridgeState:
             if src is not None and src.port == ingress:
                 self._refresh(src, now)
 
-    def _unicast_key(self, frame):
-        """Table key a unicast frame is forwarded by."""
-        raise NotImplementedError
-
     def route(self, ingress, frame):
         """Where a unicast frame goes: (decision, matched entry or None).
 
@@ -277,11 +275,6 @@ class BridgeState:
             [(port, frame)] = decision.outputs
             decision.outputs = [(port, frame.forwarded(self.bridge_id))]
         return decision
-
-    def handle(self, ingress, frame, now) -> ForwardingDecision:
-        """Learn from a frame that arrived on ingress at now and decide where
-        it goes.  The caller has already applied the timers due by now."""
-        raise NotImplementedError
 
 
 class ArpPathBridge(BridgeState):
@@ -426,8 +419,7 @@ class BridgePathBridge(BridgeState):
         elif frame.outer is None:
             return ForwardingDecision([], MISS), None
         elif frame.outer[1] == self.bridge_id:
-            if frame.dst_mac not in self.host_ports:
-                return ForwardingDecision([], UNRESOLVED), None
+            # the directory maps a MAC only to the edge its own host sits on
             return ForwardingDecision([(frame.dst_mac, frame.with_outer(None))]), None
         return super().route(ingress, frame)
 

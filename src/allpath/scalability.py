@@ -66,8 +66,6 @@ def lex_shortest_path(t: Topology, src, dst):
 def _lex_descent(t: Topology, dist, src, dst):
     """The lex-min shortest path from src down dist, the hop distances to dst:
     each step takes the smallest neighbor one hop nearer."""
-    if src not in dist:
-        raise ParamError("disconnected pair (%r, %r)" % (src, dst))
     path = [src]
     cur = src
     while cur != dst:

@@ -64,10 +64,12 @@ class Topology:
         # link names and table ports are stringified ids, so a host id must
         # not read as a bridge id
         bridge_names = {str(b): b for b in self.bridges}
-        for host in self.hosts:
+        for host, bridge in self.hosts.items():
             if host in bridge_names:
                 raise TopologyError("host %r has the name of bridge %r"
                                     % (host, bridge_names[host]))
+            if bridge not in bridge_set:
+                raise TopologyError("host %r attaches to unknown bridge %r" % (host, bridge))
         for ln in links:
             ends = [ln.a, ln.b]
             n_bridges = sum(1 for e in ends if e in bridge_set)
@@ -90,8 +92,6 @@ class Topology:
                 raise TopologyError("link endpoints %r not in topology" % (ends,))
 
         for host, bridge in self.hosts.items():
-            if bridge not in bridge_set:
-                raise TopologyError("host %r attaches to unknown bridge %r" % (host, bridge))
             if host not in self.host_links:
                 ln = Link(host, bridge)
                 self._add_link(ln)
@@ -321,8 +321,6 @@ def enumerate_paths(t: Topology, src: BridgeId, dst: BridgeId, criterion=SHORTES
     if src == dst:
         raise TopologyError("src and dst must differ")
     dist = bridge_distances(t, dst)
-    if src not in dist:
-        raise TopologyError("bridges %r and %r are disconnected" % (src, dst))
     if criterion not in (SHORTEST_ONLY, SHORTEST_PLUS_ONE):
         raise TopologyError("unknown criterion %r" % (criterion,))
     budget = dist[src] + (1 if criterion == SHORTEST_PLUS_ONE else 0)
@@ -338,7 +336,7 @@ def enumerate_paths(t: Topology, src: BridgeId, dst: BridgeId, criterion=SHORTES
         for nb in t.bridge_neighbors(v):
             if nb in on_path:
                 continue
-            if dist.get(nb, hops_left + 1) > hops_left - 1:
+            if dist[nb] > hops_left - 1:
                 continue
             path.append(nb)
             on_path.add(nb)
@@ -352,22 +350,17 @@ def enumerate_paths(t: Topology, src: BridgeId, dst: BridgeId, criterion=SHORTES
 
 
 def count_shortest_paths(t: Topology, src: BridgeId, dst: BridgeId) -> int:
-    """Number of minimum-hop paths via DAG counting (no enumeration)."""
+    """Number of minimum-hop paths, counted layer by layer outwards from dst
+    (no enumeration, no recursion)."""
     if src not in t.adj:
         raise TopologyError("unknown bridge id %r" % (src,))
     dist = bridge_distances(t, dst)
-    if src not in dist:
-        raise TopologyError("bridges %r and %r are disconnected" % (src, dst))
+    # dist is in BFS order: each bridge comes after every bridge nearer dst
     counts = {dst: 1}
-
-    def count(v):
-        if v in counts:
-            return counts[v]
-        total = sum(count(nb) for nb in t.bridge_neighbors(v) if dist.get(nb) == dist[v] - 1)
-        counts[v] = total
-        return total
-
-    return count(src)
+    for v, d in dist.items():
+        if d:
+            counts[v] = sum(counts[nb] for nb in t.bridge_neighbors(v) if dist[nb] == d - 1)
+    return counts[src]
 
 
 def available_path_count(t: Topology, criterion=SHORTEST_ONLY) -> int:

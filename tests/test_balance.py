@@ -269,6 +269,19 @@ class TestKernels:
             x = rng.uniform()
             assert 0.0 < x <= 1.0
 
+    def test_tie_draw_of_one_takes_the_last_maximizer(self, compiled_kernel):
+        core = compiled_kernel("_balance_core")
+        # the seed whose second splitmix64 output is 2**64 - 1 (the finalizer
+        # inverted), so the first tie draw is uniform() == 1.0 and k clips to 1
+        seed = 0x932B113CFBD6B596
+        rng = _balance_py._SplitMix64(seed)
+        rng.uniform()
+        assert rng.uniform() == 1.0
+        args = ([3, 3], 1.0, 0.5, 0.0, seed, _balance_py.HOLD_DET, 10.0, 0, 0, 0)
+        busy, _span, arrivals, _losses = result = _balance_py.run_replication(*args)
+        assert arrivals == 2 and busy[1] > busy[0]  # the first flow went to path 1
+        assert core.run_replication(*args) == result
+
 
 class TestDcScenario:
     def test_fairness_near_one(self):

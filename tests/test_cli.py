@@ -152,6 +152,25 @@ class TestSimulate:
         assert run(["simulate", "--scenario", missing]) == 1
         assert out.is_dir() and os.getcwd() == str(out)
 
+    def test_failed_run_keeps_a_directory_it_wrote_to(self, tmp_path, capsys, monkeypatch):
+        def fail(bridges, fh):
+            raise ValueError("tables.csv failed")
+        monkeypatch.setattr(cli, "dump_tables_csv", fail)
+        out = tmp_path / "fresh"
+        assert run(["simulate", "--topology", "diamond", "--flows", "1",
+                    "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "allpath: error: tables.csv failed\n"
+        assert (out / "report.json").exists()
+        assert not (out / cli.MANIFEST_NAME).exists()
+
+    def test_random_flows_need_two_hosts_runtime_error(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"topology": make_line(2, hosts={"A": 1}).to_json_dict()}))
+        out = tmp_path / "run"
+        assert run(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "allpath: error: topology has fewer than two hosts\n"
+        assert not out.exists()
+
     def test_self_flow_runtime_error(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps({
@@ -221,6 +240,14 @@ class TestSimulate:
                       "links": [{"a": 1, "b": 2}, {"a": 2, "b": 3}],
                       "hosts": [{"id": "2-3", "bridge": 1}, {"id": "1-2", "bridge": 3}]},
                      "two links are named '1-2-3'", id="colliding-link-names"),
+        pytest.param({"bridges": [{"id": 1}], "links": [], "hosts": [{"id": "A", "bridge": 9}]},
+                     "host 'A' attaches to unknown bridge 9", id="host-on-unknown-bridge"),
+        pytest.param({"bridges": [{"id": 1}], "links": [{"a": "x", "b": 1}], "hosts": []},
+                     "link to unknown host 'x'", id="link-to-unknown-host"),
+        pytest.param({"bridges": [{"id": 1}], "links": [{"a": "x", "b": "y"}], "hosts": []},
+                     "link endpoints ['x', 'y'] not in topology", id="link-between-unknowns"),
+        pytest.param({"bridges": [], "links": [], "hosts": []},
+                     "topology has no bridges", id="no-bridges"),
     ])
     def test_topology_object_of_wrong_shape_runtime_error(self, tmp_path, capsys, topo,
                                                           expected):

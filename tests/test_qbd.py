@@ -161,6 +161,19 @@ class TestSolvers:
         with pytest.raises(QbdError, match="non-finite"):
             solve_model(5, 5, 1.0, method="block_tridiagonal")
 
+    @pytest.mark.parametrize("solution, message", [
+        (lambda n: np.r_[-1.0, np.ones(n - 1)], "^negative stationary probability"),
+        (np.ones, "^stationary residual .* exceeds tolerance$"),
+    ], ids=["negative", "not-stationary"])
+    def test_wrong_solution_is_an_error(self, monkeypatch, solution, message):
+        monkeypatch.setattr(qbd, "_solve_banded", lambda g, k: solution(g.n_states))
+        with pytest.raises(QbdError, match=message):
+            solve_model(5, 3, 1.0, method="block_tridiagonal")
+
+    def test_illegal_lapack_argument_is_an_error(self):
+        with pytest.raises(np.linalg.LinAlgError, match="^illegal value in LAPACK argument 3$"):
+            qbd._check_info(-3)
+
     def test_dense_refused_above_the_limit(self, monkeypatch):
         def dense(self):
             raise AssertionError("the matrix must not be built")

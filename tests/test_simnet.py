@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from allpath import simnet
 from allpath.cli import main as cli_main
 from allpath.protocol import (
+    ARP_REPLY,
     BRIDGE_CLASSES,
     DATA,
     DUPLICATE,
@@ -23,6 +24,8 @@ from allpath.protocol import (
     LOCK_TIMER,
     MISS,
     UNRESOLVED,
+    ArpPathBridge,
+    ForwardingDecision,
     Frame,
 )
 from allpath.simnet import (
@@ -102,6 +105,38 @@ class TestLatency:
         assert up_at == pytest.approx(125e-6)
         assert down == eng._frame_at_host and down_args == ("A", frame)
         assert down_at == pytest.approx(1e-3 + 125e-6)
+
+
+class TestFaultDetectors:
+    """The engine's checks on what correct bridges never do, each reached by
+    injecting the fault it detects."""
+
+    @pytest.mark.parametrize("wrong_port", [{1: 2, 2: 1}, {1: "A"}],
+                             ids=["loop", "to-another-host"])
+    def test_a_walk_that_misses_its_host_ends_the_flow_miss(self, monkeypatch, wrong_port):
+        route = ArpPathBridge.route
+
+        def faulty(bs, ingress, frame):
+            if frame.kind == DATA and bs.bridge_id in wrong_port:
+                return ForwardingDecision([(wrong_port[bs.bridge_id], frame)]), None
+            return route(bs, ingress, frame)
+
+        monkeypatch.setattr(ArpPathBridge, "route", faulty)
+        rep = run_scenario(make_diamond(), "arp_path", [FlowSpec("A", "B", 12000, 0.0)], seed=1)
+        assert rep.flows[0]["status"] == "miss"
+        assert rep.counters["flows_unresolved"] == 1
+
+    def test_forwarding_out_the_ingress_port_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(ArpPathBridge, "handle",
+                            lambda bs, ingress, frame, now: ForwardingDecision([(ingress, frame)]))
+        with pytest.raises(AssertionError, match="^forwarding back out the ingress port$"):
+            run_scenario(make_line(2), "arp_path", [FlowSpec("A", "B", 12000, 0.0)])
+
+    def test_a_host_absorbs_a_reply_or_probe_for_another_host(self):
+        eng = Engine(make_line(2, hosts={"A": 1, "B": 2, "C": 2}), "arp_path")
+        for kind in (ARP_REPLY, DATA):
+            eng._frame_at_host(0.0, "C", Frame(kind=kind, src_mac="A", dst_mac="B"))
+        assert (eng.absorbed, eng.delivered, eng.frames_consumed) == (2, 0, 2)
 
 
 class TestScenarios:
@@ -719,6 +754,24 @@ class TestCensus:
         for protocol, hosts in (("arp_path", {"A": 1}), ("bridge_path", {"A": 1, "B": 1})):
             with pytest.raises(ScenarioError):
                 measure_empirical_tables(make_line(3, hosts=hosts), protocol)
+
+    def test_rejects_a_workload_window_longer_than_the_learnt_timer(self, monkeypatch):
+        # 12 hosts: 66 pairs 0.4 s apart outlast LEARNT_TIMER / 2 - 1
+        monkeypatch.setattr(simnet, "run_scenario", lambda *a, **k: pytest.fail("census ran"))
+        with pytest.raises(ScenarioError, match="^workload window too long"):
+            measure_empirical_tables(make_simple_grid(3, hosts_per_corner=3), "arp_path")
+
+    def test_an_undelivered_refresh_probe_is_an_error(self, monkeypatch):
+        run = simnet.run_scenario
+
+        def lose_the_last_probe(*args, **kwargs):
+            report = run(*args, **kwargs)
+            report.flows[-1]["probe_trace"] = None
+            return report
+
+        monkeypatch.setattr(simnet, "run_scenario", lose_the_last_probe)
+        with pytest.raises(ScenarioError, match="^refresh probe B->A was not delivered$"):
+            measure_empirical_tables(make_line(3), "arp_path")
 
     # exact 5-tuples on simple grids with two hosts per corner at seed 3
     PINNED = {

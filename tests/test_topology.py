@@ -86,6 +86,10 @@ class TestGenerators:
         assert "1-2" in d.links
         assert "2-4" not in d.links
 
+    def test_line_rejects_no_bridges(self):
+        with pytest.raises(TopologyError, match="^line requires at least one bridge$"):
+            make_line(0)
+
 
 class TestDerivedViews:
     def test_bridge_neighbors_is_one_sorted_tuple(self):
@@ -217,6 +221,19 @@ class TestPathEnumeration:
         with pytest.raises(TopologyError, match="^unknown bridge id 99$"):
             call(make_simple_grid(3), src, dst)
 
+    @pytest.mark.parametrize("t", [make_simple_grid(4), make_crossed_grid(4), make_diamond()],
+                             ids=["simple", "crossed", "diamond"])
+    def test_count_matches_enumeration_for_every_pair(self, t):
+        for src in t.bridges:
+            for dst in t.bridges:
+                if src != dst:
+                    assert (count_shortest_paths(t, src, dst)
+                            == len(enumerate_paths(t, src, dst))), (src, dst)
+
+    def test_count_needs_no_recursion(self):
+        # about 1,200 nested calls overflowed Python's default recursion limit
+        assert count_shortest_paths(make_line(1200), 1, 1200) == 1
+
 
 class TestAvailablePathCount:
     def test_simple_grids(self):
@@ -230,6 +247,13 @@ class TestAvailablePathCount:
         t = make_crossed_grid(3)
         n = available_path_count(t, SHORTEST_PLUS_ONE)
         assert n == len(enumerate_paths(t, 1, 9, SHORTEST_PLUS_ONE))
+
+    def test_one_edge_bridge_rejected(self):
+        with pytest.raises(TopologyError, match="^need at least two edge bridges$"):
+            available_path_count(make_line(3, hosts={"A": 1, "B": 1}))
+
+    def test_long_line(self):
+        assert available_path_count(make_line(1200)) == 1
 
 
 class TestSerialization:
