@@ -117,6 +117,104 @@ fail:
     return NULL;
 }
 
+/* Parse the flows fseq over the links bseq into s and number the live links
+ * in order of first appearance; their count goes to *n_live.  0, or -1 with
+ * an exception set. */
+static int fill_parse(Fill *s, PyObject *fseq, PyObject *bseq, Py_ssize_t *n_live)
+{
+    Py_ssize_t n_flows = PySequence_Fast_GET_SIZE(fseq);
+    Py_ssize_t n_links = PySequence_Fast_GET_SIZE(bseq);
+    Py_ssize_t n_inc = 0, pos = 0, f, k, l;
+
+    *n_live = 0;
+    for (f = 0; f < n_flows; f++) {
+        PyObject *links = PySequence_Fast_GET_ITEM(fseq, f);
+        if (!PyTuple_Check(links)) {
+            PyErr_SetString(PyExc_TypeError, "each flow must be a tuple of link indices");
+            return -1;
+        }
+        if (PyTuple_GET_SIZE(links) == 0) {
+            PyErr_Format(PyExc_ValueError, "flow %zd crosses no link", f);
+            return -1;
+        }
+        n_inc += PyTuple_GET_SIZE(links);
+    }
+    /* PyMem returns a distinct pointer for zero elements, so NULL is out of memory */
+    s->flow_start = PyMem_New(Py_ssize_t, n_flows + 1);
+    s->link_of = PyMem_New(Py_ssize_t, n_inc);
+    s->flow_on = PyMem_New(Py_ssize_t, n_inc);
+    s->count = PyMem_Calloc(n_links, sizeof(Py_ssize_t));
+    s->cross_start = PyMem_Calloc(n_links, sizeof(Py_ssize_t));
+    s->cross_end = PyMem_Calloc(n_links, sizeof(Py_ssize_t));
+    s->live = PyMem_New(Py_ssize_t, n_links);
+    s->residual = PyMem_New(double, n_links);
+    s->bandwidth = PyMem_New(double, n_links);
+    s->load = PyMem_Calloc(n_links, sizeof(double));
+    s->rate = PyMem_New(double, n_flows);
+    s->frozen = PyMem_Calloc(n_flows, 1);
+    if (!s->flow_start || !s->link_of || !s->flow_on || !s->count || !s->cross_start
+            || !s->cross_end || !s->live || !s->residual || !s->bandwidth || !s->load
+            || !s->rate || !s->frozen) {
+        PyErr_NoMemory();
+        return -1;
+    }
+
+    for (f = 0; f < n_flows; f++) {
+        PyObject *links = PySequence_Fast_GET_ITEM(fseq, f);
+        s->flow_start[f] = pos;
+        for (k = 0; k < PyTuple_GET_SIZE(links); k++) {
+            PyObject *item = PyTuple_GET_ITEM(links, k);
+            if (!PyLong_Check(item)) {
+                PyErr_Format(PyExc_TypeError, "link indices must be ints, not %R", item);
+                return -1;
+            }
+            l = PyLong_AsSsize_t(item);
+            if (l == -1 && PyErr_Occurred())
+                PyErr_Clear();  /* beyond a Py_ssize_t: out of range below */
+            if (l < 0 || l >= n_links) {
+                PyErr_Format(PyExc_IndexError, "link index %R out of range", item);
+                return -1;
+            }
+            if (s->count[l] == 0) {
+                double bw = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(bseq, l));
+                if (bw == -1.0 && PyErr_Occurred())
+                    return -1;
+                if (!(bw > 0)) {
+                    PyErr_Format(PyExc_ValueError, "bandwidth must be positive, not %R",
+                                 PySequence_Fast_GET_ITEM(bseq, l));
+                    return -1;
+                }
+                s->residual[l] = s->bandwidth[l] = bw;
+                s->live[(*n_live)++] = l;
+            }
+            s->count[l]++;
+            s->link_of[pos++] = l;
+        }
+    }
+    s->flow_start[n_flows] = pos;
+
+    /* each link's flows, in flow order */
+    pos = 0;
+    for (k = 0; k < *n_live; k++) {
+        l = s->live[k];
+        s->cross_start[l] = s->cross_end[l] = pos;
+        pos += s->count[l];
+    }
+    for (f = 0; f < n_flows; f++)
+        for (k = s->flow_start[f]; k < s->flow_start[f + 1]; k++)
+            s->flow_on[s->cross_end[s->link_of[k]]++] = f;
+    return 0;
+}
+
+/* Each link's load: the left-to-right sum of its flows' rates, in flow order. */
+static void sum_loads(Fill *s, Py_ssize_t n_flows)
+{
+    Py_ssize_t f, k;
+    for (f = 0; f < n_flows; f++)
+        for (k = s->flow_start[f]; k < s->flow_start[f + 1]; k++)
+            s->load[s->link_of[k]] += s->rate[f];
+}
+
 PyDoc_STRVAR(fill_doc,
 "fill(flows, bandwidth) -> (rates, utilization)\n\n"
 "Max-min fair rates by progressive filling.  flows holds one tuple of link\n"
@@ -128,7 +226,7 @@ static PyObject *fill(PyObject *self, PyObject *args)
 {
     PyObject *flows, *bandwidth, *fseq, *bseq = NULL, *result = NULL;
     Fill s = {0};
-    Py_ssize_t n_flows, n_links, n_inc = 0, n_live = 0, pos = 0, f, k, l;
+    Py_ssize_t n_live;
 
     if (!PyArg_ParseTuple(args, "OO:fill", &flows, &bandwidth))
         return NULL;
@@ -136,92 +234,11 @@ static PyObject *fill(PyObject *self, PyObject *args)
         return NULL;
     if ((bseq = PySequence_Fast(bandwidth, "bandwidth must be a sequence")) == NULL)
         goto done;
-    n_flows = PySequence_Fast_GET_SIZE(fseq);
-    n_links = PySequence_Fast_GET_SIZE(bseq);
-    for (f = 0; f < n_flows; f++) {
-        PyObject *links = PySequence_Fast_GET_ITEM(fseq, f);
-        if (!PyTuple_Check(links)) {
-            PyErr_SetString(PyExc_TypeError, "each flow must be a tuple of link indices");
-            goto done;
-        }
-        if (PyTuple_GET_SIZE(links) == 0) {
-            PyErr_Format(PyExc_ValueError, "flow %zd crosses no link", f);
-            goto done;
-        }
-        n_inc += PyTuple_GET_SIZE(links);
-    }
-    /* PyMem returns a distinct pointer for zero elements, so NULL is out of memory */
-    s.flow_start = PyMem_New(Py_ssize_t, n_flows + 1);
-    s.link_of = PyMem_New(Py_ssize_t, n_inc);
-    s.flow_on = PyMem_New(Py_ssize_t, n_inc);
-    s.count = PyMem_Calloc(n_links, sizeof(Py_ssize_t));
-    s.cross_start = PyMem_Calloc(n_links, sizeof(Py_ssize_t));
-    s.cross_end = PyMem_Calloc(n_links, sizeof(Py_ssize_t));
-    s.live = PyMem_New(Py_ssize_t, n_links);
-    s.residual = PyMem_New(double, n_links);
-    s.bandwidth = PyMem_New(double, n_links);
-    s.load = PyMem_Calloc(n_links, sizeof(double));
-    s.rate = PyMem_New(double, n_flows);
-    s.frozen = PyMem_Calloc(n_flows, 1);
-    if (!s.flow_start || !s.link_of || !s.flow_on || !s.count || !s.cross_start
-            || !s.cross_end || !s.live || !s.residual || !s.bandwidth || !s.load
-            || !s.rate || !s.frozen) {
-        PyErr_NoMemory();
+    if (fill_parse(&s, fseq, bseq, &n_live) < 0)
         goto done;
-    }
-
-    /* parse the flows; number the live links in order of first appearance */
-    for (f = 0; f < n_flows; f++) {
-        PyObject *links = PySequence_Fast_GET_ITEM(fseq, f);
-        s.flow_start[f] = pos;
-        for (k = 0; k < PyTuple_GET_SIZE(links); k++) {
-            PyObject *item = PyTuple_GET_ITEM(links, k);
-            if (!PyLong_Check(item)) {
-                PyErr_Format(PyExc_TypeError, "link indices must be ints, not %R", item);
-                goto done;
-            }
-            l = PyLong_AsSsize_t(item);
-            if (l == -1 && PyErr_Occurred())
-                PyErr_Clear();  /* beyond a Py_ssize_t: out of range below */
-            if (l < 0 || l >= n_links) {
-                PyErr_Format(PyExc_IndexError, "link index %R out of range", item);
-                goto done;
-            }
-            if (s.count[l] == 0) {
-                double bw = PyFloat_AsDouble(PySequence_Fast_GET_ITEM(bseq, l));
-                if (bw == -1.0 && PyErr_Occurred())
-                    goto done;
-                if (!(bw > 0)) {
-                    PyErr_Format(PyExc_ValueError, "bandwidth must be positive, not %R",
-                                 PySequence_Fast_GET_ITEM(bseq, l));
-                    goto done;
-                }
-                s.residual[l] = s.bandwidth[l] = bw;
-                s.live[n_live++] = l;
-            }
-            s.count[l]++;
-            s.link_of[pos++] = l;
-        }
-    }
-    s.flow_start[n_flows] = pos;
-
-    /* each link's flows, in flow order */
-    pos = 0;
-    for (k = 0; k < n_live; k++) {
-        l = s.live[k];
-        s.cross_start[l] = s.cross_end[l] = pos;
-        pos += s.count[l];
-    }
-    for (f = 0; f < n_flows; f++)
-        for (k = s.flow_start[f]; k < s.flow_start[f + 1]; k++)
-            s.flow_on[s.cross_end[s.link_of[k]]++] = f;
-
     progressive_fill(&s, n_live);
-
-    for (f = 0; f < n_flows; f++)
-        for (k = s.flow_start[f]; k < s.flow_start[f + 1]; k++)
-            s.load[s.link_of[k]] += s.rate[f];
-    result = fill_result(&s, n_flows, n_links);
+    sum_loads(&s, PySequence_Fast_GET_SIZE(fseq));
+    result = fill_result(&s, PySequence_Fast_GET_SIZE(fseq), PySequence_Fast_GET_SIZE(bseq));
 done:
     Py_DECREF(fseq);
     Py_XDECREF(bseq);
@@ -229,15 +246,170 @@ done:
     return result;
 }
 
+/* Store the double x at list[i], or return -1 with an exception set. */
+static int set_float(PyObject *list, Py_ssize_t i, double x)
+{
+    PyObject *item = PyFloat_FromDouble(x);
+    return item == NULL ? -1 : PyList_SetItem(list, i, item);
+}
+
+PyDoc_STRVAR(step_doc,
+"step(flows, remaining, rates, busy, bandwidth, names, now, dt, rows) -> (retired, eta)\n\n"
+"One fluid recompute: advance the flows by dt, retire the finished ones,\n"
+"fill the rest, append the change points to rows and find the next\n"
+"completion.  Bit-identical to simnet.step_py, which documents it.");
+
+static PyObject *step(PyObject *self, PyObject *args)
+{
+    PyObject *flows, *remaining, *rates, *busy, *bandwidth, *names, *now_obj, *rows;
+    PyObject *bseq = NULL, *nseq = NULL, *retired = NULL, *zero = NULL, *result = NULL;
+    double now, dt, eta = 0.0, *kept = NULL;  /* the survivors' remaining bits */
+    int have_eta = 0;
+    Fill s = {0};
+    Py_ssize_t n, n_links, n_live, i, k;
+
+    if (!PyArg_ParseTuple(args, "O!O!O!O!OOOdO!:step", &PyList_Type, &flows,
+                          &PyList_Type, &remaining, &PyList_Type, &rates, &PyList_Type, &busy,
+                          &bandwidth, &names, &now_obj, &dt, &PyList_Type, &rows))
+        return NULL;
+    now = PyFloat_AsDouble(now_obj);
+    if (now == -1.0 && PyErr_Occurred())
+        return NULL;
+    n = PyList_GET_SIZE(flows);
+    if (PyList_GET_SIZE(remaining) != n || PyList_GET_SIZE(rates) != n) {
+        PyErr_SetString(PyExc_ValueError,
+                        "flows, remaining and rates must have one entry per flow");
+        return NULL;
+    }
+    if ((bseq = PySequence_Fast(bandwidth, "bandwidth must be a sequence")) == NULL)
+        return NULL;
+    if ((nseq = PySequence_Fast(names, "names must be a sequence")) == NULL)
+        goto done;
+    n_links = PySequence_Fast_GET_SIZE(bseq);
+    if (PyList_GET_SIZE(busy) != n_links || PySequence_Fast_GET_SIZE(nseq) != n_links) {
+        PyErr_SetString(PyExc_ValueError,
+                        "busy, bandwidth and names must have one entry per link");
+        goto done;
+    }
+
+    /* advance, then retire from the back so that the positions stay put */
+    if ((retired = PyList_New(0)) == NULL)
+        goto done;
+    if ((kept = PyMem_New(double, n)) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (i = 0, k = 0; i < n; i++) {
+        double left, rate;
+        if ((left = PyFloat_AsDouble(PyList_GET_ITEM(remaining, i))) == -1.0 && PyErr_Occurred())
+            goto done;
+        if ((rate = PyFloat_AsDouble(PyList_GET_ITEM(rates, i))) == -1.0 && PyErr_Occurred())
+            goto done;
+        if (dt > 0) {
+            left = left - rate * dt;
+            left = left > 0.0 ? left : 0.0;  /* max(0.0, left) */
+            if (set_float(remaining, i, left) < 0)
+                goto done;
+        }
+        if (left <= 1e-9 + 1e-12 * rate) {
+            PyObject *pos = PyLong_FromSsize_t(i);
+            int err = pos == NULL || PyList_Append(retired, pos) < 0;
+            Py_XDECREF(pos);
+            if (err)
+                goto done;
+        }
+        else
+            kept[k++] = left;
+    }
+    for (k = PyList_GET_SIZE(retired) - 1; k >= 0; k--) {
+        i = PyLong_AsSsize_t(PyList_GET_ITEM(retired, k));
+        if (PyList_SetSlice(flows, i, i + 1, NULL) < 0
+                || PyList_SetSlice(remaining, i, i + 1, NULL) < 0
+                || PyList_SetSlice(rates, i, i + 1, NULL) < 0)
+            goto done;
+    }
+    n = PyList_GET_SIZE(flows);
+
+    /* fill the survivors; a list is its own fast sequence */
+    if (fill_parse(&s, flows, bseq, &n_live) < 0)
+        goto done;
+    progressive_fill(&s, n_live);
+    sum_loads(&s, n);
+    for (i = 0; i < n; i++)
+        if (set_float(rates, i, s.rate[i]) < 0)
+            goto done;
+
+    /* change points in ascending link index: busy[k] becomes the new
+     * utilization u of a crossed link, or None for a link gone idle */
+    if ((zero = PyFloat_FromDouble(0.0)) == NULL)
+        goto done;
+    for (k = 0; k < n_links; k++) {
+        PyObject *last = PyList_GET_ITEM(busy, k), *u, *mark, *row;
+        if (s.cross_end[k] != 0) {  /* some flow crosses link k */
+            double x = s.load[k] / s.bandwidth[k];
+            if (last != Py_None) {
+                double was = PyFloat_AsDouble(last);
+                if (was == -1.0 && PyErr_Occurred())
+                    goto done;
+                if (was == x)
+                    continue;
+            }
+            if ((u = PyFloat_FromDouble(x)) == NULL)
+                goto done;
+            mark = u;
+        }
+        else if (last != Py_None) {
+            Py_INCREF(zero);
+            u = zero;
+            mark = Py_None;
+        }
+        else
+            continue;
+        Py_INCREF(mark);
+        PyList_SetItem(busy, k, mark);  /* cannot fail: k is in range */
+        row = PyTuple_Pack(3, now_obj, PySequence_Fast_GET_ITEM(nseq, k), u);
+        Py_DECREF(u);
+        if (row == NULL || PyList_Append(rows, row) < 0) {
+            Py_XDECREF(row);
+            goto done;
+        }
+        Py_DECREF(row);
+    }
+
+    /* the next completion: the first smallest now + remaining / rate */
+    for (i = 0; i < n; i++) {
+        if (s.rate[i] > 0) {
+            double t = now + kept[i] / s.rate[i];
+            if (!have_eta || t < eta) {
+                eta = t;
+                have_eta = 1;
+            }
+        }
+    }
+    if (have_eta)
+        result = Py_BuildValue("(Od)", retired, eta);
+    else
+        result = Py_BuildValue("(OO)", retired, Py_None);
+done:
+    Py_XDECREF(bseq);
+    Py_XDECREF(nseq);
+    Py_XDECREF(retired);
+    Py_XDECREF(zero);
+    PyMem_Free(kept);
+    fill_free(&s);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"fill", fill, METH_VARARGS, fill_doc},
+    {"step", step, METH_VARARGS, step_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_fluid_core",
-    .m_doc = "Compiled twin of allpath.simnet.fill_py.",
+    .m_doc = "Compiled twins of allpath.simnet.fill_py and allpath.simnet.step_py.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -309,8 +309,9 @@ def main(argv=None):
     """Parse (replay: the manifest), refuse, make the output directory, run, write the manifest.
 
     The manifest's params are the parsed options, so replay passes back
-    exactly what the parser accepted.  A run that fails removes the
-    directories it made while they are still empty.
+    exactly what the parser accepted.  A run that fails, by any exception,
+    removes the directories it made while they are still empty; an error
+    other than ValueError, OSError or KeyError then propagates.
     """
     args = build_parser().parse_args(argv)
     made = []  # the output directory and its parents that this run made, deepest first
@@ -336,15 +337,17 @@ def main(argv=None):
         outputs = args.fn(args, outdir)
         params = {k: v for k, v in vars(args).items() if k not in ("cmd", "fn", "out")}
         _write_manifest(outdir, args.cmd, params, outputs, started)
+        made.clear()  # the run succeeded: keep what it made
         return 0
     except (ValueError, OSError, KeyError) as exc:
         print("allpath: error: %s" % exc, file=sys.stderr)
+        return 1
+    finally:
         for path in made:
             try:
                 os.rmdir(path)
             except OSError:  # not empty: the run wrote there
                 break
-        return 1
 
 
 if __name__ == "__main__":

@@ -6,9 +6,12 @@ port (Hop.busy_until), and that queueing decides the latency race.  Bulk flow
 payloads, which never delay a control frame, are carried as a flow-level
 fluid model (max-min capacity shares, recomputed at flow start/end), since
 packet-level simulation of multi-megabyte flows is pointless at this scale.
-The max-min fill runs on the compiled kernel (allpath._fluid_core) when it
-was built, otherwise on its pure-python twin, fill_py; KERNEL names the one
-in use, "c" or "python".  The twins return identical results.
+Each recompute is one call of step: it advances and retires the active
+flows, fills the rest, writes report.csv's change points and finds the next
+completion.  step and the max-min fill it runs come from the compiled kernel
+(allpath._fluid_core) when it was built, otherwise from their pure-python
+twins, step_py and fill_py; KERNEL names the one in use, "c" or "python".
+The twins return identical results.
 
 Events fire in (fire_time, tie, seq) order.  The tie component is a seeded
 random draw made when the event is scheduled, so simultaneous frame
@@ -83,18 +86,6 @@ class Hop:
         self.link = index
 
 
-class ActiveFlow:
-    """A flow on the fluid plane: bits left to send, its current rate and
-    the tuple of fluid-plane indices of the links it crosses."""
-
-    __slots__ = ("remaining", "rate", "links")
-
-    def __init__(self, remaining, links):
-        self.remaining = remaining
-        self.rate = 0.0
-        self.links = links
-
-
 def fill_py(flows, bandwidth):
     """Max-min fair rates and link utilizations, by progressive filling.
 
@@ -165,11 +156,67 @@ def fill_py(flows, bandwidth):
     return rates, [(ln, load[ln] / bandwidth[ln]) for ln in sorted(load)]
 
 
+def step_py(flows, remaining, rates, busy, bandwidth, names, now, dt, rows):
+    """One fluid recompute at time now, dt after the previous one.
+
+    flows, remaining and rates are parallel lists with one entry per active
+    flow, in start order: its tuple of link indices, the bits it has left
+    and its rate.  busy, bandwidth and names have one entry per link: the
+    utilization last written to rows for a busy link (None for an idle
+    one), its capacity and its report.csv name.  In order, the step
+
+    1. when dt > 0, advances each flow to max(0.0, remaining - rate * dt);
+    2. retires each flow whose remaining work is under a picosecond of
+       service, remaining <= 1e-9 + 1e-12 * rate, deleting it from the
+       three lists;
+    3. fills the other flows with fill_py and stores their rates;
+    4. appends to rows a (now, names[k], u) row for each link k whose
+       utilization u differs from busy[k] bit for bit, and a
+       (now, names[k], 0.0) row for each busy link that no flow crosses any
+       more, in ascending k, and updates busy to match;
+    5. returns (retired, eta): the positions the retired flows had in the
+       lists, ascending, and the earliest now + remaining / rate over the
+       flows with rate > 0, or None when there is none.
+
+    This is the specification of the compiled allpath._fluid_core.step,
+    which does the same floating-point operations in the same order.
+    """
+    if not len(flows) == len(remaining) == len(rates):
+        raise ValueError("flows, remaining and rates must have one entry per flow")
+    if not len(busy) == len(bandwidth) == len(names):
+        raise ValueError("busy, bandwidth and names must have one entry per link")
+    if dt > 0:
+        for i, left in enumerate(remaining):
+            remaining[i] = max(0.0, left - rates[i] * dt)
+    retired = [i for i, left in enumerate(remaining) if left <= 1e-9 + 1e-12 * rates[i]]
+    for i in reversed(retired):
+        del flows[i], remaining[i], rates[i]
+    filled, utilization = fill_py(flows, bandwidth)
+    rates[:] = filled
+    crossed = dict(utilization)
+    for k, last in enumerate(busy):
+        u = crossed.get(k)
+        if u is not None:
+            if last is None or last != u:
+                rows.append((now, names[k], u))
+                busy[k] = u
+        elif last is not None:
+            rows.append((now, names[k], 0.0))
+            busy[k] = None
+    eta = None
+    for left, rate in zip(remaining, rates):
+        if rate > 0:
+            t = now + left / rate
+            if eta is None or t < eta:
+                eta = t
+    return retired, eta
+
+
 try:  # pragma: no cover - depends on the build
-    from ._fluid_core import fill
+    from ._fluid_core import fill, step
     KERNEL = "c"
 except ImportError:  # pragma: no cover
-    fill = fill_py
+    fill, step = fill_py, step_py
     KERNEL = "python"
 
 
@@ -271,10 +318,16 @@ class Engine:
         self._race_seq = 0
         self._races = {}  # race_id -> record
         self._pending = {}  # (src_host, dst_ip) -> list of flows awaiting resolution
-        self._active_flows = {}  # flow index -> ActiveFlow
+        # the active flows, in start order, as parallel lists that step
+        # updates: flow indices, link tuples, bits left and rates
+        self._active_ids = []
+        self._active_links = []
+        self._remaining = []
+        self._rates = []
         self._flow_gen = 0
         self._fluid_t = 0.0
-        self._link_u = {}  # busy link index -> utilization last written to report.csv
+        # per link: the utilization last written to report.csv, None while idle
+        self._link_u = [None] * len(ranked)
         self.report = SimReport(protocol=protocol, seed=seed)
 
     # -- scheduling -------------------------------------------------------
@@ -442,7 +495,10 @@ class Engine:
                       size_bits=min(PROBE_SIZE_BITS, int(rec["size_bits"])) or 1,
                       race_id=idx)
         self._send(src.id, src.bridge, probe, now)
-        self._active_flows[idx] = ActiveFlow(float(rec["size_bits"]), self._flow_links(rec))
+        self._active_ids.append(idx)
+        self._active_links.append(self._flow_links(rec))
+        self._remaining.append(float(rec["size_bits"]))
+        self._rates.append(0.0)
         self._fluid_recompute(now)
 
     # -- table walking (side-effect-free path lookup) ---------------------
@@ -491,35 +547,17 @@ class Engine:
         return tuple(self.hops[h].link for h in hops)
 
     def _fluid_recompute(self, now):
-        active = self._active_flows
-        dt = now - self._fluid_t
-        if dt > 0:
-            for f in active.values():
-                f.remaining = max(0.0, f.remaining - f.rate * dt)
+        retired, eta = step(self._active_links, self._remaining, self._rates, self._link_u,
+                            self._bandwidth, self._link_names, now, now - self._fluid_t,
+                            self.report.link_utilization)
         self._fluid_t = now
-        # a flow is done once its remaining work is under a picosecond of service
-        finished = [i for i, f in active.items() if f.remaining <= 1e-9 + 1e-12 * f.rate]
-        for i in finished:
-            del active[i]
-            rec = self.report.flows[i]
+        ids = self._active_ids
+        for pos in reversed(retired):
+            rec = self.report.flows[ids.pop(pos)]
             rec["data_end"] = now
             rec["status"] = "done"
             self.flows_completed += 1
-        flows = list(active.values())
-        rates, utilization = fill([f.links for f in flows], self._bandwidth)
-        for f, rate in zip(flows, rates):
-            f.rate = rate
-        # change points: a row for a link whose utilization moved, and a 0
-        # row for a busy link that no flow crosses any more
-        last, current = self._link_u, dict(utilization)
-        rows = [(k, u) for k, u in utilization if last.get(k) != u]
-        rows += [(k, 0.0) for k in last if k not in current]
-        rows.sort()  # two ascending runs
-        self._link_u = current
-        names = self._link_names
-        self.report.link_utilization.extend([(now, names[k], u) for k, u in rows])
-        if flows:
-            eta = min(now + f.remaining / f.rate for f in flows if f.rate > 0)
+        if eta is not None:
             self._flow_gen += 1
             self.schedule(eta, self._fluid_check, self._flow_gen)
 

@@ -140,6 +140,14 @@ class TestSimulate:
         assert "missing.json" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    def test_any_exception_removes_the_directories_it_made(self, tmp_path, monkeypatch):
+        def fail(args, outdir):
+            raise RuntimeError("sweep failed")
+        monkeypatch.setattr(cli, "cmd_scalability", fail)
+        with pytest.raises(RuntimeError, match="sweep failed"):
+            main(["scalability", "--n-range", "2..3", "--out", str(tmp_path / "a" / "b")])
+        assert os.listdir(tmp_path) == []
+
     def test_failed_run_keeps_a_directory_that_existed(self, tmp_path, monkeypatch):
         out = tmp_path / "existing"
         out.mkdir()
@@ -293,9 +301,9 @@ class TestPinnedOutputs:
     Every frame-path change so far kept these bytes, and a speed-up must
     keep them.  A change that alters simulation output on purpose (a model
     or table-timer correction) updates the digests here and says which
-    outputs changed and why in CHANGES.md.  Both fill kernels of the fluid
-    plane must give these bytes, so each run is also checked on the
-    pure-python twin, simnet.fill_py.
+    outputs changed and why in CHANGES.md.  Both kernels of the fluid plane
+    must give these bytes, so each run is also checked with the whole
+    recompute, fill included, on the pure-python twin, simnet.step_py.
 
     "report.json content" digests the report's document re-encoded with
     sorted keys, so it holds for any layout of the file.  These digests were
@@ -331,7 +339,7 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("protocol", sorted(DIGESTS))
     def test_simulate_outputs_are_pinned_on_the_python_fill(self, tmp_path, protocol,
                                                              monkeypatch):
-        monkeypatch.setattr(simnet, "fill", simnet.fill_py)
+        monkeypatch.setattr(simnet, "step", simnet.step_py)
         self.check_simulate_outputs(tmp_path, protocol)
 
     def check_simulate_outputs(self, tmp_path, protocol):
@@ -369,7 +377,7 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("protocol", sorted(SCENARIO_DIGESTS))
     def test_scenario_outputs_are_pinned_on_the_python_fill(self, tmp_path, protocol,
                                                              monkeypatch):
-        monkeypatch.setattr(simnet, "fill", simnet.fill_py)
+        monkeypatch.setattr(simnet, "step", simnet.step_py)
         self.check_scenario_outputs(tmp_path, protocol)
 
     def check_scenario_outputs(self, tmp_path, protocol):
@@ -391,7 +399,7 @@ class TestHashSeedIndependence:
         # four hosts per edge bridge: Bridge-Path delivers a flood to several
         # local hosts, and the order of those copies must not come from set
         # iteration, which follows the string hash of the host ids; the idle
-        # links of report.csv come from a dict scan
+        # links of report.csv come from a scan of the links by index
         topo = make_simple_grid(4, hosts_per_corner=4)
         pairs = list(itertools.permutations(sorted(topo.hosts), 2))
         random.Random(2017).shuffle(pairs)

@@ -35,6 +35,7 @@ from allpath.simnet import (
     fill_py,
     measure_empirical_tables,
     run_scenario,
+    step_py,
 )
 from allpath.topology import (
     Link,
@@ -397,6 +398,45 @@ def fluid_flows(draw):
     return flows, bandwidth
 
 
+@st.composite
+def fluid_steps(draw):
+    """(flows, remaining, rates, busy, bandwidth, dts) for a run of steps on
+    fluid_flows' flows and links.  The draws favour the step's edges: dt 0,
+    flows exactly at the completion threshold or just above it, every flow
+    done, and busy links, some last written as 0.0, that no flow crosses."""
+    flows, bandwidth = draw(fluid_flows())
+    rates = [draw(st.sampled_from([0.0, 1.0, 2.5e8, 1e9]) | st.floats(0, 4e9)) for _ in flows]
+    remaining = []
+    for rate in rates:
+        threshold = 1e-9 + 1e-12 * rate
+        remaining.append(draw(st.sampled_from([0.0, threshold, math.nextafter(threshold, 1.0),
+                                               1e3, 4e8]) | st.floats(0, 1e9)))
+    if draw(st.booleans()):
+        remaining = [0.0] * len(flows)
+    busy = [draw(st.sampled_from([None, None, 0.0, 0.5, 1.0]) | st.floats(0, 1))
+            for _ in bandwidth]
+    dts = draw(st.lists(st.sampled_from([0.0, 1e-6, 0.25]) | st.floats(-1, 10),
+                        min_size=1, max_size=3))
+    return flows, remaining, rates, busy, bandwidth, dts
+
+
+def _step_run(step, case, now):
+    """Run step over case's dts from now; each step's returns and state, as bits."""
+    flows, remaining, rates, busy, bandwidth, dts = case
+    flows, remaining, rates, busy = list(flows), list(remaining), list(rates), list(busy)
+    names = tuple("L%d" % k for k in range(len(bandwidth)))
+    out = []
+    for dt in dts:
+        now += dt
+        rows = []
+        retired, eta = step(flows, remaining, rates, busy, bandwidth, names, now, dt, rows)
+        out.append((retired, None if eta is None else eta.hex(), list(flows),
+                    _bits(remaining), _bits(rates),
+                    [(t.hex(), name, u.hex()) for t, name, u in rows],
+                    [None if u is None else u.hex() for u in busy]))
+    return out
+
+
 def _loads(flows, rates):
     """Link -> the rates of its flows, in flow order."""
     load = {}
@@ -432,16 +472,18 @@ class TestMaxMin:
         assert _fill_bits((rates, utilization)) == _fill_bits((rates, want))
 
     def test_engine_rates_match_set_based_filling(self, monkeypatch):
+        # after each step, flows holds the flows that step filled, and rates
+        # their rates
         calls = []
-        kernel = simnet.fill
+        kernel = simnet.step
 
-        def checked(flows, bandwidth):
-            rates, utilization = kernel(flows, bandwidth)
-            assert _bits(rates) == _bits(reference_max_min_rates(flows, bandwidth))
+        def checked(flows, remaining, rates, *args):
+            result = kernel(flows, remaining, rates, *args)
+            assert _bits(rates) == _bits(reference_max_min_rates(flows, args[1]))
             calls.append(len(flows))
-            return rates, utilization
+            return result
 
-        monkeypatch.setattr(simnet, "fill", checked)
+        monkeypatch.setattr(simnet, "step", checked)
         t = make_simple_grid(3, hosts_per_corner=2)
         hosts = sorted(t.hosts)
         wl = [FlowSpec(a, b, 4e7, 0.001 * k) for k, (a, b) in
@@ -499,12 +541,19 @@ def twin(request, compiled_kernel):
     return fill_py if request.param == "python" else compiled_kernel("_fluid_core").fill
 
 
+@pytest.fixture(params=["python", "c"])
+def step_twin(request, compiled_kernel):
+    """Each step kernel: the pure-python twin and the compiled one."""
+    return step_py if request.param == "python" else compiled_kernel("_fluid_core").step
+
+
 class TestFluidKernels:
     """The compiled fill and its pure-python twin, fill_py."""
 
     def test_kernel_is_exported(self):
         assert simnet.KERNEL in ("c", "python")
         assert (simnet.fill is fill_py) == (simnet.KERNEL == "python")
+        assert (simnet.step is step_py) == (simnet.KERNEL == "python")
 
     @settings(max_examples=500, deadline=None)
     @given(case=fluid_flows())
@@ -556,6 +605,54 @@ class TestFluidKernels:
             twin(flows, bandwidth)
 
 
+class TestFluidStep:
+    """The compiled step and its pure-python twin, step_py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=fluid_steps(), now=st.floats(0, 100))
+    def test_twins_match_bitwise(self, compiled_kernel, case, now):
+        core = compiled_kernel("_fluid_core")
+        assert _step_run(core.step, case, now) == _step_run(step_py, case, now)
+
+    def test_retires_at_the_threshold(self, step_twin):
+        threshold = 1e-9 + 1e-12 * 1e9
+        above = math.nextafter(threshold, 1.0)
+        flows = [(0,), (0, 2), (1,)]
+        remaining, rates = [threshold, above, 0.0], [1e9, 1e9, 0.0]
+        # link 1 was last written as 0.0 while busy: busy, not idle
+        busy, rows = [0.5, 0.0, None], []
+        retired, eta = step_twin(flows, remaining, rates, busy, (1e9, 1e9, 4e9),
+                                 ("a", "b", "c"), 2.0, 0.0, rows)
+        assert retired == [0, 2]
+        assert (flows, remaining, rates) == ([(0, 2)], [above], [1e9])
+        assert rows == [(2.0, "a", 1.0), (2.0, "b", 0.0), (2.0, "c", 0.25)]
+        assert busy == [1.0, None, 0.25]
+        assert eta == 2.0 + above / 1e9
+        # nothing changed: no row, and the same completion
+        assert step_twin(flows, remaining, rates, busy, (1e9, 1e9, 4e9), ("a", "b", "c"),
+                         2.0, 0.0, rows) == ([], eta)
+        assert len(rows) == 3
+
+    def test_advances_then_retires_every_flow(self, step_twin):
+        flows, remaining, rates = [(0,), (0,)], [4e8, 5e8], [5e8, 5e8]
+        busy, rows = [1.0, None], []
+        assert step_twin(flows, remaining, rates, busy, (1e9, 1e9), ("a", "b"), 3, 1.0,
+                         rows) == ([0, 1], None)
+        assert flows == remaining == rates == []
+        assert rows == [(3, "a", 0.0)] and busy == [None, None]
+
+    @pytest.mark.parametrize("args, error", [
+        (([(0,)], [1.0, 2.0], [0.0], [None], (1e9,), ("a",)), ValueError),
+        (([(0,)], [1.0], [0.0], [None], (1e9, 1e9), ("a", "b")), ValueError),
+        (([(0,)], [1.0], [0.0], [None, None], (1e9, 1e9), ("a",)), ValueError),
+        (([[0]], [1.0], [0.0], [None], (1e9,), ("a",)), TypeError),
+        (([(1,)], [1.0], [0.0], [None], (1e9,), ("a",)), IndexError),
+    ], ids=["remaining", "busy", "names", "list-flow", "past-the-end"])
+    def test_bad_input_raises(self, step_twin, args, error):
+        with pytest.raises(error):
+            step_twin(*args, 0.0, 0.0, [])
+
+
 def _pinned_scenario():
     """The 4x4 scenario whose outputs test_cli pins: two hosts per corner,
     20 flows, every other one 400 Mbit, seed 11, cut at 4 s."""
@@ -577,28 +674,23 @@ def _overlapping_bulk():
 
 class TestUtilizationChangePoints:
     """report.csv holds change points: reading each link's last row at or
-    before t (0 before its first) gives the utilization of the last fill at t."""
+    before t (0 before its first) gives the utilization of the last fill at
+    t, rebuilt here by fill_py from the flows that each step kept."""
 
     @pytest.mark.parametrize("scenario", [_pinned_scenario, _overlapping_bulk],
                              ids=["pinned-4x4", "overlapping-bulk"])
     @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
-    def test_rows_rebuild_every_fill(self, protocol, scenario, twin, monkeypatch):
-        recomputes = []  # (now, start of its rows, its fill's utilization)
-        fill_result = []
+    def test_rows_rebuild_every_fill(self, protocol, scenario, step_twin, monkeypatch):
+        recomputes = []  # (now, start of its rows, the survivors' utilization)
         fluid_recompute = Engine._fluid_recompute
-
-        def recorded_fill(flows, bandwidth):
-            fill_result.append(twin(flows, bandwidth))
-            return fill_result[-1]
 
         def recorded(eng, now):
             start = len(eng.report.link_utilization)
             fluid_recompute(eng, now)
-            [(_rates, utilization)] = fill_result
-            fill_result.clear()
+            _rates, utilization = fill_py(list(eng._active_links), eng._bandwidth)
             recomputes.append((now, start, utilization))
 
-        monkeypatch.setattr(simnet, "fill", recorded_fill)
+        monkeypatch.setattr(simnet, "step", step_twin)
         monkeypatch.setattr(Engine, "_fluid_recompute", recorded)
         topo, flows, seed, duration = scenario()
         eng = Engine(topo, protocol, seed=seed)
