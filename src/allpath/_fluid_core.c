@@ -1,6 +1,8 @@
-/* Compiled max-min fill for the fluid plane of allpath.simnet.
+/* Compiled fluid plane of allpath.simnet: one function, step.
  *
- * Twin of simnet.fill_py, which is the executable specification.  It does
+ * step is the twin of simnet.step_py, and the max-min fill it runs
+ * (fill_parse, progressive_fill and sum_loads) is the twin of simnet.fill_py;
+ * the two Python functions are the executable specification.  The fill does
  * the same floating-point operations in the same order: each round scans the
  * live links in order of first appearance (over the flows in order, over
  * each flow's links in tuple order) and keeps the first whose residual / count
@@ -79,42 +81,6 @@ static void progressive_fill(Fill *s, Py_ssize_t n_live)
             }
         }
     }
-}
-
-/* (rates, utilization) of the filled flows, or NULL with an exception set. */
-static PyObject *fill_result(const Fill *s, Py_ssize_t n_flows, Py_ssize_t n_links)
-{
-    PyObject *rates, *util = NULL, *x;
-    Py_ssize_t f, l;
-    if ((rates = PyList_New(n_flows)) == NULL)
-        return NULL;
-    for (f = 0; f < n_flows; f++) {
-        if ((x = PyFloat_FromDouble(s->rate[f])) == NULL)
-            goto fail;
-        PyList_SET_ITEM(rates, f, x);
-    }
-    if ((util = PyList_New(0)) == NULL)
-        goto fail;
-    for (l = 0; l < n_links; l++) {
-        PyObject *index, *u;
-        if (s->cross_end[l] == 0)  /* no flow crosses link l */
-            continue;
-        index = PyLong_FromSsize_t(l);
-        u = PyFloat_FromDouble(s->load[l] / s->bandwidth[l]);
-        x = (index && u) ? PyTuple_Pack(2, index, u) : NULL;
-        Py_XDECREF(index);
-        Py_XDECREF(u);
-        if (x == NULL || PyList_Append(util, x) < 0) {
-            Py_XDECREF(x);
-            goto fail;
-        }
-        Py_DECREF(x);
-    }
-    return Py_BuildValue("(NN)", rates, util);
-fail:
-    Py_DECREF(rates);
-    Py_XDECREF(util);
-    return NULL;
 }
 
 /* Parse the flows fseq over the links bseq into s and number the live links
@@ -215,37 +181,6 @@ static void sum_loads(Fill *s, Py_ssize_t n_flows)
             s->load[s->link_of[k]] += s->rate[f];
 }
 
-PyDoc_STRVAR(fill_doc,
-"fill(flows, bandwidth) -> (rates, utilization)\n\n"
-"Max-min fair rates by progressive filling.  flows holds one tuple of link\n"
-"indices per flow; bandwidth[k] is the capacity of link k.  rates is aligned\n"
-"with flows; utilization lists (k, load / bandwidth[k]) for every link k that\n"
-"a flow crosses, in ascending k.  Bit-identical to simnet.fill_py.");
-
-static PyObject *fill(PyObject *self, PyObject *args)
-{
-    PyObject *flows, *bandwidth, *fseq, *bseq = NULL, *result = NULL;
-    Fill s = {0};
-    Py_ssize_t n_live;
-
-    if (!PyArg_ParseTuple(args, "OO:fill", &flows, &bandwidth))
-        return NULL;
-    if ((fseq = PySequence_Fast(flows, "flows must be a sequence")) == NULL)
-        return NULL;
-    if ((bseq = PySequence_Fast(bandwidth, "bandwidth must be a sequence")) == NULL)
-        goto done;
-    if (fill_parse(&s, fseq, bseq, &n_live) < 0)
-        goto done;
-    progressive_fill(&s, n_live);
-    sum_loads(&s, PySequence_Fast_GET_SIZE(fseq));
-    result = fill_result(&s, PySequence_Fast_GET_SIZE(fseq), PySequence_Fast_GET_SIZE(bseq));
-done:
-    Py_DECREF(fseq);
-    Py_XDECREF(bseq);
-    fill_free(&s);
-    return result;
-}
-
 /* Store the double x at list[i], or return -1 with an exception set. */
 static int set_float(PyObject *list, Py_ssize_t i, double x)
 {
@@ -259,7 +194,7 @@ PyDoc_STRVAR(step_doc,
 "fill the rest, append the change points to rows and find the next\n"
 "completion.  Bit-identical to simnet.step_py, which documents it.");
 
-static PyObject *step(PyObject *self, PyObject *args)
+static PyObject *step(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *flows, *remaining, *rates, *busy, *bandwidth, *names, *now_obj, *rows;
     PyObject *bseq = NULL, *nseq = NULL, *retired = NULL, *zero = NULL, *result = NULL;
@@ -401,7 +336,6 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"fill", fill, METH_VARARGS, fill_doc},
     {"step", step, METH_VARARGS, step_doc},
     {NULL, NULL, 0, NULL},
 };
@@ -409,7 +343,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_fluid_core",
-    .m_doc = "Compiled twins of allpath.simnet.fill_py and allpath.simnet.step_py.",
+    .m_doc = "Compiled twin of allpath.simnet.step_py; its fill is that of simnet.fill_py.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -8,10 +8,10 @@ fluid model (max-min capacity shares, recomputed at flow start/end), since
 packet-level simulation of multi-megabyte flows is pointless at this scale.
 Each recompute is one call of step: it advances and retires the active
 flows, fills the rest, writes report.csv's change points and finds the next
-completion.  step and the max-min fill it runs come from the compiled kernel
-(allpath._fluid_core) when it was built, otherwise from their pure-python
-twins, step_py and fill_py; KERNEL names the one in use, "c" or "python".
-The twins return identical results.
+completion.  step is the compiled kernel's one function
+(allpath._fluid_core.step) when it was built, otherwise its pure-python
+twin step_py, whose max-min fill is fill_py; KERNEL names the one in use,
+"c" or "python".  The twins return identical results.
 
 Events fire in (fire_time, tie, seq) order.  The tie component is a seeded
 random draw made when the event is scheduled, so simultaneous frame
@@ -103,7 +103,7 @@ def fill_py(flows, bandwidth):
     unfrozen flows.  A link's load is the left-to-right sum of the rates of
     its flows, in flow order.
 
-    This is the specification of the compiled allpath._fluid_core.fill,
+    This is the specification of the fill in allpath._fluid_core.step,
     which does the same floating-point operations in the same order.
     """
     n_links = len(bandwidth)
@@ -213,10 +213,10 @@ def step_py(flows, remaining, rates, busy, bandwidth, names, now, dt, rows):
 
 
 try:  # pragma: no cover - depends on the build
-    from ._fluid_core import fill, step
+    from ._fluid_core import step
     KERNEL = "c"
 except ImportError:  # pragma: no cover
-    fill, step = fill_py, step_py
+    step = step_py
     KERNEL = "python"
 
 
@@ -540,7 +540,7 @@ class Engine:
     def _flow_links(self, rec):
         """Fluid-plane indices of flow rec's links: its two host links, then its path.
 
-        fill breaks ties by first appearance, so the order is fixed.
+        The fill breaks ties by first appearance, so the order is fixed.
         """
         path = rec["path"]
         hops = [(rec["src"], path[0]), (path[-1], rec["dst"])] + list(zip(path, path[1:]))

@@ -1,5 +1,6 @@
 """Discrete-event engine: latency model, races, census, determinism."""
 
+import functools
 import heapq
 import io
 import itertools
@@ -387,7 +388,7 @@ def _fill_bits(result):
 
 @st.composite
 def fluid_flows(draw):
-    """(flows, bandwidth) for fill.  Mostly equal bandwidths and links 0
+    """(flows, bandwidth) for a fill.  Mostly equal bandwidths and links 0
     and 1 drawn often, so that shared links and exact share ties are
     common; some bandwidths are ints, as a JSON topology can carry."""
     bandwidth = tuple(draw(st.lists(st.sampled_from([1e9] * 4 + [10**9, 2.5e8, 4e9 / 3, 3]),
@@ -535,10 +536,25 @@ class TestMaxMin:
         assert reports[0].to_json() == reports[1].to_json()
 
 
+def _fill_by_step(step, flows, bandwidth):
+    """fill_py's (rates, utilization), computed by one step from an idle
+    plane: no time passes and no flow has finished, so the step only fills.
+    Each link is named by its index, so its rows are the utilization, one
+    per crossed link in ascending index."""
+    flows, rows = list(flows), []
+    n, n_links = len(flows), len(bandwidth)
+    rates = [0.0] * n
+    step(flows, [math.inf] * n, rates, [None] * n_links, bandwidth, range(n_links),
+         0.0, 0.0, rows)
+    return rates, [(k, u) for _, k, u in rows]
+
+
 @pytest.fixture(params=["python", "c"])
 def twin(request, compiled_kernel):
-    """Each fill kernel: the pure-python twin and the compiled one."""
-    return fill_py if request.param == "python" else compiled_kernel("_fluid_core").fill
+    """Each fill: fill_py, and the fill that the compiled step runs."""
+    if request.param == "python":
+        return fill_py
+    return functools.partial(_fill_by_step, compiled_kernel("_fluid_core").step)
 
 
 @pytest.fixture(params=["python", "c"])
@@ -548,28 +564,28 @@ def step_twin(request, compiled_kernel):
 
 
 class TestFluidKernels:
-    """The compiled fill and its pure-python twin, fill_py."""
+    """The fill that the compiled step runs and its pure-python twin, fill_py."""
 
     def test_kernel_is_exported(self):
         assert simnet.KERNEL in ("c", "python")
-        assert (simnet.fill is fill_py) == (simnet.KERNEL == "python")
         assert (simnet.step is step_py) == (simnet.KERNEL == "python")
 
     @settings(max_examples=500, deadline=None)
     @given(case=fluid_flows())
     def test_twins_match_bitwise(self, compiled_kernel, case):
         flows, bandwidth = case
-        core = compiled_kernel("_fluid_core")
-        assert _fill_bits(core.fill(flows, bandwidth)) == _fill_bits(fill_py(flows, bandwidth))
+        step = compiled_kernel("_fluid_core").step
+        assert (_fill_bits(_fill_by_step(step, flows, bandwidth))
+                == _fill_bits(fill_py(flows, bandwidth)))
 
     def test_integer_bandwidths_fill_like_floats(self, compiled_kernel):
         # four equal links, so every share ties in every round and the first
         # link in order of first appearance is the bottleneck each time;
         # ints, as a JSON topology can carry, give the bits of equal floats
-        core = compiled_kernel("_fluid_core")
+        step = compiled_kernel("_fluid_core").step
         flows = [(3, 1), (1, 2), (2, 0), (0, 3), (1,), (3, 2, 0)]
         for bandwidth in ((1e9,) * 4, (10**9,) * 4, (1e9, 10**9, 1e9, 10**9)):
-            a, b = core.fill(flows, bandwidth), fill_py(flows, bandwidth)
+            a, b = _fill_by_step(step, flows, bandwidth), fill_py(flows, bandwidth)
             assert _fill_bits(a) == _fill_bits(b)
             assert _fill_bits(a) == _fill_bits(fill_py(flows, (1e9,) * 4))
 
@@ -603,6 +619,14 @@ class TestFluidKernels:
     def test_bad_input_raises(self, twin, flows, bandwidth, error):
         with pytest.raises(error):
             twin(flows, bandwidth)
+
+
+@pytest.mark.parametrize("name, kernel", [("_balance_core", "run_replication"),
+                                          ("_fluid_core", "step")])
+def test_each_compiled_module_exports_its_one_kernel(compiled_kernel, name, kernel):
+    # one compiled function per module, each with one pure-python twin
+    module = compiled_kernel(name)
+    assert [attr for attr in dir(module) if not attr.startswith("_")] == [kernel]
 
 
 class TestFluidStep:

@@ -31,7 +31,7 @@ ALLOWED = {
         "python-twin fallback: runs only where the C kernel is not built",
     ("simnet.py", "except ImportError:  # pragma: no cover"):
         "python-twin fallback: runs only where the C kernel is not built",
-    ("simnet.py", "fill, step = fill_py, step_py"):
+    ("simnet.py", "step = step_py"):
         "python-twin fallback: runs only where the C kernel is not built",
     ("simnet.py", 'KERNEL = "python"'):
         "python-twin fallback: runs only where the C kernel is not built",
