@@ -1,14 +1,15 @@
 /* Compiled fluid plane of allpath.simnet: one function, step.
  *
- * step is the twin of simnet.step_py, and the max-min fill it runs
- * (fill_parse, progressive_fill and sum_loads) is the twin of simnet.fill_py;
- * the two Python functions are the executable specification.  The fill does
- * the same floating-point operations in the same order: each round scans the
- * live links in order of first appearance (over the flows in order, over
- * each flow's links in tuple order) and keeps the first whose residual / count
- * is strictly smallest; each newly frozen flow takes the share once off each
- * of its links; a link's load is the left-to-right sum of its flows' rates in
- * flow order.  So both return identical rates and utilizations, bit for bit.
+ * step is the twin of simnet.step_py, the executable specification of the
+ * whole step, fill included: fill_parse, progressive_fill and sum_loads are
+ * the parse, the max-min fill and the load sums of step_py's steps 3 and 4.
+ * The fill does the same floating-point operations in the same order: each
+ * round scans the live links in order of first appearance (over the flows in
+ * order, over each flow's links in tuple order) and keeps the first whose
+ * residual / count is strictly smallest; each newly frozen flow takes the
+ * share once off each of its links; a link's load is the left-to-right sum
+ * of its flows' rates in flow order.  So both return identical rates and
+ * utilizations, bit for bit.
  *
  * Build with -ffp-contract=off (setup.py does): a fused multiply-add rounds
  * once where the Python twin rounds twice.
@@ -192,7 +193,8 @@ PyDoc_STRVAR(step_doc,
 "step(flows, remaining, rates, busy, bandwidth, names, now, dt, rows) -> (retired, eta)\n\n"
 "One fluid recompute: advance the flows by dt, retire the finished ones,\n"
 "fill the rest, append the change points to rows and find the next\n"
-"completion.  Bit-identical to simnet.step_py, which documents it.");
+"completion.  Bit-identical to simnet.step_py, which specifies the whole\n"
+"step, fill included.");
 
 static PyObject *step(PyObject *Py_UNUSED(self), PyObject *args)
 {
@@ -343,7 +345,7 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_fluid_core",
-    .m_doc = "Compiled twin of allpath.simnet.step_py; its fill is that of simnet.fill_py.",
+    .m_doc = "Compiled twin of allpath.simnet.step_py, the specification of the whole step.",
     .m_size = -1,
     .m_methods = methods,
 };

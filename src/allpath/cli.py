@@ -261,7 +261,8 @@ def build_parser(parser_class=argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--duration", type=_positive_float, default=None)
     p.add_argument("--flows", type=_nonnegative_int, default=4)
-    p.add_argument("--scenario", default=None, help="scenario JSON file")
+    # recorded absolute, so a replay reads the same file from any directory
+    p.add_argument("--scenario", type=os.path.abspath, default=None, help="scenario JSON file")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_simulate)
 

@@ -10,8 +10,8 @@ Each recompute is one call of step: it advances and retires the active
 flows, fills the rest, writes report.csv's change points and finds the next
 completion.  step is the compiled kernel's one function
 (allpath._fluid_core.step) when it was built, otherwise its pure-python
-twin step_py, whose max-min fill is fill_py; KERNEL names the one in use,
-"c" or "python".  The twins return identical results.
+twin step_py, which specifies the whole step, fill included; KERNEL names
+the one in use, "c" or "python".  The twins return identical results.
 
 Events fire in (fire_time, tie, seq) order.  The tie component is a seeded
 random draw made when the event is scheduled, so simultaneous frame
@@ -86,26 +86,51 @@ class Hop:
         self.link = index
 
 
-def fill_py(flows, bandwidth):
-    """Max-min fair rates and link utilizations, by progressive filling.
+def step_py(flows, remaining, rates, busy, bandwidth, names, now, dt, rows):
+    """One fluid recompute at time now, dt after the previous one.
 
-    flows holds one tuple of link indices per flow (each link once per
-    flow); bandwidth[k] is the capacity of link k.  Returns (rates,
-    utilization): rates aligned with flows, and (k, load / bandwidth[k])
-    for every link k that a flow crosses, in ascending k.
+    flows, remaining and rates are parallel lists with one entry per active
+    flow, in start order: its tuple of link indices (each link once per
+    flow), the bits it has left and its rate.  busy, bandwidth and names
+    have one entry per link: the utilization last written to rows for a
+    busy link (None for an idle one), its capacity and its report.csv name.
+    In order, the step
 
-    Each round picks the link whose residual capacity, split evenly over
-    its unfrozen flows, is smallest: the first such link in order of first
-    appearance, over the flows in order and over each flow's links in tuple
-    order.  It freezes those flows at that share and takes the share once
-    off every link each of them crosses (Bertsekas & Gallager, Data
-    Networks, 2nd ed., 6.5.2).  Each link keeps a live count of its
-    unfrozen flows.  A link's load is the left-to-right sum of the rates of
-    its flows, in flow order.
+    1. when dt > 0, advances each flow to max(0.0, remaining - rate * dt);
+    2. retires each flow whose remaining work is under a picosecond of
+       service, remaining <= 1e-9 + 1e-12 * rate, deleting it from the
+       three lists;
+    3. stores the max-min fair rates of the other flows, by progressive
+       filling (Bertsekas & Gallager, Data Networks, 2nd ed., 6.5.2).  Each
+       round picks the link whose residual capacity, split evenly over its
+       unfrozen flows, is smallest: the first such link in order of first
+       appearance, over the flows in order and over each flow's links in
+       tuple order.  It freezes those flows at that share and takes the
+       share once off every link each of them crosses.  Each link keeps a
+       live count of its unfrozen flows;
+    4. takes the utilization u of each crossed link k as its load /
+       bandwidth[k], the load being the left-to-right sum of the rates of
+       its flows, in flow order.  It appends to rows a (now, names[k], u)
+       row for each link k whose u differs from busy[k] bit for bit, and a
+       (now, names[k], 0.0) row for each busy link that no flow crosses any
+       more, in ascending k, and updates busy to match;
+    5. returns (retired, eta): the positions the retired flows had in the
+       lists, ascending, and the earliest now + remaining / rate over the
+       flows with rate > 0, or None when there is none.
 
-    This is the specification of the fill in allpath._fluid_core.step,
+    This is the specification of the compiled allpath._fluid_core.step,
     which does the same floating-point operations in the same order.
     """
+    if not len(flows) == len(remaining) == len(rates):
+        raise ValueError("flows, remaining and rates must have one entry per flow")
+    if not len(busy) == len(bandwidth) == len(names):
+        raise ValueError("busy, bandwidth and names must have one entry per link")
+    if dt > 0:
+        for i, left in enumerate(remaining):
+            remaining[i] = max(0.0, left - rates[i] * dt)
+    retired = [i for i, left in enumerate(remaining) if left <= 1e-9 + 1e-12 * rates[i]]
+    for i in reversed(retired):
+        del flows[i], remaining[i], rates[i]
     n_links = len(bandwidth)
     residual = {}
     count = {}  # links with unfrozen flows -> how many, in order of first appearance
@@ -130,7 +155,7 @@ def fill_py(flows, bandwidth):
             count[ln] = 1
             crossing[ln] = [i]
             residual[ln] = bw
-    rates = [None] * len(flows)
+    rates[:] = [None] * len(flows)  # None: not frozen yet
     while count:
         best, best_share = None, None
         for ln, n in count.items():
@@ -153,50 +178,9 @@ def fill_py(flows, bandwidth):
     for links, rate in zip(flows, rates):
         for ln in links:
             load[ln] = load.get(ln, 0.0) + rate
-    return rates, [(ln, load[ln] / bandwidth[ln]) for ln in sorted(load)]
-
-
-def step_py(flows, remaining, rates, busy, bandwidth, names, now, dt, rows):
-    """One fluid recompute at time now, dt after the previous one.
-
-    flows, remaining and rates are parallel lists with one entry per active
-    flow, in start order: its tuple of link indices, the bits it has left
-    and its rate.  busy, bandwidth and names have one entry per link: the
-    utilization last written to rows for a busy link (None for an idle
-    one), its capacity and its report.csv name.  In order, the step
-
-    1. when dt > 0, advances each flow to max(0.0, remaining - rate * dt);
-    2. retires each flow whose remaining work is under a picosecond of
-       service, remaining <= 1e-9 + 1e-12 * rate, deleting it from the
-       three lists;
-    3. fills the other flows with fill_py and stores their rates;
-    4. appends to rows a (now, names[k], u) row for each link k whose
-       utilization u differs from busy[k] bit for bit, and a
-       (now, names[k], 0.0) row for each busy link that no flow crosses any
-       more, in ascending k, and updates busy to match;
-    5. returns (retired, eta): the positions the retired flows had in the
-       lists, ascending, and the earliest now + remaining / rate over the
-       flows with rate > 0, or None when there is none.
-
-    This is the specification of the compiled allpath._fluid_core.step,
-    which does the same floating-point operations in the same order.
-    """
-    if not len(flows) == len(remaining) == len(rates):
-        raise ValueError("flows, remaining and rates must have one entry per flow")
-    if not len(busy) == len(bandwidth) == len(names):
-        raise ValueError("busy, bandwidth and names must have one entry per link")
-    if dt > 0:
-        for i, left in enumerate(remaining):
-            remaining[i] = max(0.0, left - rates[i] * dt)
-    retired = [i for i, left in enumerate(remaining) if left <= 1e-9 + 1e-12 * rates[i]]
-    for i in reversed(retired):
-        del flows[i], remaining[i], rates[i]
-    filled, utilization = fill_py(flows, bandwidth)
-    rates[:] = filled
-    crossed = dict(utilization)
     for k, last in enumerate(busy):
-        u = crossed.get(k)
-        if u is not None:
+        if k in load:
+            u = load[k] / bandwidth[k]
             if last is None or last != u:
                 rows.append((now, names[k], u))
                 busy[k] = u

@@ -56,6 +56,19 @@ def compiled_kernel(tmp_path_factory):
     return load
 
 
+@pytest.fixture(scope="session")
+def erlang_b():
+    """erlang_b(servers, offered) -> the Erlang-B blocking probability, by the
+    standard recursion B(k) = A B(k-1) / (k + A B(k-1)) from B(0) = 1."""
+    def blocking(servers, offered):
+        b = 1.0
+        for k in range(1, servers + 1):
+            b = offered * b / (k + offered * b)
+        return b
+
+    return blocking
+
+
 @pytest.fixture
 def bridge_arrivals(monkeypatch):
     """trace + [bridge] of every frame a bridge receives, whether the bridge

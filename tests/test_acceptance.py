@@ -194,13 +194,7 @@ def test_criterion_10_fairness_dc_mixture():
            "(10 replications each)")
 
 
-def test_criterion_11_erlang_b():
-    def erlang_b(servers, offered):
-        b = 1.0
-        for k in range(1, servers + 1):
-            b = offered * b / (k + offered * b)
-        return b
-
+def test_criterion_11_erlang_b(erlang_b):
     servers = 5
     for rho in (0.4, 0.8, 1.2, 2.0):
         offered = rho * servers

@@ -30,14 +30,6 @@ BAD_RATES = [(math.nan, 2.0), (math.inf, 2.0), (0.0, 2.0), (-1.0, 2.0),
              (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, -1.0)]
 
 
-def erlang_b(servers, offered):
-    """Erlang-B blocking probability via the standard recursion."""
-    b = 1.0
-    for k in range(1, servers + 1):
-        b = offered * b / (k + offered * b)
-    return b
-
-
 def _replication(caps, seed):
     """A replication of 1 s from t = 0 at one arrival per second, each flow
     holding its unit for 10 s, longer than the run."""
@@ -192,7 +184,7 @@ class TestSimulate:
         assert busy[0] <= served * hold + hold
         assert busy[0] >= (served - 1) * hold
 
-    def test_erlang_b_oracle(self):
+    def test_erlang_b_oracle(self, erlang_b):
         # join-max-available loses a flow only when every path is full, so the
         # total occupancy is an Erlang-loss station with sum(C) servers for any
         # capacities and holding distribution (Erlang-B insensitivity); the

@@ -683,6 +683,27 @@ class TestReplay:
         assert "scenario.json" in capsys.readouterr().err
         assert not second.exists()
 
+    def test_replay_from_another_directory_byte_identical(self, tmp_path, monkeypatch):
+        # the manifest records --scenario as an absolute path, so a replay
+        # reads the same file from any working directory
+        here, there = tmp_path / "a", tmp_path / "b"
+        here.mkdir()
+        there.mkdir()
+        (here / "sc.json").write_text(json.dumps({
+            "topology": "diamond", "protocol": "flow-path", "seed": 3,
+            "flows": [{"src": "A", "dst": "B", "size_bits": 12000, "start_time": 0.0}],
+        }))
+        first, second = tmp_path / "first", tmp_path / "second"
+        monkeypatch.chdir(here)
+        assert run(["simulate", "--scenario", "sc.json", "--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        recorded = manifest["params"]["scenario"]
+        assert os.path.isabs(recorded) and os.path.samefile(recorded, here / "sc.json")
+        monkeypatch.chdir(there)
+        assert run(["replay", str(first / "manifest.json"), "--out", str(second)]) == 0
+        for name in manifest["outputs"]:
+            assert read(first / name) == read(second / name), name
+
     def test_manifest_of_a_replay_runtime_error(self, tmp_path, capsys, monkeypatch):
         # a "" key rebuilds as "--", which makes its value a manifest to replay,
         # here the manifest itself

@@ -148,7 +148,7 @@ class TestSolvers:
         _, _, _, lp, _ = solve_model(100, 100, 0.5, method="block_tridiagonal")
         assert lp <= 1e-300
 
-    def test_banded_erlang_b_past_the_dense_limit(self):
+    def test_banded_erlang_b_past_the_dense_limit(self, erlang_b):
         offered = 800.0
         _, u1, u2, lp, _ = solve_model(100, 100, offered, method="block_tridiagonal")
         b = erlang_b(200, offered)
@@ -249,14 +249,6 @@ class TestSolvers:
         assert tail < 1e-3
 
 
-def erlang_b(servers, offered):
-    """Erlang-B blocking probability via the standard recursion."""
-    b = 1.0
-    for k in range(1, servers + 1):
-        b = offered * b / (k + offered * b)
-    return b
-
-
 # Join-max-available loses a flow only when both paths are full, so the total
 # occupancy is an M/M/c/c loss system with c = C1 + C2: LP is Erlang-B and the
 # carried load is the offered load times (1 - B).  rho is the offered load per
@@ -264,7 +256,7 @@ def erlang_b(servers, offered):
 @pytest.mark.parametrize("method", ["dense", "block_tridiagonal"])
 @pytest.mark.parametrize("C1,C2", [(1, 1), (5, 3), (7, 15), (20, 20), (30, 20), (60, 60)])
 @pytest.mark.parametrize("rho", [0.2, 0.5, 1.0, 2.0, 5.0])
-def test_erlang_b_oracle(method, C1, C2, rho):
+def test_erlang_b_oracle(method, C1, C2, rho, erlang_b):
     offered = rho * (C1 + C2)
     _, u1, u2, lp, _ = solve_model(C1, C2, offered, method=method)
     b = erlang_b(C1 + C2, offered)

@@ -33,7 +33,6 @@ from allpath.simnet import (
     Engine,
     FlowSpec,
     ScenarioError,
-    fill_py,
     measure_empirical_tables,
     run_scenario,
     step_py,
@@ -386,6 +385,20 @@ def _fill_bits(result):
     return _bits(rates), [(k, u.hex()) for k, u in utilization]
 
 
+def _fill_by_step(step, flows, bandwidth):
+    """The fill of step, step_py or the compiled one, as (rates,
+    utilization): one step from an idle plane, in which no time passes and
+    no flow has finished, so the step only fills.  Each link is named by its
+    index, so its rows are the utilization, (k, load / bandwidth[k]) for
+    each crossed link k in ascending k."""
+    flows, rows = list(flows), []
+    n, n_links = len(flows), len(bandwidth)
+    rates = [0.0] * n
+    step(flows, [math.inf] * n, rates, [None] * n_links, bandwidth, range(n_links),
+         0.0, 0.0, rows)
+    return rates, [(k, u) for _, k, u in rows]
+
+
 @st.composite
 def fluid_flows(draw):
     """(flows, bandwidth) for a fill.  Mostly equal bandwidths and links 0
@@ -452,7 +465,7 @@ class TestMaxMin:
     @given(case=fluid_flows())
     def test_matches_set_based_filling_bitwise(self, case):
         flows, bandwidth = case
-        rates, utilization = fill_py(flows, bandwidth)
+        rates, utilization = _fill_by_step(step_py, flows, bandwidth)
         assert _bits(rates) == _bits(reference_max_min_rates(flows, bandwidth))
         load = _loads(flows, rates)
         for ln, on_link in load.items():
@@ -536,25 +549,11 @@ class TestMaxMin:
         assert reports[0].to_json() == reports[1].to_json()
 
 
-def _fill_by_step(step, flows, bandwidth):
-    """fill_py's (rates, utilization), computed by one step from an idle
-    plane: no time passes and no flow has finished, so the step only fills.
-    Each link is named by its index, so its rows are the utilization, one
-    per crossed link in ascending index."""
-    flows, rows = list(flows), []
-    n, n_links = len(flows), len(bandwidth)
-    rates = [0.0] * n
-    step(flows, [math.inf] * n, rates, [None] * n_links, bandwidth, range(n_links),
-         0.0, 0.0, rows)
-    return rates, [(k, u) for _, k, u in rows]
-
-
 @pytest.fixture(params=["python", "c"])
 def twin(request, compiled_kernel):
-    """Each fill: fill_py, and the fill that the compiled step runs."""
-    if request.param == "python":
-        return fill_py
-    return functools.partial(_fill_by_step, compiled_kernel("_fluid_core").step)
+    """Each fill: that of step_py, and that of the compiled step."""
+    step = step_py if request.param == "python" else compiled_kernel("_fluid_core").step
+    return functools.partial(_fill_by_step, step)
 
 
 @pytest.fixture(params=["python", "c"])
@@ -564,7 +563,7 @@ def step_twin(request, compiled_kernel):
 
 
 class TestFluidKernels:
-    """The fill that the compiled step runs and its pure-python twin, fill_py."""
+    """The fill that the compiled step runs and that of its twin, step_py."""
 
     def test_kernel_is_exported(self):
         assert simnet.KERNEL in ("c", "python")
@@ -576,7 +575,7 @@ class TestFluidKernels:
         flows, bandwidth = case
         step = compiled_kernel("_fluid_core").step
         assert (_fill_bits(_fill_by_step(step, flows, bandwidth))
-                == _fill_bits(fill_py(flows, bandwidth)))
+                == _fill_bits(_fill_by_step(step_py, flows, bandwidth)))
 
     def test_integer_bandwidths_fill_like_floats(self, compiled_kernel):
         # four equal links, so every share ties in every round and the first
@@ -585,9 +584,9 @@ class TestFluidKernels:
         step = compiled_kernel("_fluid_core").step
         flows = [(3, 1), (1, 2), (2, 0), (0, 3), (1,), (3, 2, 0)]
         for bandwidth in ((1e9,) * 4, (10**9,) * 4, (1e9, 10**9, 1e9, 10**9)):
-            a, b = _fill_by_step(step, flows, bandwidth), fill_py(flows, bandwidth)
+            a, b = _fill_by_step(step, flows, bandwidth), _fill_by_step(step_py, flows, bandwidth)
             assert _fill_bits(a) == _fill_bits(b)
-            assert _fill_bits(a) == _fill_bits(fill_py(flows, (1e9,) * 4))
+            assert _fill_bits(a) == _fill_bits(_fill_by_step(step_py, flows, (1e9,) * 4))
 
     def test_empty(self, twin):
         assert twin([], (1e9,)) == ([], [])
@@ -699,7 +698,7 @@ def _overlapping_bulk():
 class TestUtilizationChangePoints:
     """report.csv holds change points: reading each link's last row at or
     before t (0 before its first) gives the utilization of the last fill at
-    t, rebuilt here by fill_py from the flows that each step kept."""
+    t, rebuilt here by step_py's fill of the flows that each step kept."""
 
     @pytest.mark.parametrize("scenario", [_pinned_scenario, _overlapping_bulk],
                              ids=["pinned-4x4", "overlapping-bulk"])
@@ -711,7 +710,7 @@ class TestUtilizationChangePoints:
         def recorded(eng, now):
             start = len(eng.report.link_utilization)
             fluid_recompute(eng, now)
-            _rates, utilization = fill_py(list(eng._active_links), eng._bandwidth)
+            _rates, utilization = _fill_by_step(step_py, eng._active_links, eng._bandwidth)
             recomputes.append((now, start, utilization))
 
         monkeypatch.setattr(simnet, "step", step_twin)

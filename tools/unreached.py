@@ -6,9 +6,11 @@ Runs pytest in this process with a line tracer (sys.settrace and
 threading.settrace) limited to src/allpath/*.py.  A module's executable
 lines are those its code objects map instructions to (co_lines()).  Each
 executable line that did not run and is not in ALLOWED is printed as
-path:line: source; an allowed one is printed with its reason.  The exit
-status is 1 when a line outside ALLOWED is left or pytest fails, and 0
-otherwise.  Stdlib only, so it needs nothing that tier-1 does not.
+path:line: source; an allowed one is printed with its reason, and an
+ALLOWED entry that matches no unreached line is printed as stale.  The exit
+status is 1 when a line outside ALLOWED is left, an ALLOWED entry is stale
+or pytest fails, and 0 otherwise.  Stdlib only, so it needs nothing that
+tier-1 does not.
 """
 
 from __future__ import annotations
@@ -115,9 +117,13 @@ def main(argv):
         print("%s:%d: %s%s" % (os.path.relpath(path, ROOT), line, text,
                                "" if reason is None else "  [allowed: %s]" % reason))
     bad = sum(reason is None for _, _, _, reason in left)
-    print("%d unreached line(s) outside the allowlist, %d allowed; pytest exit code %d"
-          % (bad, len(left) - bad, code))
-    return 1 if bad or code else 0
+    # an entry that matches no unreached line is stale, e.g. left by a rename
+    stale = set(ALLOWED) - {(os.path.basename(path), text) for path, _, text, _ in left}
+    for name, text in sorted(stale):
+        print("src/allpath/%s: %s  [stale ALLOWED entry: no unreached line]" % (name, text))
+    print("%d unreached line(s) outside the allowlist, %d allowed, %d stale ALLOWED "
+          "entries; pytest exit code %d" % (bad, len(left) - bad, len(stale), code))
+    return 1 if bad or stale or code else 0
 
 
 if __name__ == "__main__":
