@@ -71,7 +71,7 @@ def _parse_topology(spec):
 
 
 def _parse_float_list(text):
-    return [float(x) for x in text.split(",") if x]
+    return [float(x) for x in text.split(",")]
 
 
 def _parse_range(text):
@@ -113,7 +113,7 @@ def _as_given(parse, ok, what):
     return check
 
 
-_load_list = _as_given(_parse_float_list, lambda v: v and all(0 < x < math.inf for x in v),
+_load_list = _as_given(_parse_float_list, lambda v: all(0 < x < math.inf for x in v),
                        "a comma list of finite numbers > 0")
 _n_range = _as_given(_parse_range, lambda v: v and v[0] >= 2, "A..B with 2 <= A <= B")
 _host_list = _as_given(_parse_int_list, lambda v: all(h > 0 and h % 4 == 0 for h in v),
@@ -312,7 +312,7 @@ def main(argv=None):
     The manifest's params are the parsed options, so replay passes back
     exactly what the parser accepted.  A run that fails, by any exception,
     removes the directories it made while they are still empty; an error
-    other than ValueError, OSError or KeyError then propagates.
+    other than ValueError or OSError then propagates.
     """
     args = build_parser().parse_args(argv)
     made = []  # the output directory and its parents that this run made, deepest first
@@ -340,7 +340,7 @@ def main(argv=None):
         _write_manifest(outdir, args.cmd, params, outputs, started)
         made.clear()  # the run succeeded: keep what it made
         return 0
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print("allpath: error: %s" % exc, file=sys.stderr)
         return 1
     finally:

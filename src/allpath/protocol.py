@@ -18,17 +18,18 @@ _unicast_key() gives the key a unicast frame is looked up by; and its
 host_key(topology, host) gives the key of the entries that forward to a
 host, or is None where a table keys per host couple (Flow-Path).
 
-Timers live in a per-bridge expiry heap with lazy deletion, the classic
+Timers live in one expiry heap per bridge with lazy deletion, the classic
 timer-queue design (Varghese & Lauck, "Hashed and Hierarchical Timing
-Wheels", SOSP 1987): every write pushes (expires_at, seq, entry), and a tick
-pops only the items that are due, skipping those whose entry has been
-replaced, deleted or re-timed since.  A tick therefore costs O(log n) per
-due item instead of a scan of the whole table.  A stale item leaves the
-heap when it comes due, so after a tick a heap holds only the items pushed
-in the last LEARNT_TIMER seconds.  The bridges do not read the clock: the
-engine ticks a bridge to `now` before it calls handle() or route() on it,
-and every bridge at the end of a run, so no table is read with a timer
-overdue.
+Wheels", SOSP 1987): every write pushes (expires_at, seq, table, entry),
+table being the dict the entry lives in (entries, or Bridge-Path's edge
+directory), and a tick pops only the items that are due, skipping those
+whose entry has been replaced, deleted or re-timed since.  A tick costs
+O(log n) per due item instead of a scan of every table.  A stale item
+leaves the heap when it comes due, so after a tick a heap holds only the
+items pushed in the last LEARNT_TIMER seconds.  The bridges do not read the
+clock: the engine ticks a bridge to `now` before it calls handle() or
+route() on it, and every bridge at the end of a run, so no table is read
+with a timer overdue.
 
 A frame's trace, the bridges that forwarded it from first to last, is kept
 as a *trail*: a parent-linked tuple (bridge, parent_trail), None before the
@@ -174,7 +175,7 @@ class BridgeState:
         # ingress port -> the ports a flood copy from it goes out on
         self.flood_ports = {i: [p for p in self.ports if p != i] for i in self.ports}
         self.entries = {}
-        self._expiry = []  # heap of (expires_at, seq, entry), stale items included
+        self._expiry = []  # heap of (expires_at, seq, table, entry), stale items included
         self._seq = itertools.count()
 
     # -- entry lifecycle --------------------------------------------------
@@ -188,23 +189,23 @@ class BridgeState:
         """
         heap = self._expiry
         while heap and heap[0][0] <= now:
-            expires_at, _seq, e = heapq.heappop(heap)
-            if self.entries.get(e.key) is not e or e.expires_at != expires_at:
+            expires_at, _seq, table, e = heapq.heappop(heap)
+            if table.get(e.key) is not e or e.expires_at != expires_at:
                 continue  # stale: replaced, deleted or re-timed since the push
             if e.state == LOCKED:
                 e.state = LEARNT
                 e.expires_at = expires_at + LEARNT_TIMER
-                self._schedule(e)
+                self._schedule(table, e)
             else:
-                del self.entries[e.key]
+                del table[e.key]
 
-    def _schedule(self, entry):
-        """Queue the expiry of a live entry."""
-        heapq.heappush(self._expiry, (entry.expires_at, next(self._seq), entry))
+    def _schedule(self, table, entry):
+        """Queue the expiry of a live entry of table."""
+        heapq.heappush(self._expiry, (entry.expires_at, next(self._seq), table, entry))
 
     def _lock(self, key, port, now, race_id):
         e = self.entries[key] = ForwardingEntry(key, port, LOCKED, now + LOCK_TIMER, race_id)
-        self._schedule(e)
+        self._schedule(self.entries, e)
 
     def _learn(self, key, port, now):
         # the race stamp stays, so a locked entry learnt early still refuses
@@ -212,12 +213,12 @@ class BridgeState:
         old = self.entries.get(key)
         race_id = None if old is None else old.race_id
         e = self.entries[key] = ForwardingEntry(key, port, LEARNT, now + LEARNT_TIMER, race_id)
-        self._schedule(e)
+        self._schedule(self.entries, e)
 
     def _refresh(self, entry, now):
         if entry.state == LEARNT:
             entry.expires_at = now + LEARNT_TIMER
-            self._schedule(entry)
+            self._schedule(self.entries, entry)
 
     def _race_admit(self, key, ingress, now, race_id):
         """Locked-port race logic shared by all exploration floods.
@@ -342,34 +343,25 @@ class BridgePathBridge(BridgeState):
     (edge-bridge) addresses.  Edge bridges keep an EdgeDirectory mapping
     remote host MACs to their edge bridge, populated only from decapsulated
     ARP traffic, and deliver to local hosts directly: each host port is
-    named after the host attached to it.
+    named after the host attached to it.  A directory record is a
+    ForwardingEntry(mac, edge, LEARNT, expires_at) on the bridge's one heap.
     """
 
     protocol = "bridge_path"
 
     def __init__(self, bridge_id, ports, host_ports=()):
         super().__init__(bridge_id, ports, host_ports)
-        self.directory = {}  # host mac -> (edge id, expires_at)
-        self._dir_expiry = []  # heap of (expires_at, seq, mac), stale items included
+        self.directory = {}  # host mac -> ForwardingEntry whose port is the edge id
 
     @staticmethod
     def host_key(topology, host):
         return topology.hosts[host]  # the host's edge bridge
 
-    def tick(self, now):
-        if self._expiry and self._expiry[0][0] <= now:  # skip the call when nothing is due
-            super().tick(now)
-        heap = self._dir_expiry
-        while heap and heap[0][0] <= now:
-            expires, _seq, mac = heapq.heappop(heap)
-            rec = self.directory.get(mac)
-            if rec is not None and rec[1] == expires:
-                del self.directory[mac]
+    tick = BridgeState.tick  # in __dict__: perfbench/tracing.py wraps cls.__dict__["tick"]
 
     def _dir_learn(self, mac, edge, now):
-        expires = now + LEARNT_TIMER
-        self.directory[mac] = (edge, expires)
-        heapq.heappush(self._dir_expiry, (expires, next(self._seq), mac))
+        rec = self.directory[mac] = ForwardingEntry(mac, edge, LEARNT, now + LEARNT_TIMER)
+        self._schedule(self.directory, rec)
 
     def handle(self, ingress, frame, now):
         from_host = ingress in self.host_ports
@@ -415,7 +407,7 @@ class BridgePathBridge(BridgeState):
             rec = self.directory.get(frame.dst_mac)
             if rec is None:
                 return ForwardingDecision([], UNRESOLVED), None
-            frame = frame.with_outer((self.bridge_id, rec[0]))
+            frame = frame.with_outer((self.bridge_id, rec.port))
         elif frame.outer is None:
             return ForwardingDecision([], MISS), None
         elif frame.outer[1] == self.bridge_id:

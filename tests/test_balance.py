@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allpath import _balance_py
+from allpath import _balance_py, balance
 from allpath.balance import (
     MAX_ARRIVALS_PER_REPLICATION,
     BalanceError,
@@ -281,7 +281,10 @@ class TestDcScenario:
         assert rep.fairness_index > 0.99
         assert len(rep.u) == 6
 
-    def test_all_mice_still_fair(self):
+    def test_all_mice_still_fair(self, compiled_kernel, monkeypatch):
+        # about 3.5M arrivals, so on the compiled kernel, whose results
+        # test_kernel_twins_match_exactly shows equal to the python twin's
+        monkeypatch.setattr(balance, "_kernel", compiled_kernel("_balance_core"))
         mix = TrafficMix(elephant_fraction=0.0)
         caps = [20] * 6
         lam = arrival_rate_for_load(0.6, caps, mix.mean_holding_s)

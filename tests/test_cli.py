@@ -140,11 +140,13 @@ class TestSimulate:
         assert "missing.json" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
-    def test_any_exception_removes_the_directories_it_made(self, tmp_path, monkeypatch):
+    # nothing raises KeyError on bad input, so one is a bug and propagates like any other
+    @pytest.mark.parametrize("error", [RuntimeError, KeyError])
+    def test_any_exception_removes_the_directories_it_made(self, tmp_path, monkeypatch, error):
         def fail(args, outdir):
-            raise RuntimeError("sweep failed")
+            raise error("sweep failed")
         monkeypatch.setattr(cli, "cmd_scalability", fail)
-        with pytest.raises(RuntimeError, match="sweep failed"):
+        with pytest.raises(error, match="sweep failed"):
             main(["scalability", "--n-range", "2..3", "--out", str(tmp_path / "a" / "b")])
         assert os.listdir(tmp_path) == []
 
@@ -550,6 +552,9 @@ class TestQbd:
     ["simulate", "--topology", "crossed:1"],
     ["simulate", "--topology", "torus:3"],
     ["simulate", "--topology", "sc.json"],
+    # an empty item of a comma list is refused, as --hosts 4, is
+    ["balance", "--rho", "0.5,"],
+    ["qbd", "--c1", "1", "--c2", "1", "--rho", "1,,2"],
 ])
 def test_invalid_value_is_usage_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:

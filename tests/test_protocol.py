@@ -277,7 +277,7 @@ class TestBridgePath:
         enc = Frame(kind=ARP_REQUEST, src_mac="B", dst_mac=BROADCAST,
                     src_ip="ip-B", dst_ip="ip-A", outer=(3, BROADCAST), race_id=9)
         d = bs.handle(2, enc, now=0.0)
-        assert bs.directory["B"][0] == 3
+        assert bs.directory["B"].port == 3
         delivered = [out for port, out in d.outputs if port == "A"]
         assert delivered and delivered[0].outer is None  # decapsulated copy
 
@@ -364,8 +364,8 @@ def full_scan_tick(bs, now):
             e.expires_at = e.expires_at + LEARNT_TIMER
         if e.state == LEARNT and now >= e.expires_at:
             del bs.entries[key]
-    for mac, (_edge, expires) in list(bs.directory.items()):
-        if now >= expires:
+    for mac, rec in list(bs.directory.items()):
+        if now >= rec.expires_at:
             del bs.directory[mac]
 
 
@@ -402,6 +402,8 @@ class TestExpiryHeap:
                   ("tick", LEARNT_TIMER)])
     @example(ops=[("dir", "A", 1), ("tick", HALF), ("dir", "A", 2), ("tick", HALF),
                   ("tick", LEARNT_TIMER)])
+    # a directory record and an entry of one key, written at the same now: one tick expires both
+    @example(ops=[("dir", "A", 1), ("learn", "A", 2), ("tick", LEARNT_TIMER)])
     # a re-pointed entry at the same timestamp, then lock -> learnt -> expired
     @example(ops=[("admit", "A", 1, 0), ("tick", HALF), ("admit", "A", 2, 1),
                   ("learn", "B", 1), ("tick", 0.0), ("tick", 2 * LEARNT_TIMER)])

@@ -302,7 +302,7 @@ class TestScenarios:
         for edge in t.edge_bridges():
             directory = rep.bridges[edge].directory
             assert directory and not set(directory) & set(t.hosts_at(edge))
-            assert {mac: rec[0] for mac, rec in directory.items()} == \
+            assert {mac: rec.port for mac, rec in directory.items()} == \
                 {h: t.hosts[h] for h in directory}
 
     def test_an_edge_directory_record_expires_at_a_frame(self):
