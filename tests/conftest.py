@@ -3,7 +3,9 @@
 import importlib
 import importlib.machinery
 import importlib.util
+import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -13,7 +15,8 @@ from pathlib import Path
 import pytest
 
 from allpath.protocol import BRIDGE_CLASSES
-from allpath.simnet import Engine, measure_empirical_tables
+from allpath.simnet import Engine, FlowSpec, measure_empirical_tables
+from allpath.topology import Link, Topology
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,6 +70,44 @@ def erlang_b():
         return b
 
     return blocking
+
+
+@pytest.fixture(scope="session")
+def random_scenario():
+    """random_scenario(seed, k=0) -> (topology, flows), drawn from seed.
+
+    A random spanning tree on 2-10 bridges, each bridge after the first
+    linked to a random earlier one, plus up to as many extra links between
+    bridge pairs not yet linked; each link, host links included, of
+    bandwidth 1e8, 1e9 or 1e10 b/s and delay 1, 2, 5 or 10 us.  2-6 hosts on
+    random bridges, and 1-8 flows between random host pairs of 12 kbit,
+    1 Mbit or 100 Mbit, started in [0, 0.5] s.  k scales time by 2^-k: every
+    bandwidth times 2^k, every delay and start time divided by it.  The draws
+    do not depend on k, and a power of two scales a float exactly.
+    """
+    def scenario(seed, k=0):
+        rng = random.Random(seed)
+
+        def link(a, b):
+            return Link(a, b, bandwidth_bps=math.ldexp(rng.choice((1e8, 1e9, 1e10)), k),
+                        prop_delay_s=math.ldexp(rng.choice((1e-6, 2e-6, 5e-6, 1e-5)), -k))
+
+        n = rng.randint(2, 10)
+        links = [link(rng.randint(1, b - 1), b) for b in range(2, n + 1)]
+        linked = {frozenset((ln.a, ln.b)) for ln in links}
+        for _ in range(rng.randint(0, n - 1)):
+            a, b = rng.sample(range(1, n + 1), 2)
+            if frozenset((a, b)) not in linked:
+                linked.add(frozenset((a, b)))
+                links.append(link(a, b))
+        hosts = {"h%d" % i: rng.randint(1, n) for i in range(rng.randint(2, 6))}
+        links += [link(h, b) for h, b in hosts.items()]
+        flows = [FlowSpec(*rng.sample(sorted(hosts), 2), rng.choice((12e3, 1e6, 1e8)),
+                          math.ldexp(rng.uniform(0, 0.5), -k))
+                 for _ in range(rng.randint(1, 8))]
+        return Topology(range(1, n + 1), links, hosts), flows
+
+    return scenario
 
 
 @pytest.fixture

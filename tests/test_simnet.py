@@ -1,6 +1,7 @@
 """Discrete-event engine: latency model, races, census, determinism."""
 
 import functools
+import hashlib
 import heapq
 import io
 import itertools
@@ -28,6 +29,7 @@ from allpath.protocol import (
     ArpPathBridge,
     ForwardingDecision,
     Frame,
+    dump_tables_csv,
 )
 from allpath.simnet import (
     Engine,
@@ -905,6 +907,82 @@ class TestCensus:
     def test_census_tuples_are_pinned(self, protocol, n):
         t = make_simple_grid(n, hosts_per_corner=2)
         assert measure_empirical_tables(t, protocol, seed=3) == self.PINNED[(protocol, n)]
+
+
+def _output_texts(report):
+    """report.json, report.csv and tables.csv of report, as simulate writes them."""
+    csv, tables = io.StringIO(), io.StringIO()
+    report.write_utilization_csv(csv)
+    dump_tables_csv(report.bridges.values(), tables)
+    return report.to_json(), csv.getvalue(), tables.getvalue()
+
+
+def _timed_outputs(report, factor):
+    """Every output of report, with each time multiplied by factor: the
+    flows' start_time, data_start and data_end, the table_series and
+    link_utilization rows and each table entry's expires_at."""
+    def scaled(t):
+        return None if t is None else t * factor
+
+    flows = [{**f, **{name: scaled(f[name]) for name in ("start_time", "data_start", "data_end")}}
+             for f in report.flows]
+    tables = {b: [{key: (e.port, e.state, scaled(e.expires_at), e.race_id)
+                   for key, e in table.items()}
+                  for table in (bs.entries, getattr(bs, "directory", {}))]
+              for b, bs in report.bridges.items()}
+    return {"counters": report.counters, "races": report.races, "flows": flows,
+            "final_tables": report.final_tables, "tables": tables,
+            "table_series": [(scaled(t), n) for t, n in report.table_series],
+            "link_utilization": [(scaled(t), name, u) for t, name, u in report.link_utilization]}
+
+
+class TestRandomTopologies:
+    """Runs off the uniform grid: the random_scenario corpus, seeds 0-199."""
+
+    SEEDS = range(200)
+
+    # sha256 over the seeds' report.json, report.csv and tables.csv, in seed
+    # order.  A change that alters simulation output on purpose re-pins these
+    # and says so in CHANGES.md, as for test_cli's TestPinnedOutputs.
+    CORPUS_DIGESTS = {
+        "arp_path": "9f92ee55249aed8da3cef43e6d121fe7f6db67736b45e003ef24fca12bfc2429",
+        "flow_path": "a89689eb63522e3aa7ede9641a5bbfd2d5af37a8af3915c2cdb9ac26fafa241e",
+        "bridge_path": "736e23126f446ce8825d03d2d987219ece39220995cabb22abb4276aa1ad9164",
+    }
+
+    @pytest.mark.parametrize("kernel", ["step", "python", "c"])
+    @pytest.mark.parametrize("protocol", sorted(CORPUS_DIGESTS))
+    def test_corpus_outputs_are_pinned(self, protocol, kernel, random_scenario,
+                                       compiled_kernel, monkeypatch):
+        # simnet.step as imported, then each step twin in its place
+        if kernel == "python":
+            monkeypatch.setattr(simnet, "step", step_py)
+        elif kernel == "c":
+            monkeypatch.setattr(simnet, "step", compiled_kernel("_fluid_core").step)
+        digest = hashlib.sha256()
+        for seed in self.SEEDS:
+            topo, flows = random_scenario(seed)
+            for text in _output_texts(run_scenario(topo, protocol, flows, seed=seed)):
+                digest.update(text.encode())
+        assert digest.hexdigest() == self.CORPUS_DIGESTS[protocol]
+
+    @pytest.mark.parametrize("k", [3, -3])
+    @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
+    def test_time_scales_exactly(self, protocol, k, random_scenario, monkeypatch):
+        # bandwidths times 2^k, delays, start times and timers over 2^k: the
+        # same run with every time exactly 2^-k times its own, since a power
+        # of two scales every float operation of the engine exactly
+        monkeypatch.setattr(simnet, "step", step_py)
+
+        def run(seed, k=0):
+            topo, flows = random_scenario(seed, k)
+            return run_scenario(topo, protocol, flows, seed=seed)
+
+        base = [run(seed) for seed in self.SEEDS]
+        monkeypatch.setattr("allpath.protocol.LOCK_TIMER", math.ldexp(LOCK_TIMER, -k))
+        monkeypatch.setattr("allpath.protocol.LEARNT_TIMER", math.ldexp(LEARNT_TIMER, -k))
+        for seed, report in zip(self.SEEDS, base):
+            assert _timed_outputs(run(seed, k), 1.0) == _timed_outputs(report, math.ldexp(1.0, -k)), seed
 
 
 class TestProtocolGates:
