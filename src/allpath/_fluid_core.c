@@ -190,9 +190,11 @@ static int set_float(PyObject *list, Py_ssize_t i, double x)
 }
 
 PyDoc_STRVAR(step_doc,
-"step(flows, remaining, rates, busy, bandwidth, names, now, dt, rows) -> (retired, eta)\n\n"
-"One fluid recompute: advance the flows by dt, retire the finished ones,\n"
-"fill the rest, append the change points to rows and find the next\n"
+"step(flows, remaining, rates, busy, bandwidth, names, prev, now, rows) -> (retired, eta)\n\n"
+"One fluid recompute at now, the previous one having been at prev <= now:\n"
+"retire each flow with rate > 0 and prev + remaining / rate <= now, the\n"
+"completion time the previous step computed for it, advance the others by\n"
+"now - prev, fill them, append the change points to rows and find the next\n"
 "completion.  Bit-identical to simnet.step_py, which specifies the whole\n"
 "step, fill included.");
 
@@ -200,18 +202,19 @@ static PyObject *step(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *flows, *remaining, *rates, *busy, *bandwidth, *names, *now_obj, *rows;
     PyObject *bseq = NULL, *nseq = NULL, *retired = NULL, *zero = NULL, *result = NULL;
-    double now, dt, eta = 0.0, *kept = NULL;  /* the survivors' remaining bits */
+    double prev, now, dt, eta = 0.0, *kept = NULL;  /* the survivors' remaining bits */
     int have_eta = 0;
     Fill s = {0};
     Py_ssize_t n, n_links, n_live, i, k;
 
-    if (!PyArg_ParseTuple(args, "O!O!O!O!OOOdO!:step", &PyList_Type, &flows,
+    if (!PyArg_ParseTuple(args, "O!O!O!O!OOdOO!:step", &PyList_Type, &flows,
                           &PyList_Type, &remaining, &PyList_Type, &rates, &PyList_Type, &busy,
-                          &bandwidth, &names, &now_obj, &dt, &PyList_Type, &rows))
+                          &bandwidth, &names, &prev, &now_obj, &PyList_Type, &rows))
         return NULL;
     now = PyFloat_AsDouble(now_obj);
     if (now == -1.0 && PyErr_Occurred())
         return NULL;
+    dt = now - prev;
     n = PyList_GET_SIZE(flows);
     if (PyList_GET_SIZE(remaining) != n || PyList_GET_SIZE(rates) != n) {
         PyErr_SetString(PyExc_ValueError,
@@ -229,7 +232,9 @@ static PyObject *step(PyObject *Py_UNUSED(self), PyObject *args)
         goto done;
     }
 
-    /* advance, then retire from the back so that the positions stay put */
+    /* retire each flow due by now, its eta as the previous step computed
+     * it, and advance the others; then delete the retired ones from the
+     * back, so that the positions stay put */
     if ((retired = PyList_New(0)) == NULL)
         goto done;
     if ((kept = PyMem_New(double, n)) == NULL) {
@@ -242,21 +247,19 @@ static PyObject *step(PyObject *Py_UNUSED(self), PyObject *args)
             goto done;
         if ((rate = PyFloat_AsDouble(PyList_GET_ITEM(rates, i))) == -1.0 && PyErr_Occurred())
             goto done;
-        if (dt > 0) {
-            left = left - rate * dt;
-            left = left > 0.0 ? left : 0.0;  /* max(0.0, left) */
-            if (set_float(remaining, i, left) < 0)
-                goto done;
-        }
-        if (left <= 1e-9 + 1e-12 * rate) {
+        if (rate > 0 && prev + left / rate <= now) {
             PyObject *pos = PyLong_FromSsize_t(i);
             int err = pos == NULL || PyList_Append(retired, pos) < 0;
             Py_XDECREF(pos);
             if (err)
                 goto done;
+            continue;
         }
-        else
-            kept[k++] = left;
+        left = left - rate * dt;
+        left = left > 0.0 ? left : 0.0;  /* max(0.0, left) */
+        if (set_float(remaining, i, left) < 0)
+            goto done;
+        kept[k++] = left;
     }
     for (k = PyList_GET_SIZE(retired) - 1; k >= 0; k--) {
         i = PyLong_AsSsize_t(PyList_GET_ITEM(retired, k));

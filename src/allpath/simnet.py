@@ -6,9 +6,10 @@ port (Hop.busy_until), and that queueing decides the latency race.  Bulk flow
 payloads, which never delay a control frame, are carried as a flow-level
 fluid model (max-min capacity shares, recomputed at flow start/end), since
 packet-level simulation of multi-megabyte flows is pointless at this scale.
-Each recompute is one call of step: it advances and retires the active
-flows, fills the rest, writes report.csv's change points and finds the next
-completion.  step is the compiled kernel's one function
+Each recompute is one call of step, given the time of the previous one: it
+retires each active flow whose completion time, as the previous call
+computed it, has come, with no tolerance, advances the others, fills them,
+writes report.csv's change points and finds the next completion.  step is the compiled kernel's one function
 (allpath._fluid_core.step) when it was built, otherwise its pure-python
 twin step_py, which specifies the whole step, fill included; KERNEL names
 the one in use, "c" or "python".  The twins return identical results.
@@ -86,20 +87,22 @@ class Hop:
         self.link = index
 
 
-def step_py(flows, remaining, rates, busy, bandwidth, names, now, dt, rows):
-    """One fluid recompute at time now, dt after the previous one.
+def step_py(flows, remaining, rates, busy, bandwidth, names, prev, now, rows):
+    """One fluid recompute at time now, the previous one having been at prev <= now.
 
     flows, remaining and rates are parallel lists with one entry per active
     flow, in start order: its tuple of link indices (each link once per
-    flow), the bits it has left and its rate.  busy, bandwidth and names
-    have one entry per link: the utilization last written to rows for a
-    busy link (None for an idle one), its capacity and its report.csv name.
-    In order, the step
+    flow), the bits it had left at prev and its rate since.  busy, bandwidth
+    and names have one entry per link: the utilization last written to rows
+    for a busy link (None for an idle one), its capacity and its report.csv
+    name.  In order, the step
 
-    1. when dt > 0, advances each flow to max(0.0, remaining - rate * dt);
-    2. retires each flow whose remaining work is under a picosecond of
-       service, remaining <= 1e-9 + 1e-12 * rate, deleting it from the
-       three lists;
+    1. retires each flow that the previous step said would be done by now,
+       rate > 0 and prev + remaining / rate <= now, deleting it from the
+       three lists.  That is the expression of that step's eta, so a flow
+       ends at exactly the time computed for it;
+    2. advances each other flow to max(0.0, remaining - rate * dt), where
+       dt = now - prev, so that a dt of 0 leaves every flow as it was;
     3. stores the max-min fair rates of the other flows, by progressive
        filling (Bertsekas & Gallager, Data Networks, 2nd ed., 6.5.2).  Each
        round picks the link whose residual capacity, split evenly over its
@@ -125,12 +128,13 @@ def step_py(flows, remaining, rates, busy, bandwidth, names, now, dt, rows):
         raise ValueError("flows, remaining and rates must have one entry per flow")
     if not len(busy) == len(bandwidth) == len(names):
         raise ValueError("busy, bandwidth and names must have one entry per link")
-    if dt > 0:
-        for i, left in enumerate(remaining):
-            remaining[i] = max(0.0, left - rates[i] * dt)
-    retired = [i for i, left in enumerate(remaining) if left <= 1e-9 + 1e-12 * rates[i]]
+    retired = [i for i, left in enumerate(remaining)
+               if rates[i] > 0 and prev + left / rates[i] <= now]
     for i in reversed(retired):
         del flows[i], remaining[i], rates[i]
+    dt = now - prev
+    for i, left in enumerate(remaining):
+        remaining[i] = max(0.0, left - rates[i] * dt)
     n_links = len(bandwidth)
     residual = {}
     count = {}  # links with unfrozen flows -> how many, in order of first appearance
@@ -532,7 +536,7 @@ class Engine:
 
     def _fluid_recompute(self, now):
         retired, eta = step(self._active_links, self._remaining, self._rates, self._link_u,
-                            self._bandwidth, self._link_names, now, now - self._fluid_t,
+                            self._bandwidth, self._link_names, self._fluid_t, now,
                             self.report.link_utilization)
         self._fluid_t = now
         ids = self._active_ids

@@ -416,40 +416,47 @@ def fluid_flows(draw):
 
 @st.composite
 def fluid_steps(draw):
-    """(flows, remaining, rates, busy, bandwidth, dts) for a run of steps on
-    fluid_flows' flows and links.  The draws favour the step's edges: dt 0,
-    flows exactly at the completion threshold or just above it, every flow
-    done, and busy links, some last written as 0.0, that no flow crosses."""
+    """(flows, remaining, rates, busy, bandwidth, prev, moves) for a run of
+    steps on fluid_flows' flows and links from time prev.  Each move sets
+    the next step's now: "due" is the earliest prev + remaining / rate over
+    the flows with rate > 0, at which those flows are due exactly, and "ulp"
+    is one ulp before it, so that they are due one ulp after now; a float
+    is now - prev.  The draws favour the step's edges: now = prev, every
+    flow done, and busy links, some last written as 0.0, that no flow
+    crosses."""
     flows, bandwidth = draw(fluid_flows())
     rates = [draw(st.sampled_from([0.0, 1.0, 2.5e8, 1e9]) | st.floats(0, 4e9)) for _ in flows]
-    remaining = []
-    for rate in rates:
-        threshold = 1e-9 + 1e-12 * rate
-        remaining.append(draw(st.sampled_from([0.0, threshold, math.nextafter(threshold, 1.0),
-                                               1e3, 4e8]) | st.floats(0, 1e9)))
+    remaining = [draw(st.sampled_from([0.0, 1e3, 4e8]) | st.floats(0, 1e9)) for _ in flows]
     if draw(st.booleans()):
         remaining = [0.0] * len(flows)
     busy = [draw(st.sampled_from([None, None, 0.0, 0.5, 1.0]) | st.floats(0, 1))
             for _ in bandwidth]
-    dts = draw(st.lists(st.sampled_from([0.0, 1e-6, 0.25]) | st.floats(-1, 10),
-                        min_size=1, max_size=3))
-    return flows, remaining, rates, busy, bandwidth, dts
+    prev = draw(st.floats(0, 100))
+    moves = draw(st.lists(st.sampled_from(["due", "ulp", "due", 0.0, 1e-6, 0.25])
+                          | st.floats(0, 10), min_size=1, max_size=3))
+    return flows, remaining, rates, busy, bandwidth, prev, moves
 
 
-def _step_run(step, case, now):
-    """Run step over case's dts from now; each step's returns and state, as bits."""
-    flows, remaining, rates, busy, bandwidth, dts = case
+def _step_run(step, case):
+    """Run step over case's moves from its prev; each step's returns and state, as bits."""
+    flows, remaining, rates, busy, bandwidth, prev, moves = case
     flows, remaining, rates, busy = list(flows), list(remaining), list(rates), list(busy)
     names = tuple("L%d" % k for k in range(len(bandwidth)))
     out = []
-    for dt in dts:
-        now += dt
+    for move in moves:
+        due = min((prev + left / rate for left, rate in zip(remaining, rates) if rate > 0),
+                  default=prev)
+        if isinstance(move, float):
+            now = prev + move
+        else:
+            now = due if move == "due" else max(prev, math.nextafter(due, -math.inf))
         rows = []
-        retired, eta = step(flows, remaining, rates, busy, bandwidth, names, now, dt, rows)
+        retired, eta = step(flows, remaining, rates, busy, bandwidth, names, prev, now, rows)
         out.append((retired, None if eta is None else eta.hex(), list(flows),
                     _bits(remaining), _bits(rates),
                     [(t.hex(), name, u.hex()) for t, name, u in rows],
                     [None if u is None else u.hex() for u in busy]))
+        prev = now
     return out
 
 
@@ -634,34 +641,46 @@ class TestFluidStep:
     """The compiled step and its pure-python twin, step_py."""
 
     @settings(max_examples=300, deadline=None)
-    @given(case=fluid_steps(), now=st.floats(0, 100))
-    def test_twins_match_bitwise(self, compiled_kernel, case, now):
+    @given(case=fluid_steps())
+    def test_twins_match_bitwise(self, compiled_kernel, case):
         core = compiled_kernel("_fluid_core")
-        assert _step_run(core.step, case, now) == _step_run(step_py, case, now)
+        assert _step_run(core.step, case) == _step_run(step_py, case)
 
     def test_retires_at_the_threshold(self, step_twin):
-        threshold = 1e-9 + 1e-12 * 1e9
-        above = math.nextafter(threshold, 1.0)
+        # the threshold is now itself: a flow retires when prev + remaining /
+        # rate, the completion time the step at prev computed for it, is at
+        # most now.  Flow 0 is due exactly at now, flow 1 one ulp later and
+        # flow 2 at prev.
+        prev, now = 2.0, 2.5
+        due, later = 5e8, 500000000.0000003
+        assert prev + due / 1e9 == now
+        assert prev + later / 1e9 == math.nextafter(now, math.inf)
         flows = [(0,), (0, 2), (1,)]
-        remaining, rates = [threshold, above, 0.0], [1e9, 1e9, 0.0]
+        remaining, rates = [due, later, 0.0], [1e9, 1e9, 1e9]
         # link 1 was last written as 0.0 while busy: busy, not idle
         busy, rows = [0.5, 0.0, None], []
         retired, eta = step_twin(flows, remaining, rates, busy, (1e9, 1e9, 4e9),
-                                 ("a", "b", "c"), 2.0, 0.0, rows)
+                                 ("a", "b", "c"), prev, now, rows)
         assert retired == [0, 2]
-        assert (flows, remaining, rates) == ([(0, 2)], [above], [1e9])
-        assert rows == [(2.0, "a", 1.0), (2.0, "b", 0.0), (2.0, "c", 0.25)]
+        left = later - 1e9 * (now - prev)
+        assert (flows, remaining, rates) == ([(0, 2)], [left], [1e9])
+        assert rows == [(now, "a", 1.0), (now, "b", 0.0), (now, "c", 0.25)]
         assert busy == [1.0, None, 0.25]
-        assert eta == 2.0 + above / 1e9
-        # nothing changed: no row, and the same completion
+        assert eta == now + left / 1e9
+        # no time passes: no row, and the same completion
         assert step_twin(flows, remaining, rates, busy, (1e9, 1e9, 4e9), ("a", "b", "c"),
-                         2.0, 0.0, rows) == ([], eta)
+                         now, now, rows) == ([], eta)
         assert len(rows) == 3
+        # and the flow retires at exactly that completion
+        assert step_twin(flows, remaining, rates, busy, (1e9, 1e9, 4e9), ("a", "b", "c"),
+                         now, eta, rows) == ([0], None)
+        assert rows[3:] == [(eta, "a", 0.0), (eta, "c", 0.0)]
 
     def test_advances_then_retires_every_flow(self, step_twin):
+        # due at 2.8 and at 3: both retire at 3
         flows, remaining, rates = [(0,), (0,)], [4e8, 5e8], [5e8, 5e8]
         busy, rows = [1.0, None], []
-        assert step_twin(flows, remaining, rates, busy, (1e9, 1e9), ("a", "b"), 3, 1.0,
+        assert step_twin(flows, remaining, rates, busy, (1e9, 1e9), ("a", "b"), 2.0, 3,
                          rows) == ([0, 1], None)
         assert flows == remaining == rates == []
         assert rows == [(3, "a", 0.0)] and busy == [None, None]
