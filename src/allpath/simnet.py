@@ -6,13 +6,14 @@ port (Hop.busy_until), and that queueing decides the latency race.  Bulk flow
 payloads, which never delay a control frame, are carried as a flow-level
 fluid model (max-min capacity shares, recomputed at flow start/end), since
 packet-level simulation of multi-megabyte flows is pointless at this scale.
-Each recompute is one call of step, given the time of the previous one: it
-retires each active flow whose completion time, as the previous call
-computed it, has come, with no tolerance, advances the others, fills them,
-writes report.csv's change points and finds the next completion.  step is the compiled kernel's one function
-(allpath._fluid_core.step) when it was built, otherwise its pure-python
-twin step_py, which specifies the whole step, fill included; KERNEL names
-the one in use, "c" or "python".  The twins return identical results.
+Each recompute is one call of step, from the time of the previous one to
+now: it retires the active flows whose completion time, as the previous
+call computed it, is at most now, advances the others, fills them, writes
+report.csv's change points and finds the next completion.  step is the
+compiled kernel's one function (allpath._fluid_core.step) when it was
+built, otherwise its pure-python twin step_py, which specifies the whole
+step, fill included; KERNEL names the one in use, "c" or "python".  The
+twins return identical results.
 
 Events fire in (fire_time, tie, seq) order.  The tie component is a seeded
 random draw made when the event is scheduled, so simultaneous frame
@@ -62,8 +63,10 @@ class FlowSpec:
     def __post_init__(self):
         if not 0 < self.size_bits < math.inf:
             raise ScenarioError("flow size must be finite and positive, not %r" % (self.size_bits,))
-        if not math.isfinite(self.start_time):
-            raise ScenarioError("flow start time must be finite, not %r" % (self.start_time,))
+        # the clock and every port start at 0, so an earlier start would run at 0
+        if not 0 <= self.start_time < math.inf:
+            raise ScenarioError("flow start time must be finite and not negative, not %r"
+                                % (self.start_time,))
         if self.src_host == self.dst_host:
             raise ScenarioError("flow from host %r to itself" % (self.src_host,))
 

@@ -269,7 +269,8 @@ class TestSimulate:
         assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize("field, value", [("size_bits", float("inf")), ("size_bits", 0),
-                                              ("start_time", float("nan"))])
+                                              ("start_time", float("nan")),
+                                              ("start_time", -1.0)])
     def test_flow_field_out_of_range_runtime_error(self, tmp_path, capsys, field, value):
         flow = {"src": "A", "dst": "B", "size_bits": 12000, "start_time": 0.0, field: value}
         scenario = tmp_path / "scenario.json"

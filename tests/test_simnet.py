@@ -1000,8 +1000,9 @@ class TestRandomTopologies:
         base = [run(seed) for seed in self.SEEDS]
         monkeypatch.setattr("allpath.protocol.LOCK_TIMER", math.ldexp(LOCK_TIMER, -k))
         monkeypatch.setattr("allpath.protocol.LEARNT_TIMER", math.ldexp(LEARNT_TIMER, -k))
+        factor = math.ldexp(1.0, -k)
         for seed, report in zip(self.SEEDS, base):
-            assert _timed_outputs(run(seed, k), 1.0) == _timed_outputs(report, math.ldexp(1.0, -k)), seed
+            assert _timed_outputs(run(seed, k), 1.0) == _timed_outputs(report, factor), seed
 
 
 class TestProtocolGates:
