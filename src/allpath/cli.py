@@ -1,10 +1,12 @@
 """Command-line entry point: simulate | scalability | qbd | balance | replay.
 
-Every subcommand writes its CSV/JSON outputs plus a run manifest into the
-output directory (--out, default $ALLPATH_OUTDIR or the working
-directory).  Replaying a manifest with `allpath replay` reproduces the
-output files byte for byte.  Numeric CSV fields carry 12 significant
-digits.  Exit codes: 0 success, 2 usage error, 1 runtime failure.
+Every subcommand returns its CSV/JSON outputs as texts; after the run,
+`main` writes them plus a run manifest into the output directory (--out,
+default $ALLPATH_OUTDIR or the working directory).  A subcommand that
+fails writes nothing.  Replaying a manifest with `allpath replay`
+reproduces the output files byte for byte.  Numeric CSV fields carry 12
+significant digits.  Exit codes: 0 success, 2 usage error, 1 runtime
+failure.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 import time
 
 from . import __version__, balance, scalability, simnet, topology
-from .protocol import dump_tables_csv
+from .protocol import tables_csv
 from .topology import (INT, NAME_OR_OBJECT, NUMBER, OBJECT, OPTIONAL_NUMBER, STR, json_field,
                        json_objects, json_typed)
 
@@ -33,24 +35,8 @@ def _fmt(x):
     return str(x)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _write_manifest(outdir, subcommand, params, outputs, started):
-    doc = {
-        "subcommand": subcommand,
-        "params": params,
-        "version": __version__,
-        "outputs": sorted(outputs),
-        "wall_clock_s": time.time() - started,
-    }
-    with open(os.path.join(outdir, MANIFEST_NAME), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _csv(header, rows):
+    return "".join(",".join(map(_fmt, line)) + "\n" for line in [header, *rows])
 
 
 # the one name of each protocol, for --protocol and a scenario's protocol
@@ -125,7 +111,7 @@ _topology_name = _as_given(_parse_topology, lambda t: True,
 # -- subcommands ----------------------------------------------------------
 
 
-def cmd_simulate(args, outdir):
+def cmd_simulate(args):
     """Run the --scenario document, or {}: each field it lacks takes its
     option's value, and without flows it runs --flows random 12,000-bit flows."""
     doc = {}
@@ -155,17 +141,11 @@ def cmd_simulate(args, outdir):
                     for k in range(args.flows)]
     report = simnet.run_scenario(t, PROTOCOLS[protocol], workload, seed=seed,
                                  duration=duration)
-
-    with open(os.path.join(outdir, "report.json"), "w") as fh:
-        fh.write(report.to_json())
-    with open(os.path.join(outdir, "report.csv"), "w") as fh:
-        report.write_utilization_csv(fh)
-    with open(os.path.join(outdir, "tables.csv"), "w") as fh:
-        dump_tables_csv(report.bridges.values(), fh)
-    return ["report.json", "report.csv", "tables.csv"]
+    return {"report.json": report.to_json(), "report.csv": report.utilization_csv(),
+            "tables.csv": tables_csv(report.bridges.values())}
 
 
-def cmd_scalability(args, outdir):
+def cmd_scalability(args):
     if args.grid == "simple":
         factory, criterion = topology.make_simple_grid, topology.SHORTEST_ONLY
     else:
@@ -175,11 +155,10 @@ def cmd_scalability(args, outdir):
     rows = [[r[k] for k in header]
             for r in scalability.sweep_rows(factory, _parse_range(args.n_range),
                                             _parse_int_list(args.hosts), criterion)]
-    _write_csv(os.path.join(outdir, "scalability.csv"), header, rows)
-    return ["scalability.csv"]
+    return {"scalability.csv": _csv(header, rows)}
 
 
-def cmd_qbd(args, outdir):
+def cmd_qbd(args):
     from . import qbd
 
     summary = []
@@ -189,12 +168,11 @@ def cmd_qbd(args, outdir):
         summary.append([rho, u1, u2, lp])
         for psi in sorted(gap):
             gaps.append([rho, psi, gap[psi]])
-    _write_csv(os.path.join(outdir, "qbd_summary.csv"), ["rho", "u1", "u2", "lp"], summary)
-    _write_csv(os.path.join(outdir, "qbd_gap.csv"), ["rho", "psi", "probability"], gaps)
-    return ["qbd_summary.csv", "qbd_gap.csv"]
+    return {"qbd_summary.csv": _csv(["rho", "u1", "u2", "lp"], summary),
+            "qbd_gap.csv": _csv(["rho", "psi", "probability"], gaps)}
 
 
-def cmd_balance(args, outdir):
+def cmd_balance(args):
     capacities = [args.capacity] * args.paths
     rows = []
     for rho in _parse_float_list(args.rho):
@@ -211,9 +189,7 @@ def cmd_balance(args, outdir):
             rows.append([rho, i + 1, u, rep.loss_probability, fi,
                          "" if ci is None else _fmt(u - ci),
                          "" if ci is None else _fmt(u + ci)])
-    _write_csv(os.path.join(outdir, "balance.csv"),
-               ["rho", "path_id", "u", "lp", "fi", "ci_low", "ci_high"], rows)
-    return ["balance.csv"]
+    return {"balance.csv": _csv(["rho", "path_id", "u", "lp", "fi", "ci_low", "ci_high"], rows)}
 
 
 def cmd_replay(args):
@@ -307,15 +283,16 @@ def build_parser(parser_class=argparse.ArgumentParser):
 
 
 def main(argv=None):
-    """Parse (replay: the manifest), refuse, make the output directory, run, write the manifest.
+    """Parse (replay: the manifest), refuse, run, then write the run's outputs and its manifest.
 
     The manifest's params are the parsed options, so replay passes back
-    exactly what the parser accepted.  A run that fails, by any exception,
-    removes the directories it made while they are still empty; an error
-    other than ValueError or OSError then propagates.
+    exactly what the parser accepted.  A subcommand returns its outputs as
+    texts, so one that fails, by any exception, writes nothing: the output
+    directory is made only after the run.  An error other than ValueError
+    or OSError propagates.  An OSError while writing leaves the files
+    already written, and the manifest is written last.
     """
     args = build_parser().parse_args(argv)
-    made = []  # the output directory and its parents that this run made, deepest first
     try:
         if args.cmd == "replay":
             args = cmd_replay(args)
@@ -329,26 +306,20 @@ def main(argv=None):
                       % (qbd.DENSE_MAX_STATES, args.c1, args.c2, states), file=sys.stderr)
                 return 2
         started = time.time()
-        outdir = args.out or os.environ.get("ALLPATH_OUTDIR") or "."
-        missing = os.path.abspath(outdir)
-        while not os.path.exists(missing):
-            made.append(missing)
-            missing = os.path.dirname(missing)
-        os.makedirs(outdir, exist_ok=True)
-        outputs = args.fn(args, outdir)
+        files = args.fn(args)
         params = {k: v for k, v in vars(args).items() if k not in ("cmd", "fn", "out")}
-        _write_manifest(outdir, args.cmd, params, outputs, started)
-        made.clear()  # the run succeeded: keep what it made
+        manifest = {"subcommand": args.cmd, "params": params, "version": __version__,
+                    "outputs": sorted(files), "wall_clock_s": time.time() - started}
+        files[MANIFEST_NAME] = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        outdir = args.out or os.environ.get("ALLPATH_OUTDIR") or "."
+        os.makedirs(outdir, exist_ok=True)
+        for name, text in files.items():
+            with open(os.path.join(outdir, name), "w") as fh:
+                fh.write(text)
         return 0
     except (ValueError, OSError) as exc:
         print("allpath: error: %s" % exc, file=sys.stderr)
         return 1
-    finally:
-        for path in made:
-            try:
-                os.rmdir(path)
-            except OSError:  # not empty: the run wrote there
-                break
 
 
 if __name__ == "__main__":

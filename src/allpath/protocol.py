@@ -445,14 +445,15 @@ def count_table_entries(bridge_states):
     }
 
 
-def dump_tables_csv(bridge_states, fh):
+def tables_csv(bridge_states):
     """Table dump: protocol, bridge, key, port, state, expires_at."""
-    fh.write("protocol,bridge,key,port,state,expires_at\n")
+    lines = ["protocol,bridge,key,port,state,expires_at\n"]
     for bs in sorted(bridge_states, key=lambda b: str(b.bridge_id)):
         for key in sorted(bs.entries, key=str):
             e = bs.entries[key]
-            fh.write("%s,%s,%s,%s,%s,%.12g\n" % (
+            lines.append("%s,%s,%s,%s,%s,%.12g\n" % (
                 bs.protocol, bs.bridge_id, _fmt_key(key), e.port, e.state, e.expires_at))
+    return "".join(lines)
 
 
 def _fmt_key(key):

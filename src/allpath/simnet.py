@@ -247,11 +247,11 @@ class SimReport:
         # compact: with no indent, dumps runs on the C encoder
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
-    def write_utilization_csv(self, fh):
+    def utilization_csv(self):
         """report.csv: a header, then one "time,link,utilization" line per
         link_utilization row."""
-        fh.write("time,link,utilization\n")
-        fh.writelines(["%.12g,%s,%.12g\n" % row for row in self.link_utilization])
+        return "time,link,utilization\n" + "".join(["%.12g,%s,%.12g\n" % row
+                                                     for row in self.link_utilization])
 
 
 class _Host:

@@ -74,7 +74,7 @@ def erlang_b():
 
 @pytest.fixture(scope="session")
 def random_scenario():
-    """random_scenario(seed, k=0) -> (topology, flows), drawn from seed.
+    """random_scenario(seed, k=0, tree=False) -> (topology, flows), drawn from seed.
 
     A random spanning tree on 2-10 bridges, each bridge after the first
     linked to a random earlier one, plus up to as many extra links between
@@ -82,10 +82,12 @@ def random_scenario():
     bandwidth 1e8, 1e9 or 1e10 b/s and delay 1, 2, 5 or 10 us.  2-6 hosts on
     random bridges, and 1-8 flows between random host pairs of 12 kbit,
     1 Mbit or 100 Mbit, started in [0, 0.5] s.  k scales time by 2^-k: every
-    bandwidth times 2^k, every delay and start time divided by it.  The draws
-    do not depend on k, and a power of two scales a float exactly.
+    bandwidth times 2^k, every delay and start time divided by it.
+    tree=True keeps the spanning tree alone: it draws the extra links but
+    leaves them out.  The draws depend on neither k nor tree, and a power of
+    two scales a float exactly.
     """
-    def scenario(seed, k=0):
+    def scenario(seed, k=0, tree=False):
         rng = random.Random(seed)
 
         def link(a, b):
@@ -99,7 +101,9 @@ def random_scenario():
             a, b = rng.sample(range(1, n + 1), 2)
             if frozenset((a, b)) not in linked:
                 linked.add(frozenset((a, b)))
-                links.append(link(a, b))
+                extra = link(a, b)
+                if not tree:
+                    links.append(extra)
         hosts = {"h%d" % i: rng.randint(1, n) for i in range(rng.randint(2, 6))}
         links += [link(h, b) for h, b in hosts.items()]
         flows = [FlowSpec(*rng.sample(sorted(hosts), 2), rng.choice((12e3, 1e6, 1e8)),

@@ -143,7 +143,7 @@ class TestSimulate:
     # nothing raises KeyError on bad input, so one is a bug and propagates like any other
     @pytest.mark.parametrize("error", [RuntimeError, KeyError])
     def test_any_exception_removes_the_directories_it_made(self, tmp_path, monkeypatch, error):
-        def fail(args, outdir):
+        def fail(args):
             raise error("sweep failed")
         monkeypatch.setattr(cli, "cmd_scalability", fail)
         with pytest.raises(error, match="sweep failed"):
@@ -162,16 +162,27 @@ class TestSimulate:
         assert run(["simulate", "--scenario", missing]) == 1
         assert out.is_dir() and os.getcwd() == str(out)
 
-    def test_failed_run_keeps_a_directory_it_wrote_to(self, tmp_path, capsys, monkeypatch):
-        def fail(bridges, fh):
+    def test_failed_run_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        # the command fails after the simulation and report.json's text are done
+        def fail(bridges):
             raise ValueError("tables.csv failed")
-        monkeypatch.setattr(cli, "dump_tables_csv", fail)
+        monkeypatch.setattr(cli, "tables_csv", fail)
         out = tmp_path / "fresh"
         assert run(["simulate", "--topology", "diamond", "--flows", "1",
                     "--out", str(out)]) == 1
         assert capsys.readouterr().err == "allpath: error: tables.csv failed\n"
-        assert (out / "report.json").exists()
-        assert not (out / cli.MANIFEST_NAME).exists()
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("sub", [[], ["sub"]], ids=["file", "file-sub"])
+    def test_out_through_a_regular_file_runtime_error(self, tmp_path, capsys, sub):
+        path = tmp_path / "taken"
+        path.write_bytes(b"not a directory\n")
+        assert run(["scalability", "--n-range", "2..2", "--hosts", "4",
+                    "--out", str(path.joinpath(*sub))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("allpath: error: ") and err.count("\n") == 1, err
+        assert path.read_bytes() == b"not a directory\n"
+        assert os.listdir(tmp_path) == ["taken"]
 
     def test_random_flows_need_two_hosts_runtime_error(self, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"

@@ -21,7 +21,7 @@ from allpath.protocol import (
     FlowPathBridge,
     Frame,
     count_table_entries,
-    dump_tables_csv,
+    tables_csv,
 )
 
 
@@ -345,13 +345,10 @@ class TestCounting:
         assert counts["total"] == 0
         assert counts["edge_directory"] == {1: 1}
 
-    def test_dump_tables_csv(self, tmp_path):
+    def test_dump_tables_csv(self):
         bs = ArpPathBridge(2, ports=[1, 3])
         bs.handle(1, req("A", "ip-B", race=1), now=0.0)
-        out = tmp_path / "t.csv"
-        with open(out, "w") as fh:
-            dump_tables_csv([bs], fh)
-        lines = out.read_text().strip().split("\n")
+        lines = tables_csv([bs]).strip().split("\n")
         assert lines[0] == "protocol,bridge,key,port,state,expires_at"
         assert lines[1].startswith("arp_path,2,A,1,locked,")
 

@@ -3,7 +3,6 @@
 import functools
 import hashlib
 import heapq
-import io
 import itertools
 import json
 import math
@@ -29,7 +28,7 @@ from allpath.protocol import (
     ArpPathBridge,
     ForwardingDecision,
     Frame,
-    dump_tables_csv,
+    tables_csv,
 )
 from allpath.simnet import (
     Engine,
@@ -339,9 +338,7 @@ class TestScenarios:
         assert len(last) > 4 and set(last.values()) == {0.0}
         # the rows are written once, to report.csv
         assert "link_utilization" not in json.loads(rep.to_json())
-        fh = io.StringIO()
-        rep.write_utilization_csv(fh)
-        lines = fh.getvalue().splitlines()
+        lines = rep.utilization_csv().splitlines()
         assert lines[0] == "time,link,utilization"
         assert lines[1:] == ["%.12g,%s,%.12g" % row for row in rep.link_utilization]
 
@@ -477,13 +474,6 @@ class TestMaxMin:
         rates, utilization = _fill_by_step(step_py, flows, bandwidth)
         assert _bits(rates) == _bits(reference_max_min_rates(flows, bandwidth))
         load = _loads(flows, rates)
-        for ln, on_link in load.items():
-            assert sum(on_link) <= bandwidth[ln] * (1 + 1e-12)
-        # max-min: every flow crosses a saturated link on which no flow is
-        # faster; the shares of two tied rounds may come out an ulp apart
-        for i, links in enumerate(flows):
-            assert any(bandwidth[ln] - sum(load[ln]) <= 1e-9 * bandwidth[ln]
-                       and max(load[ln]) <= rates[i] * (1 + 1e-12) for ln in links), i
         # utilization: every crossed link once, in ascending index, its
         # load summed left to right in flow order
         want = []
@@ -493,6 +483,23 @@ class TestMaxMin:
                 total += rate
             want.append((ln, total / bandwidth[ln]))
         assert _fill_bits((rates, utilization)) == _fill_bits((rates, want))
+
+    @pytest.mark.parametrize("kernel", ["python", "c"])
+    @settings(max_examples=300, deadline=None)
+    @given(case=fluid_flows())
+    def test_fill_is_max_min(self, kernel, compiled_kernel, case):
+        # the certificate: no link is over its bandwidth, and every flow
+        # crosses a saturated link on which no flow is faster; the shares of
+        # two tied rounds may come out an ulp apart
+        step = step_py if kernel == "python" else compiled_kernel("_fluid_core").step
+        flows, bandwidth = case
+        rates, _ = _fill_by_step(step, flows, bandwidth)
+        load = _loads(flows, rates)
+        for ln, on_link in load.items():
+            assert sum(on_link) <= bandwidth[ln] * (1 + 1e-12)
+        for i, links in enumerate(flows):
+            assert any(bandwidth[ln] - sum(load[ln]) <= 1e-12 * bandwidth[ln]
+                       and max(load[ln]) <= rates[i] * (1 + 1e-12) for ln in links), i
 
     def test_engine_rates_match_set_based_filling(self, monkeypatch):
         # after each step, flows holds the flows that step filled, and rates
@@ -930,10 +937,7 @@ class TestCensus:
 
 def _output_texts(report):
     """report.json, report.csv and tables.csv of report, as simulate writes them."""
-    csv, tables = io.StringIO(), io.StringIO()
-    report.write_utilization_csv(csv)
-    dump_tables_csv(report.bridges.values(), tables)
-    return report.to_json(), csv.getvalue(), tables.getvalue()
+    return report.to_json(), report.utilization_csv(), tables_csv(report.bridges.values())
 
 
 def _timed_outputs(report, factor):
@@ -984,6 +988,43 @@ class TestRandomTopologies:
             for text in _output_texts(run_scenario(topo, protocol, flows, seed=seed)):
                 digest.update(text.encode())
         assert digest.hexdigest() == self.CORPUS_DIGESTS[protocol]
+
+    @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
+    def test_no_bridge_forwards_a_frame_twice(self, protocol, random_scenario, bridge_arrivals):
+        # a copy may come back to a bridge it crossed, where the lock drops it
+        for seed in self.SEEDS:
+            topo, flows = random_scenario(seed)
+            run_scenario(topo, protocol, flows, seed=seed)
+            for arrival in bridge_arrivals:
+                forwarders = arrival[:-1]
+                assert len(set(forwarders)) == len(forwarders), (seed, arrival)
+            bridge_arrivals.clear()
+
+    @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
+    def test_a_done_flow_took_its_probe_trace(self, protocol, random_scenario):
+        done = 0
+        for seed in self.SEEDS:
+            topo, flows = random_scenario(seed)
+            for f in run_scenario(topo, protocol, flows, seed=seed).flows:
+                if f["status"] == "done":
+                    done += 1
+                    assert f["path"] == f["probe_trace"], (seed, f)
+        assert done > 800
+
+    @pytest.mark.parametrize("protocol", ["arp_path", "bridge_path"])
+    def test_census_bounds_meet_on_trees(self, protocol, random_scenario, census):
+        # one path per pair, so the traces to a key and those to or from it
+        # cross the same bridges
+        host_key = BRIDGE_CLASSES[protocol].host_key
+        measured = 0
+        for seed in range(300):
+            topo, _ = random_scenario(seed, tree=True)
+            if len({host_key(topo, h) for h in topo.hosts}) < 2:
+                continue
+            (total, *_), (low, high) = census(topo, protocol, seed=seed)
+            assert low == total == high, seed
+            measured += 1
+        assert measured > 250
 
     @pytest.mark.parametrize("k", [3, -3])
     @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
