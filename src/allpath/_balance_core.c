@@ -9,6 +9,11 @@
  * So both kernels return identical results, busy floats included, for a given
  * seed.
  *
+ * The event loop, simulate(), runs without the GIL: it touches no Python
+ * object, and each call owns its Replication struct and the buffers in it,
+ * so allpath.balance runs replications on several threads at once.  Argument
+ * parsing and building the result hold the GIL.
+ *
  * Build with -ffp-contract=off (setup.py does): a fused multiply-add rounds
  * once where the Python twin rounds twice.
  */
@@ -219,7 +224,9 @@ static PyObject *run_replication(PyObject *module, PyObject *args, PyObject *kwa
         PyErr_NoMemory();
         goto done;
     }
+    Py_BEGIN_ALLOW_THREADS
     simulate(&r);
+    Py_END_ALLOW_THREADS
     if ((busy_out = PyList_New(r.n)) == NULL)
         goto done;
     for (i = 0; i < r.n; i++) {

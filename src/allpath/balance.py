@@ -9,11 +9,22 @@ The replication loop runs on the hand-written C kernel
 twin (allpath._balance_py); KERNEL names the one in use, "c" or "python".
 The twins return identical results for a given seed.  Replications are
 independent and the first warmup fraction of each is discarded.
+
+simulate runs the replications in parallel on the CPUs this process may
+use: the calling thread and up to one helper thread per further CPU take
+replication indices from one shared iterator.  The C kernel releases the
+GIL for its event loop, so those threads run at once; the python twin holds
+it, so there they take turns.  Each replication's seed depends on its index
+alone and its results are stored by index, so the report does not depend on
+how many CPUs the process gets, or on which kernel runs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
 
 try:  # pragma: no cover - depends on the build
@@ -34,9 +45,10 @@ DC_ELEPHANT_HOLDING_S = 100e6 * 8 / 1e9  # 100 MB chunk at 1 Gbps
 DC_MOUSE_HOLDING_RANGE_S = (2e3 * 8 / 1e9, 50e3 * 8 / 1e9)  # 2..50 KB
 
 # Largest expected arrival count (arrival rate x duration) of one replication.
-# The C kernel handles about 5e6 arrivals/s at N=16, C=250, rho 0.9 (2 vCPU
-# Xeon VM), so the limit is about 20 s of work; the largest benchmark case
-# asks for 1.8e4.
+# The C kernel handles about 5e6 arrivals/s at N=16, C=250, rho 0.9 on one
+# core of a 2 vCPU Xeon VM, so the limit is about 20 s of work for each
+# replication, however many run at once; the largest benchmark case asks for
+# 1.8e4.
 MAX_ARRIVALS_PER_REPLICATION = 1e8
 
 
@@ -109,11 +121,23 @@ def _mix_seed(seed, rep):
     return (seed * 0x9E3779B97F4A7C15 + rep * 0xBF58476D1CE4E5B9 + 1) & ((1 << 64) - 1)
 
 
-def simulate(capacities, arrival_rate, holding, duration, replications=1, seed=0):
-    """Run independent replications; holding is a TrafficMix, or the mean in
-    seconds of exponential holding times.
+def _usable_cpus():
+    """How many CPUs this process may run on; os.cpu_count() where the OS
+    cannot say (os.sched_getaffinity is missing on macOS and Windows)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
-    fairness_index is None when no path carried any load."""
+
+def simulate(capacities, arrival_rate, holding, duration, replications=1, seed=0):
+    """Run independent replications, in parallel (see the module docstring);
+    holding is a TrafficMix, or the mean in seconds of exponential holding
+    times.
+
+    fairness_index is None when no path carried any load.  When a replication
+    raises, no further one starts; simulate waits for those running and
+    re-raises the first exception."""
     capacities = [int(c) for c in capacities]
     if not capacities or any(c < 1 for c in capacities):
         raise BalanceError("capacities must be positive integers")
@@ -137,14 +161,36 @@ def simulate(capacities, arrival_rate, holding, duration, replications=1, seed=0
 
     n = len(capacities)
     warmup = duration * WARMUP_FRACTION
-    u_reps = []
-    lp_reps = []
-    for rep in range(replications):
-        busy, span, arrivals, losses = _kernel.run_replication(
-            capacities, arrival_rate, duration, warmup,
-            _mix_seed(seed, rep), kind, p0, p1, p2, p3)
-        u_reps.append([busy[i] / (span * capacities[i]) for i in range(n)])
-        lp_reps.append(losses / arrivals if arrivals else 0.0)
+    u_reps = [None] * replications
+    lp_reps = [None] * replications
+    todo = iter(range(replications))  # next() on it is one call under the GIL
+    errors = []
+
+    def work():
+        try:
+            for rep in todo:
+                busy, span, arrivals, losses = _kernel.run_replication(
+                    capacities, arrival_rate, duration, warmup,
+                    _mix_seed(seed, rep), kind, p0, p1, p2, p3)
+                u_reps[rep] = [busy[i] / (span * capacities[i]) for i in range(n)]
+                lp_reps[rep] = losses / arrivals if arrivals else 0.0
+        except BaseException as exc:  # KeyboardInterrupt too: re-raised below
+            errors.append(exc)
+            deque(todo, maxlen=0)  # exhausted: no further replication starts
+
+    helpers = []
+    try:
+        for _ in range(min(replications, _usable_cpus()) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            helpers.append(thread)
+        work()
+    finally:
+        deque(todo, maxlen=0)  # also when starting a helper failed
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
 
     u = [sum(rep[i] for rep in u_reps) / replications for i in range(n)]
     lp = sum(lp_reps) / replications

@@ -448,11 +448,19 @@ def count_table_entries(bridge_states):
 def tables_csv(bridge_states):
     """Table dump: protocol, bridge, key, port, state, expires_at."""
     lines = ["protocol,bridge,key,port,state,expires_at\n"]
+    # key -> (str(key), its field): a flow's key sits on every bridge of its
+    # path, so each distinct key is formatted once
+    text = {}
     for bs in sorted(bridge_states, key=lambda b: str(b.bridge_id)):
-        for key in sorted(bs.entries, key=str):
-            e = bs.entries[key]
-            lines.append("%s,%s,%s,%s,%s,%.12g\n" % (
-                bs.protocol, bs.bridge_id, _fmt_key(key), e.port, e.state, e.expires_at))
+        entries = bs.entries
+        for key in entries:
+            if key not in text:
+                text[key] = (str(key), _fmt_key(key))
+        prefix = "%s,%s," % (bs.protocol, bs.bridge_id)
+        for key in sorted(entries, key=lambda k: text[k][0]):
+            e = entries[key]
+            lines.append("%s%s,%s,%s,%.12g\n" % (
+                prefix, text[key][1], e.port, e.state, e.expires_at))
     return "".join(lines)
 
 

@@ -250,8 +250,14 @@ class SimReport:
     def utilization_csv(self):
         """report.csv: a header, then one "time,link,utilization" line per
         link_utilization row."""
-        return "time,link,utilization\n" + "".join(["%.12g,%s,%.12g\n" % row
-                                                     for row in self.link_utilization])
+        lines = ["time,link,utilization\n"]
+        last = stamp = None
+        for t, link, u in self.link_utilization:
+            # the rows of one recompute share its time object: format it once
+            if t is not last:
+                last, stamp = t, "%.12g," % t
+            lines.append("%s%s,%.12g\n" % (stamp, link, u))
+        return "".join(lines)
 
 
 class _Host:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from allpath import _balance_py, balance
 from allpath.balance import (
     MAX_ARRIVALS_PER_REPLICATION,
     BalanceError,
+    BalanceReport,
     TrafficMix,
     arrival_rate_for_load,
     jain_index,
@@ -273,6 +275,100 @@ class TestKernels:
         busy, _span, arrivals, _losses = result = _balance_py.run_replication(*args)
         assert arrivals == 2 and busy[1] > busy[0]  # the first flow went to path 1
         assert core.run_replication(*args) == result
+
+
+def _sequential(kernel, capacities, arrival_rate, holding, duration, replications, seed):
+    """simulate's report from a plain loop over kernel.run_replication, one
+    replication after another on the calling thread."""
+    if isinstance(holding, TrafficMix):
+        kind, *params = holding.kernel_params()
+    else:
+        kind, params = _balance_py.HOLD_EXP, (holding, 0.0, 0.0, 0.0)
+    n = len(capacities)
+    u_reps, lp_reps = [], []
+    for rep in range(replications):
+        busy, span, arrivals, losses = kernel.run_replication(
+            capacities, arrival_rate, duration, duration * balance.WARMUP_FRACTION,
+            balance._mix_seed(seed, rep), kind, *params)
+        u_reps.append([busy[i] / (span * capacities[i]) for i in range(n)])
+        lp_reps.append(losses / arrivals if arrivals else 0.0)
+    u = [sum(rep[i] for rep in u_reps) / replications for i in range(n)]
+    return BalanceReport(
+        u=u,
+        u_ci=[balance._ci_half_width([rep[i] for rep in u_reps]) for i in range(n)],
+        loss_probability=sum(lp_reps) / replications,
+        fairness_index=jain_index(u) if any(u) else None,
+        u_reps=u_reps,
+        lp_reps=lp_reps,
+    )
+
+
+class TestParallelReplications:
+    @pytest.mark.parametrize("twin", ["c", "python"])
+    def test_report_does_not_depend_on_the_cpu_count(self, twin, compiled_kernel, monkeypatch):
+        kernel = compiled_kernel("_balance_core") if twin == "c" else _balance_py
+        monkeypatch.setattr(balance, "_kernel", kernel)
+        mix = TrafficMix()
+        cases = [([5, 3, 2], arrival_rate_for_load(0.9, [5, 3, 2], 1.0), 1.0, 20.0),
+                 ([4, 4], arrival_rate_for_load(0.8, [4, 4], mix.mean_holding_s), mix, 0.5)]
+        for caps, lam, holding, duration in cases:
+            for replications in (1, 4, 10):
+                want = _sequential(kernel, caps, lam, holding, duration, replications, seed=8)
+                for cpus in (1, 2, 3, 16):
+                    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+                    got = simulate(caps, lam, holding, duration, replications, seed=8)
+                    assert got == want, (caps, replications, cpus)
+
+    def test_cpu_count_where_affinity_is_unknown(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        for count, cpus in ((3, 3), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            assert balance._usable_cpus() == cpus
+        want = _sequential(balance._kernel, [3, 3], 4.0, 1.0, 10.0, 4, seed=2)
+        assert simulate([3, 3], 4.0, 1.0, 10.0, replications=4, seed=2) == want
+
+    @pytest.mark.parametrize("on_helper", [False, True])
+    def test_a_failed_replication_stops_the_run(self, on_helper, monkeypatch):
+        # one helper thread; the thread that does not fail holds its first
+        # replication until replication 3 fails on the other, so which thread
+        # runs replication 3 is fixed, and any replication started after the
+        # failure would show in `started`
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        replications, seed = 10, 7
+        index = {balance._mix_seed(seed, rep): rep for rep in range(replications)}
+        caller = threading.current_thread()
+        other_busy, released = threading.Event(), threading.Event()
+        started, raised = [], []
+
+        def run_replication(capacities, lam, duration, warmup, seed, *hold):
+            rep = index[seed]
+            started.append(rep)
+            if (threading.current_thread() is not caller) != on_helper:
+                other_busy.set()
+                released.wait(10)
+            else:
+                other_busy.wait(10)
+                if rep == 3:
+                    raised.append(KeyboardInterrupt(rep))
+                    released.set()
+                    raise raised[0]
+            return [0.0] * len(capacities), duration - warmup, 0, 0
+
+        monkeypatch.setattr(balance._kernel, "run_replication", run_replication)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        # the failing thread keeps the GIL from its raise until it has
+        # exhausted the iterator or blocks, so the released thread cannot
+        # take an index in between
+        sys.setswitchinterval(60.0)
+        try:
+            with pytest.raises(KeyboardInterrupt) as info:
+                simulate([2, 2], 1.0, 1.0, 1.0, replications, seed)
+        finally:
+            sys.setswitchinterval(interval)
+        assert info.value is raised[0]
+        assert sorted(started) == [0, 1, 2, 3]
+        assert threading.active_count() == threads
 
 
 class TestDcScenario:
