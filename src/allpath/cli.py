@@ -142,7 +142,7 @@ def cmd_simulate(args):
     report = simnet.run_scenario(t, PROTOCOLS[protocol], workload, seed=seed,
                                  duration=duration)
     return {"report.json": report.to_json(), "report.csv": report.utilization_csv(),
-            "tables.csv": tables_csv(report.bridges.values())}
+            "tables.csv": tables_csv(report.bridges.values(), report.end_time)}
 
 
 def cmd_scalability(args):

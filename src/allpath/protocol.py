@@ -3,14 +3,18 @@
 A bridge "port" is identified by the neighbor reached through it (a bridge
 id or a host id); topologies never have parallel links so this is unique.
 
-Table entries have two states.  A *locked* entry is created by the first
-copy of a broadcast exploration frame and stamped with that exploration's
-race; later copies of the same race are discarded wherever the stamp is,
-which is what keeps flooding loop-free.  After its (short) lock timer, or
-earlier when a reply for the same key arrives, the entry becomes *learnt*:
-refreshable, re-pointable by a fresher exploration, and expiring after the
-(long) learnt timer.  A reply that turns a locked entry learnt keeps its
-race stamp, so the slower copies of that flood stay duplicates.
+An entry is *locked* until its lock deadline and *learnt* from then on.
+The first copy of a broadcast exploration frame creates an entry locked
+for LOCK_TIMER and stamped with that exploration's race; later copies of
+the same race are discarded wherever the stamp is, which is what keeps
+flooding loop-free.  From its deadline on, or from the moment a reply for
+the same key learns it, the entry is learnt: refreshable, re-pointable by a
+fresher exploration, and expiring LEARNT_TIMER after its deadline or its
+last refresh.  A reply that learns a locked entry keeps its race stamp, so
+the slower copies of that flood stay duplicates.  The lock is a deadline,
+not a state: an entry holds locked_until, the time its lock ends, and it is
+locked at now exactly while now < locked_until.  handle() reads now for
+the lock, so a lock ends on time whether or not the bridge was ticked.
 
 The protocols differ only in their keys, and each bridge class names its
 own.  Its handle() passes the flood key of an exploration to _flood(); its
@@ -18,18 +22,20 @@ _unicast_key() gives the key a unicast frame is looked up by; and its
 host_key(topology, host) gives the key of the entries that forward to a
 host, or is None where a table keys per host couple (Flow-Path).
 
-Timers live in one expiry heap per bridge with lazy deletion, the classic
+Expiries live in one heap per bridge with lazy deletion, the classic
 timer-queue design (Varghese & Lauck, "Hashed and Hierarchical Timing
-Wheels", SOSP 1987): every write pushes (expires_at, seq, table, entry),
-table being the dict the entry lives in (entries, or Bridge-Path's edge
-directory), and a tick pops only the items that are due, skipping those
-whose entry has been replaced, deleted or re-timed since.  A tick costs
-O(log n) per due item instead of a scan of every table.  A stale item
+Wheels", SOSP 1987): every table write pushes one (expires_at, seq, table,
+entry), table being the dict the entry lives in (entries, or Bridge-Path's
+edge directory), and a tick pops only the items that are due, skipping
+those whose entry has been replaced, deleted or re-timed since, and
+deletes the others.  A tick only deletes: it costs O(log n) per due item
+instead of a scan of every table, and it pushes nothing.  A stale item
 leaves the heap when it comes due, so after a tick a heap holds only the
-items pushed in the last LEARNT_TIMER seconds.  The bridges do not read the
-clock: the engine ticks a bridge to `now` before it calls handle() or
-route() on it, and every bridge at the end of a run, so no table is read
-with a timer overdue.
+items pushed in the last LOCK_TIMER + LEARNT_TIMER seconds.  The bridges
+read the clock only through the now they are handed: the engine ticks a
+bridge to now before it calls handle() on it whenever an expiry is due,
+before each route() of a path walk, and every bridge at the end of a run,
+so no table is read with an expired entry in it.
 
 A frame's trace, the bridges that forwarded it from first to last, is kept
 as a *trail*: a parent-linked tuple (bridge, parent_trail), None before the
@@ -125,11 +131,20 @@ def _check_outer(outer, dst_mac):
 
 @dataclass(slots=True)
 class ForwardingEntry:
+    """A table entry: locked while now < locked_until, learnt from then on
+    until expires_at."""
+
     key: object
     port: object
-    state: str
+    locked_until: float
     expires_at: float
     race_id: object = None
+
+    def state_at(self, now):
+        """(state, the time that state ends) of the entry at now."""
+        if now < self.locked_until:
+            return LOCKED, self.locked_until
+        return LEARNT, self.expires_at
 
 
 # Why a unicast or exploration frame was dropped; the engine counts each
@@ -160,7 +175,8 @@ class BridgeState:
     It has no side effects and does not stamp the frame, so the engine can
     walk a flow's path through it; handle() applies its learning and
     refreshes around it and appends the bridge to the output's trace.
-    Neither applies timers: the caller runs tick(now) first.
+    Neither deletes expired entries: the caller runs tick(now) first, when
+    an expiry is due.  handle() reads now for the lock deadline.
     """
 
     protocol = None
@@ -175,36 +191,32 @@ class BridgeState:
         # ingress port -> the ports a flood copy from it goes out on
         self.flood_ports = {i: [p for p in self.ports if p != i] for i in self.ports}
         self.entries = {}
-        self._expiry = []  # heap of (expires_at, seq, table, entry), stale items included
+        self.expiry = []  # heap of (expires_at, seq, table, entry), stale items included
         self._seq = itertools.count()
 
     # -- entry lifecycle --------------------------------------------------
 
     def tick(self, now):
-        """Apply the timer transitions due by now.
+        """Delete the entries and directory records whose expiry is due by now.
 
-        A locked entry that is due becomes learnt and is pushed again with
-        its learnt expiry, so lock -> learnt -> expired can happen in one
-        tick.  The engine calls it before every handle() and route().
+        A lock needs no tick to end, so lock -> learnt -> expired is one
+        item.  The engine calls it before a handle() when the head of the
+        heap is due, and before every route() of a path walk.
         """
-        heap = self._expiry
+        heap = self.expiry
         while heap and heap[0][0] <= now:
             expires_at, _seq, table, e = heapq.heappop(heap)
-            if table.get(e.key) is not e or e.expires_at != expires_at:
-                continue  # stale: replaced, deleted or re-timed since the push
-            if e.state == LOCKED:
-                e.state = LEARNT
-                e.expires_at = expires_at + LEARNT_TIMER
-                self._schedule(table, e)
-            else:
-                del table[e.key]
+            if table.get(e.key) is e and e.expires_at == expires_at:
+                del table[e.key]  # else stale: replaced, deleted or re-timed since the push
 
     def _schedule(self, table, entry):
         """Queue the expiry of a live entry of table."""
-        heapq.heappush(self._expiry, (entry.expires_at, next(self._seq), table, entry))
+        heapq.heappush(self.expiry, (entry.expires_at, next(self._seq), table, entry))
 
     def _lock(self, key, port, now, race_id):
-        e = self.entries[key] = ForwardingEntry(key, port, LOCKED, now + LOCK_TIMER, race_id)
+        locked_until = now + LOCK_TIMER
+        e = self.entries[key] = ForwardingEntry(key, port, locked_until,
+                                                locked_until + LEARNT_TIMER, race_id)
         self._schedule(self.entries, e)
 
     def _learn(self, key, port, now):
@@ -212,11 +224,11 @@ class BridgeState:
         # the later copies of its flood
         old = self.entries.get(key)
         race_id = None if old is None else old.race_id
-        e = self.entries[key] = ForwardingEntry(key, port, LEARNT, now + LEARNT_TIMER, race_id)
+        e = self.entries[key] = ForwardingEntry(key, port, now, now + LEARNT_TIMER, race_id)
         self._schedule(self.entries, e)
 
     def _refresh(self, entry, now):
-        if entry.state == LEARNT:
+        if now >= entry.locked_until:  # a locked entry is not refreshed
             entry.expires_at = now + LEARNT_TIMER
             self._schedule(self.entries, entry)
 
@@ -232,7 +244,7 @@ class BridgeState:
             return True
         if e.race_id == race_id:
             return False  # later copy of the same exploration: slower path
-        if e.state == LEARNT:
+        if now >= e.locked_until:
             # fresher exploration re-points a learnt entry
             self._lock(key, ingress, now, race_id)
             return True
@@ -260,7 +272,7 @@ class BridgeState:
         """Where a unicast frame goes: (decision, matched entry or None).
 
         Side-effect free; the output frame is not stamped with this bridge.
-        The caller has already applied the timers due by now.
+        The caller has already deleted the entries expired by now.
         """
         e = self.entries.get(self._unicast_key(frame))
         if e is None:
@@ -344,7 +356,8 @@ class BridgePathBridge(BridgeState):
     remote host MACs to their edge bridge, populated only from decapsulated
     ARP traffic, and deliver to local hosts directly: each host port is
     named after the host attached to it.  A directory record is a
-    ForwardingEntry(mac, edge, LEARNT, expires_at) on the bridge's one heap.
+    ForwardingEntry(mac, edge, now, now + LEARNT_TIMER), learnt from the
+    start, on the bridge's one heap.
     """
 
     protocol = "bridge_path"
@@ -360,7 +373,7 @@ class BridgePathBridge(BridgeState):
     tick = BridgeState.tick  # in __dict__: perfbench/tracing.py wraps cls.__dict__["tick"]
 
     def _dir_learn(self, mac, edge, now):
-        rec = self.directory[mac] = ForwardingEntry(mac, edge, LEARNT, now + LEARNT_TIMER)
+        rec = self.directory[mac] = ForwardingEntry(mac, edge, now, now + LEARNT_TIMER)
         self._schedule(self.directory, rec)
 
     def handle(self, ingress, frame, now):
@@ -445,8 +458,11 @@ def count_table_entries(bridge_states):
     }
 
 
-def tables_csv(bridge_states):
-    """Table dump: protocol, bridge, key, port, state, expires_at."""
+def tables_csv(bridge_states, now):
+    """Table dump at now: protocol, bridge, key, port, state, expires_at.
+
+    A locked entry shows its lock deadline, a learnt one its expiry.
+    """
     lines = ["protocol,bridge,key,port,state,expires_at\n"]
     # key -> (str(key), its field): a flow's key sits on every bridge of its
     # path, so each distinct key is formatted once
@@ -459,8 +475,8 @@ def tables_csv(bridge_states):
         prefix = "%s,%s," % (bs.protocol, bs.bridge_id)
         for key in sorted(entries, key=lambda k: text[k][0]):
             e = entries[key]
-            lines.append("%s%s,%s,%s,%.12g\n" % (
-                prefix, text[key][1], e.port, e.state, e.expires_at))
+            state, until = e.state_at(now)
+            lines.append("%s%s,%s,%s,%.12g\n" % (prefix, text[key][1], e.port, state, until))
     return "".join(lines)
 
 

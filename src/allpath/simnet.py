@@ -34,7 +34,7 @@ from .protocol import (
     BRIDGE_CLASSES,
     BROADCAST,
     DATA,
-    DUPLICATE,
+    DROP_DUPLICATE,
     LEARNT_TIMER,
     LOCK_TIMER,
     MISS,
@@ -229,8 +229,10 @@ class SimReport:
     # end if the final tick changed it: change points, not one row per frame
     table_series: list = field(default_factory=list)
     final_tables: dict = field(default_factory=dict)
-    # bridge id -> bridge state at the end of the run; tables.csv is dumped from it
+    # bridge id -> bridge state at the end of the run, and the time of that
+    # end; tables.csv is dumped from them, each entry in its state at end_time
     bridges: dict = field(default_factory=dict, repr=False)
+    end_time: float = 0.0
 
     def to_json_dict(self):
         return {
@@ -379,19 +381,26 @@ class Engine:
         bs = self.bridges[bridge_id]
         entries = bs.entries
         before = len(entries)
-        bs.tick(now)
+        expiry = bs.expiry
+        if expiry and expiry[0][0] <= now:
+            bs.tick(now)
         decision = bs.handle(ingress, frame, now)
-        for port, fr in decision.outputs:
-            if port == ingress:
-                raise AssertionError("forwarding back out the ingress port")
-            self._send(bridge_id, port, fr, now)
-        drop = decision.drop
-        if drop is not None:
-            if drop == DUPLICATE:
-                self.dropped_duplicate += 1
-            elif drop == MISS:
+        if decision is DROP_DUPLICATE:
+            self.dropped_duplicate += 1
+            # a duplicate changes no table, and the admission of its race here
+            # made the first table_series row: a row is due only if the tick
+            # deleted an entry
+            if len(entries) == before:
+                return
+        else:
+            for port, fr in decision.outputs:
+                if port == ingress:
+                    raise AssertionError("forwarding back out the ingress port")
+                self._send(bridge_id, port, fr, now)
+            drop = decision.drop
+            if drop == MISS:
                 self.dropped_miss += 1
-            else:
+            elif drop is not None:
                 self.dropped_unresolved += 1
         # only the handling bridge's table can change, by its timers and by
         # the frame, so the total moves by its size change, and a
@@ -586,6 +595,7 @@ class Engine:
         report.races = [self._races[k] for k in sorted(self._races, key=str)]
         report.final_tables = count_table_entries(self.bridges.values())
         report.bridges = self.bridges
+        report.end_time = self.now
         report.counters = {
             "delivered": self.delivered, "absorbed": self.absorbed,
             "flows_completed": self.flows_completed, "flows_unresolved": self.flows_unresolved,

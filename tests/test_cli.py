@@ -164,7 +164,7 @@ class TestSimulate:
 
     def test_failed_run_writes_no_file(self, tmp_path, capsys, monkeypatch):
         # the command fails after the simulation and report.json's text are done
-        def fail(bridges):
+        def fail(bridges, now):
             raise ValueError("tables.csv failed")
         monkeypatch.setattr(cli, "tables_csv", fail)
         out = tmp_path / "fresh"
@@ -356,10 +356,49 @@ class TestPinnedOutputs:
         monkeypatch.setattr(simnet, "step", simnet.step_py)
         self.check_simulate_outputs(tmp_path, protocol)
 
-    def check_simulate_outputs(self, tmp_path, protocol):
+    def check_simulate_outputs(self, tmp_path, protocol, cut=(), digests=DIGESTS):
         assert run(["simulate", "--topology", "grid:3", "--seed", "7", "--flows", "12",
-                    "--protocol", protocol, "--out", str(tmp_path)]) == 0
-        assert output_digests(tmp_path) == self.DIGESTS[protocol]
+                    "--protocol", protocol, "--out", str(tmp_path), *cut]) == 0
+        assert output_digests(tmp_path) == digests[protocol]
+
+    # the same runs cut at 0.05 s, while every bridge's entry of the first
+    # flood is still locked: tables.csv shows locked rows and their deadlines
+    LIVE_LOCK_DIGESTS = {
+        "arp-path": {
+            "report.json": "142241cdcff9defa48c64337ea5045d000485337ac261a86bd23714dd7eb8097",
+            "report.csv": "ac546b92566b561b3062f720e64d2863b9f201ab29995a91528b1a9c68f6a2c3",
+            "tables.csv": "672467a9c9083052ba8e8be8ad3344f079ef523da7aa97aab389bfbc7a6309e8",
+            "report.json content": "f652b9fc10b02f3954940f6eaa6b22b8ccd3689298a8e247859f1562912339c5",
+        },
+        "flow-path": {
+            "report.json": "a385da77612f8c7e9634e8a7563fff5cbc40d08db1fb6e178a7b19a5e82b9ab8",
+            "report.csv": "ac546b92566b561b3062f720e64d2863b9f201ab29995a91528b1a9c68f6a2c3",
+            "tables.csv": "4a0b09f9f53ab5780e6882d92fc2686eb91897eca5344663a9befa70f6c12ad3",
+            "report.json content": "56a13f87149cf8ff309d131bf63243964311ae16c9a28fb1a59b9b3b9bee8a39",
+        },
+        "bridge-path": {
+            "report.json": "a145c07cd5836a81f4ac7b69d83fc4191b9ea282a49274639e1e4ed83baf16f0",
+            "report.csv": "ac546b92566b561b3062f720e64d2863b9f201ab29995a91528b1a9c68f6a2c3",
+            "tables.csv": "1372ae95298bf5fef942570f7430794f7941068fb5ab96386445850c54813933",
+            "report.json content": "7a02a5d159adaae1454334cda4ceeec81cc029741aa377b1ab56a75c64b5c930",
+        },
+    }
+
+    @pytest.mark.parametrize("protocol", sorted(LIVE_LOCK_DIGESTS))
+    def test_live_lock_outputs_are_pinned(self, tmp_path, protocol):
+        self.check_live_lock_outputs(tmp_path, protocol)
+
+    @pytest.mark.parametrize("protocol", sorted(LIVE_LOCK_DIGESTS))
+    def test_live_lock_outputs_are_pinned_on_the_python_fill(self, tmp_path, protocol,
+                                                              monkeypatch):
+        monkeypatch.setattr(simnet, "step", simnet.step_py)
+        self.check_live_lock_outputs(tmp_path, protocol)
+
+    def check_live_lock_outputs(self, tmp_path, protocol):
+        self.check_simulate_outputs(tmp_path, protocol, ("--duration", "0.05"),
+                                    self.LIVE_LOCK_DIGESTS)
+        rows = read(tmp_path / "tables.csv").decode().splitlines()[1:]
+        assert "locked" in {row.split(",")[4] for row in rows}
 
     # a scenario file on a 4x4 grid with two hosts per corner: 20 flows, every
     # other one 400 Mbit so that bulk flows overlap, cut at 4 s

@@ -1,5 +1,7 @@
 """Per-bridge forwarding state machines: locking, learning, timers."""
 
+import math
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -96,7 +98,7 @@ class TestArpPath:
     def test_flood_locks_and_fans_out(self):
         bs = ArpPathBridge(2, ports=[1, 3, "X"], host_ports=["X"])
         d = bs.handle(1, req("A", "ip-B", race=1), now=0.0)
-        assert bs.entries["A"].state == LOCKED
+        assert bs.entries["A"].state_at(0.0) == (LOCKED, LOCK_TIMER)
         assert bs.entries["A"].port == 1
         assert sorted((str(p) for p, _ in d.outputs)) == ["3", "X"]
 
@@ -117,29 +119,31 @@ class TestArpPath:
     def test_learnt_entry_repointed_by_fresher_race(self):
         bs = ArpPathBridge(2, ports=[1, 3])
         bs.handle(1, req("A", "ip-B", race=1), now=0.0)
-        bs.tick(2 * LOCK_TIMER)  # locked -> learnt
+        bs.tick(2 * LOCK_TIMER)  # nothing due: the lock ended at its deadline
         d = bs.handle(3, req("A", "ip-C", race=2), now=2 * LOCK_TIMER)
         assert d.drop is None
         assert bs.entries["A"].port == 3
-        assert bs.entries["A"].state == LOCKED
+        assert bs.entries["A"].state_at(2 * LOCK_TIMER)[0] == LOCKED
 
     @pytest.mark.parametrize("cls", [ArpPathBridge, FlowPathBridge])
-    def test_a_ticked_lock_timer_admits_the_next_race(self, cls):
-        # handle reads no clock: the caller's tick turns the lock learnt
+    def test_the_lock_ends_at_its_deadline_without_a_tick(self, cls):
+        # handle reads now for the lock: no tick runs, and the next race is
+        # refused just before LOCK_TIMER and admitted at it
         bs = cls(2, ports=[1, 3])
         bs.handle(1, req("A", "ip-B", race=1), now=0.0)
-        assert bs.handle(3, req("A", "ip-B", race=2), now=2 * LOCK_TIMER).drop == DUPLICATE
-        bs.tick(2 * LOCK_TIMER)
-        d = bs.handle(3, req("A", "ip-B", race=3), now=2 * LOCK_TIMER)
+        before = math.nextafter(LOCK_TIMER, 0.0)
+        assert bs.handle(3, req("A", "ip-B", race=2), now=before).drop == DUPLICATE
+        d = bs.handle(3, req("A", "ip-B", race=3), now=LOCK_TIMER)
         assert d.drop is None and [p for p, _ in d.outputs] == [1]
         [entry] = bs.entries.values()
-        assert entry.port == 3 and entry.state == LOCKED and entry.race_id == 3
+        assert entry.port == 3 and entry.race_id == 3
+        assert entry.state_at(LOCK_TIMER) == (LOCKED, 2 * LOCK_TIMER)
 
     def test_reply_creates_learnt_directly(self):
         bs = ArpPathBridge(2, ports=[1, 3])
         bs.handle(1, req("A", "ip-B", race=1), now=0.0)
         d = bs.handle(3, reply("B", "A", race=1), now=0.001)
-        assert bs.entries["B"].state == LEARNT
+        assert bs.entries["B"].state_at(0.001) == (LEARNT, 0.001 + LEARNT_TIMER)
         assert d.outputs[0][0] == 1  # forwarded along A's locked port
 
     def test_unicast_miss_reported(self):
@@ -150,13 +154,12 @@ class TestArpPath:
     def test_tick_transitions(self):
         bs = ArpPathBridge(2, ports=[1, 3])
         bs.handle(1, req("A", "ip-B", race=1), now=0.0)
-        bs.tick(0.9 * LOCK_TIMER)
-        assert bs.entries["A"].state == LOCKED
-        bs.tick(1.1 * LOCK_TIMER)
-        assert bs.entries["A"].state == LEARNT
-        assert bs.entries["A"].expires_at == LOCK_TIMER + LEARNT_TIMER
-        bs.tick(LEARNT_TIMER)
-        assert bs.entries["A"].state == LEARNT
+        entry = bs.entries["A"]
+        for now, shown in [(0.9 * LOCK_TIMER, (LOCKED, LOCK_TIMER)),
+                           (1.1 * LOCK_TIMER, (LEARNT, LOCK_TIMER + LEARNT_TIMER)),
+                           (LEARNT_TIMER, (LEARNT, LOCK_TIMER + LEARNT_TIMER))]:
+            bs.tick(now)
+            assert bs.entries["A"] is entry and entry.state_at(now) == shown
         bs.tick(LOCK_TIMER + LEARNT_TIMER)
         assert "A" not in bs.entries
 
@@ -270,7 +273,7 @@ class TestBridgePath:
         assert bs.entries == {}
         bs._dir_learn("C", 3, now=0.0)
         bs.handle("B", reply("B", "C", race=3), now=0.0)
-        assert bs.entries[1].port == "B" and bs.entries[1].state == LEARNT
+        assert bs.entries[1].port == "B" and bs.entries[1].state_at(0.0) == (LEARNT, LEARNT_TIMER)
 
     def test_directory_learned_from_decapsulated_arp(self):
         bs = self.make_edge()
@@ -298,8 +301,8 @@ class TestBridgePath:
 
 
 def _table_state(bs):
-    entries = [(k, e.port, e.state, e.expires_at) for k, e in bs.entries.items()]
-    return entries, len(bs._expiry), dict(getattr(bs, "directory", {}))
+    entries = [(k, e.port, e.locked_until, e.expires_at, e.race_id) for k, e in bs.entries.items()]
+    return entries, len(bs.expiry), dict(getattr(bs, "directory", {}))
 
 
 class TestRoute:
@@ -348,22 +351,59 @@ class TestCounting:
     def test_dump_tables_csv(self):
         bs = ArpPathBridge(2, ports=[1, 3])
         bs.handle(1, req("A", "ip-B", race=1), now=0.0)
-        lines = tables_csv([bs]).strip().split("\n")
+        lines = tables_csv([bs], 0.0).strip().split("\n")
         assert lines[0] == "protocol,bridge,key,port,state,expires_at"
-        assert lines[1].startswith("arp_path,2,A,1,locked,")
+        assert lines[1] == "arp_path,2,A,1,locked,0.1"
+        # the same entry at its lock deadline: learnt, with its learnt expiry
+        assert tables_csv([bs], LOCK_TIMER).split("\n")[1] == "arp_path,2,A,1,learnt,30.1"
 
 
-def full_scan_tick(bs, now):
-    """Reference tick: the scan of every entry and directory record it replaced."""
-    for key, e in list(bs.entries.items()):
-        if e.state == LOCKED and now >= e.expires_at:
-            e.state = LEARNT
-            e.expires_at = e.expires_at + LEARNT_TIMER
-        if e.state == LEARNT and now >= e.expires_at:
-            del bs.entries[key]
-    for mac, rec in list(bs.directory.items()):
-        if now >= rec.expires_at:
-            del bs.directory[mac]
+class TwoStateTables:
+    """Reference: the two-state tables that the lock deadline replaced.
+
+    A lock is a state, with the lock's end as its expiry, that the first
+    tick at or after that expiry turns learnt, re-timed LEARNT_TIMER later.
+    The tick is a scan of every entry and directory record.  Entries are
+    [port, state, expires_at, race_id] and records [edge, expires_at].
+    """
+
+    def __init__(self):
+        self.entries = {}
+        self.directory = {}
+
+    def tick(self, now):
+        for key, e in list(self.entries.items()):
+            if e[1] == LOCKED and now >= e[2]:
+                e[1] = LEARNT
+                e[2] = e[2] + LEARNT_TIMER
+            if e[1] == LEARNT and now >= e[2]:
+                del self.entries[key]
+        for mac, rec in list(self.directory.items()):
+            if now >= rec[1]:
+                del self.directory[mac]
+
+    def race_admit(self, key, port, now, race_id):
+        e = self.entries.get(key)
+        if e is not None and (e[3] == race_id or e[1] == LOCKED):
+            return False
+        self.entries[key] = [port, LOCKED, now + LOCK_TIMER, race_id]
+        return True
+
+    def learn(self, key, port, now):
+        old = self.entries.get(key)
+        self.entries[key] = [port, LEARNT, now + LEARNT_TIMER, None if old is None else old[3]]
+
+    def refresh(self, key, now):
+        e = self.entries.get(key)
+        if e is not None and e[1] == LEARNT:
+            e[2] = now + LEARNT_TIMER
+
+    def dir_learn(self, mac, edge, now):
+        self.directory[mac] = [edge, now + LEARNT_TIMER]
+
+    def snapshot(self):
+        return ([(k, *e) for k, e in self.entries.items()],
+                [(mac, edge, LEARNT, expires_at) for mac, (edge, expires_at) in self.directory.items()])
 
 
 KEYS = ["A", "B"]
@@ -384,13 +424,15 @@ OPS = st.one_of(
 )
 
 
-def snapshot(bs):
-    entries = [(k, e.port, e.state, e.expires_at) for k, e in bs.entries.items()]
-    return entries, list(bs.directory.items())
+def snapshot(bs, now):
+    """bs's tables as TwoStateTables.snapshot shows them: each entry's state
+    at now and the time it ends."""
+    return ([(k, e.port, *e.state_at(now), e.race_id) for k, e in bs.entries.items()],
+            [(mac, rec.port, *rec.state_at(now)) for mac, rec in bs.directory.items()])
 
 
 class TestExpiryHeap:
-    """The heap tick against the full-scan reference on random operation sequences."""
+    """The deadline tables against the two-state reference on random operation sequences."""
 
     @settings(max_examples=300, deadline=None)
     @given(ops=st.lists(OPS, max_size=80))
@@ -404,33 +446,57 @@ class TestExpiryHeap:
     # a re-pointed entry at the same timestamp, then lock -> learnt -> expired
     @example(ops=[("admit", "A", 1, 0), ("tick", HALF), ("admit", "A", 2, 1),
                   ("learn", "B", 1), ("tick", 0.0), ("tick", 2 * LEARNT_TIMER)])
+    # ticks at exactly the lock deadline: learnt there, refreshable and re-pointable
+    @example(ops=[("admit", "A", 1, 0), ("tick", LOCK_TIMER), ("refresh", "A"),
+                  ("admit", "A", 2, 1), ("tick", LOCK_TIMER), ("admit", "A", 3, 2)])
+    # a reply learns a locked entry early, keeping its stamp; at the same
+    # instant a copy of that race is refused and a fresher race re-points it
+    @example(ops=[("admit", "A", 1, 0), ("tick", 0.4 * LOCK_TIMER), ("learn", "A", 2),
+                  ("admit", "A", 3, 0), ("admit", "A", 3, 1), ("tick", LEARNT_TIMER)])
+    # lock -> deletion in one tick
+    @example(ops=[("admit", "A", 1, 0), ("learn", "B", 2),
+                  ("tick", LOCK_TIMER + LEARNT_TIMER)])
     def test_matches_full_scan(self, ops):
-        def make():
-            return BridgePathBridge(1, ports=PORTS + ["H"], host_ports=["H"])
-
-        heap_bs, ref = make(), make()
+        bs = BridgePathBridge(1, ports=PORTS + ["H"], host_ports=["H"])
+        ref = TwoStateTables()
         now = 0.0
         for op in ops:
+            pushed = len(bs.expiry)
             if op[0] == "tick":
                 now += op[1]
-                heap_bs.tick(now)
-                full_scan_tick(ref, now)
+                bs.tick(now)
+                ref.tick(now)
+                assert len(bs.expiry) <= pushed  # a tick pushes nothing
+            elif op[0] == "admit":
+                admitted = bs._race_admit(op[1], op[2], now, op[3])
+                assert admitted == ref.race_admit(op[1], op[2], now, op[3])
+                assert len(bs.expiry) == pushed + admitted  # one item per admission
+            elif op[0] == "learn":
+                bs._learn(op[1], op[2], now)
+                ref.learn(op[1], op[2], now)
+            elif op[0] == "refresh":
+                e = bs.entries.get(op[1])
+                if e is not None:
+                    bs._refresh(e, now)
+                ref.refresh(op[1], now)
             else:
-                for bs in (heap_bs, ref):
-                    if op[0] == "admit":
-                        bs._race_admit(op[1], op[2], now, op[3])
-                    elif op[0] == "learn":
-                        bs._learn(op[1], op[2], now)
-                    elif op[0] == "refresh":
-                        e = bs.entries.get(op[1])
-                        if e is not None:
-                            bs._refresh(e, now)
-                    else:
-                        bs._dir_learn(op[1], op[2], now)
-            assert snapshot(heap_bs) == snapshot(ref)
+                bs._dir_learn(op[1], op[2], now)
+                ref.dir_learn(op[1], op[2], now)
+            assert snapshot(bs, now) == ref.snapshot()
 
     def test_lock_to_expired_in_one_tick(self):
         bs = ArpPathBridge(2, ports=[1, 3])
         bs.handle(1, req("A", "ip-B", race=1), now=0.0)
         bs.tick(LOCK_TIMER + LEARNT_TIMER + 1.0)
-        assert bs.entries == {} and bs._expiry == []
+        assert bs.entries == {} and bs.expiry == []
+
+    @pytest.mark.parametrize("cls", [ArpPathBridge, FlowPathBridge, BridgePathBridge])
+    def test_an_admission_leaves_one_heap_item_before_and_after_its_lock(self, cls):
+        bs = cls(1, ports=[2, "A"], host_ports=["A"])
+        bs.handle("A", req("A", "ip-B", race=1), now=0.0)
+        [entry] = bs.entries.values()
+        assert bs.expiry == [(LOCK_TIMER + LEARNT_TIMER, 0, bs.entries, entry)]
+        for now in (0.5 * LOCK_TIMER, LOCK_TIMER, 2 * LOCK_TIMER):
+            bs.tick(now)
+            assert bs.expiry == [(LOCK_TIMER + LEARNT_TIMER, 0, bs.entries, entry)]
+        assert entry.state_at(2 * LOCK_TIMER) == (LEARNT, LOCK_TIMER + LEARNT_TIMER)

@@ -284,8 +284,8 @@ class TestScenarios:
 
     @pytest.mark.parametrize("protocol", simnet.PROTOCOLS)
     def test_a_flood_after_the_lock_timer_is_admitted(self, protocol):
-        # A floods again, for C, once its first flood's locks are due: the
-        # engine's tick has made them learnt, so the fresher race re-points them
+        # A floods again, for C, once its first flood's locks have ended: the
+        # entries are learnt, so the fresher race re-points them
         t = make_line(3, hosts={"A": 1, "B": 3, "C": 2})
         wl = [FlowSpec("A", "B", 12000, 0.0), FlowSpec("A", "C", 12000, 2 * LOCK_TIMER)]
         rep = run_scenario(t, protocol, wl, seed=1)
@@ -937,24 +937,27 @@ class TestCensus:
 
 def _output_texts(report):
     """report.json, report.csv and tables.csv of report, as simulate writes them."""
-    return report.to_json(), report.utilization_csv(), tables_csv(report.bridges.values())
+    return (report.to_json(), report.utilization_csv(),
+            tables_csv(report.bridges.values(), report.end_time))
 
 
 def _timed_outputs(report, factor):
     """Every output of report, with each time multiplied by factor: the
     flows' start_time, data_start and data_end, the table_series and
-    link_utilization rows and each table entry's expires_at."""
+    link_utilization rows, the end time and each table entry's lock deadline
+    and expiry."""
     def scaled(t):
         return None if t is None else t * factor
 
     flows = [{**f, **{name: scaled(f[name]) for name in ("start_time", "data_start", "data_end")}}
              for f in report.flows]
-    tables = {b: [{key: (e.port, e.state, scaled(e.expires_at), e.race_id)
+    tables = {b: [{key: (e.port, scaled(e.locked_until), scaled(e.expires_at), e.race_id)
                    for key, e in table.items()}
                   for table in (bs.entries, getattr(bs, "directory", {}))]
               for b, bs in report.bridges.items()}
     return {"counters": report.counters, "races": report.races, "flows": flows,
             "final_tables": report.final_tables, "tables": tables,
+            "end_time": scaled(report.end_time),
             "table_series": [(scaled(t), n) for t, n in report.table_series],
             "link_utilization": [(scaled(t), name, u) for t, name, u in report.link_utilization]}
 
@@ -1098,7 +1101,8 @@ class TestBenchmarkTracer:
         tracer = tracing.Tracer()
         tracing.install(tracer, api)
         try:
-            # the second flow starts at 0.3 s, after the first flood's locks are due
+            # the second flow starts at 0.3 s, after the first flood's locks have
+            # ended; its walk and the end of each run tick every bridge
             for protocol in ("arp-path", "flow-path", "bridge-path"):
                 assert cli.main(["simulate", "--topology", "diamond", "--protocol", protocol,
                                  "--flows", "2", "--seed", "1",
